@@ -20,10 +20,10 @@
 #include <iostream>
 #include <vector>
 
+#include "pipeline/burst_pipeline.hpp"
 #include "runner/runner.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace ftspan;
 using runner::ScenarioSpec;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   // instance and confirm the output does not depend on the thread count.
   banner("iteration fan-out: G(512, 16/n), k = 3, r = 2, c = 1");
   std::printf("hardware threads available: %zu\n",
-              ThreadPool::hardware_threads());
+              hardware_threads());
   {
     ScenarioSpec s;
     s.workload = "gnp";

@@ -4,18 +4,18 @@
 // tracked: (1) the Dial bucket-queue frontier, selected per graph by the
 // engine=auto policy when the hoisted weight profile shows bounded integer
 // weights, and (2) the dataplane burst pipeline (pipeline/burst_pipeline.hpp)
-// that routes conversion iterations and fault-set checks to worker-pinned
-// engines in fixed-size bursts instead of one shared-counter bounce per task.
-// PR 10 adds the third frontier — delta-stepping (engine=delta) — for the
+// that routes conversion iterations and fault-set checks to per-worker
+// engines in bursts instead of one shared-counter bounce per task. PR 10
+// adds the third frontier — delta-stepping (engine=delta) — for the
 // mid-range integer regime the bucket's O(max_weight) bucket array cannot
-// reach, plus opt-in core-affinity worker lanes.
+// reach.
 //
 // This bench runs the tracked presets (conv_throughput,
 // validation_throughput, midrange_throughput — the exact cells
 // `ftspan bench` and CI execute) under every engine policy, checks that
 // every policy produces bit-identical outputs, and reports the measured
-// multiples. It then sweeps threads x engine on the mid-range cell and the
-// burst geometry to show neither changes a bit.
+// multiples. It then sweeps threads x engine on the mid-range cell to show
+// neither changes a bit.
 //
 //   $ ./bench_e12_pipeline_throughput [trials] [--json <path>]
 //
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
 
   // --- threads x engine on the mid-range cell -----------------------------
   {
-    banner("midrange threads x engine sweep (worker lanes, affinity-ready)");
+    banner("midrange threads x engine sweep (worker lanes)");
     ScenarioSpec spec = preset_spec("midrange_throughput");
     Table t({"engine", "threads", "val sec", "sets/s", "edges_hash"});
     std::uint64_t hash0 = 0;
@@ -240,34 +240,6 @@ int main(int argc, char** argv) {
                       engine, threads);
           ok = false;
         }
-      }
-    }
-    t.print();
-  }
-
-  // --- burst geometry: batch= must never change a bit ---------------------
-  {
-    banner("burst geometry sweep (batch= is perf-only)");
-    ScenarioSpec spec = preset_spec("conv_throughput");
-    spec.reps = 1;
-    spec.threads = {2};  // engage the pipeline even on small CI boxes
-    Table t({"batch", "sec", "edges_hash"});
-    std::uint64_t hash0 = 0;
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{16},
-                                    std::size_t{256}}) {
-      spec.batch = batch;
-      const ScenarioReport report = runner::run_scenario(spec);
-      const ScenarioCell& cell = report.cells.front();
-      char hash[32];
-      std::snprintf(hash, sizeof hash, "0x%016llx",
-                    static_cast<unsigned long long>(cell.edges_hash));
-      t.row().cell(batch).cell(cell.seconds_best, 3).cell(hash);
-      if (hash0 == 0)
-        hash0 = cell.edges_hash;
-      else if (cell.edges_hash != hash0) {
-        std::printf("BIT-IDENTITY FAILED: batch=%zu changed the edge set\n",
-                    batch);
-        ok = false;
       }
     }
     t.print();

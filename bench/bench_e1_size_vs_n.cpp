@@ -18,10 +18,10 @@
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "runner/runner.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace ftspan;
 using runner::ScenarioSpec;
@@ -126,7 +126,7 @@ int main() {
   {
     banner("parallel engine: G(2000, 8/n), k = 3, r = 2, alpha = 48");
     std::printf("hardware threads available: %zu\n",
-                ThreadPool::hardware_threads());
+                hardware_threads());
     ScenarioSpec s;
     s.workload = "gnp";
     s.n = {2000};

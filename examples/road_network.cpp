@@ -62,8 +62,10 @@ int main() {
       ++sampled;
     }
     std::string closed_list;
-    for (Vertex v : closed.to_vector())
-      closed_list += (closed_list.empty() ? "" : ",") + std::to_string(v);
+    for (Vertex v : closed.to_vector()) {
+      if (!closed_list.empty()) closed_list += ',';
+      closed_list += std::to_string(v);
+    }
     t.row()
         .cell(scenario)
         .cell(closed_list)

@@ -75,10 +75,7 @@ ConversionResult fault_tolerant_spanner(const Graph& g, std::size_t r,
   // Passing the already-resolved count keeps threads_used exactly what the
   // engine runs with (resolve_threads is idempotent on its own output).
   result.edges = marks_to_edges(
-      union_iterations(alpha, result.threads_used, g.num_edges(),
-                       options.batch, bodies, options.pin,
-                       &result.lane_pinned));
-  for (const char p : result.lane_pinned) result.lanes_pinned += p != 0;
+      union_iterations(alpha, result.threads_used, g.num_edges(), bodies));
   if (alpha > 0)
     result.max_survivors = *std::max_element(survivors.begin(), survivors.end());
   return result;

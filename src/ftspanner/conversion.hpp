@@ -71,19 +71,10 @@ struct ConversionOptions {
   /// ignore it. Never affects the output edge set.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
-  /// Iterations per burst handed to a pipeline worker (0 = default burst;
-  /// see pipeline/burst_pipeline.hpp). Irrelevant to the output.
-  std::size_t batch = 0;
-
   /// Integer-weight ceiling separating the Dial bucket queue from
   /// delta-stepping under engine resolution (the `bucket_max=` knob; see
   /// graph/engine_policy.hpp). Never affects the output edge set.
   Weight bucket_max = kMaxBucketWeight;
-
-  /// Pin worker lanes to cores (util/affinity.hpp). A hint — per-lane
-  /// success lands in ConversionResult::lane_pinned, never assumed.
-  /// Irrelevant to the output.
-  bool pin = false;
 };
 
 struct ConversionResult {
@@ -92,8 +83,6 @@ struct ConversionResult {
   std::size_t max_survivors = 0;  ///< largest |V \ J| over iterations
   double keep_probability = 0;    ///< per-vertex survival probability used
   std::size_t threads_used = 1;   ///< workers the engine actually ran with
-  std::vector<char> lane_pinned;  ///< per-lane affinity status (1 = pinned)
-  std::size_t lanes_pinned = 0;   ///< number of successfully pinned lanes
 };
 
 /// Number of iterations alpha = ceil(c * max(r,1)^3 * ln n) used by the

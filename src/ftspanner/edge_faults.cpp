@@ -140,10 +140,8 @@ EdgeFtResult ft_edge_greedy_spanner(const Graph& g, double k, std::size_t r,
     };
   };
 
-  out.edges = marks_to_edges(union_iterations(out.iterations, out.threads_used,
-                                              m, options.batch, bodies,
-                                              options.pin, &out.lane_pinned));
-  for (const char p : out.lane_pinned) out.lanes_pinned += p != 0;
+  out.edges = marks_to_edges(
+      union_iterations(out.iterations, out.threads_used, m, bodies));
   return out;
 }
 

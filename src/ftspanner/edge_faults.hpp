@@ -36,17 +36,9 @@ struct EdgeFtOptions {
   /// (graph/engine_policy.hpp). Output is engine-independent.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
-  /// Iterations per burst handed to a pipeline worker (0 = default burst;
-  /// see pipeline/burst_pipeline.hpp). Irrelevant to the output.
-  std::size_t batch = 0;
-
   /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
   /// Output is engine-independent.
   Weight bucket_max = kMaxBucketWeight;
-
-  /// Pin worker lanes to cores (util/affinity.hpp); per-lane success is
-  /// reported in EdgeFtResult::lane_pinned. Irrelevant to the output.
-  bool pin = false;
 };
 
 struct EdgeFtResult {
@@ -54,8 +46,6 @@ struct EdgeFtResult {
   std::size_t iterations = 0;
   double keep_probability = 0;
   std::size_t threads_used = 1;  ///< workers the engine actually ran with
-  std::vector<char> lane_pinned;  ///< per-lane affinity status (1 = pinned)
-  std::size_t lanes_pinned = 0;   ///< number of successfully pinned lanes
 };
 
 /// α = ceil(c (r+2) ln n / (keep (1-keep)^r)).

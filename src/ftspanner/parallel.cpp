@@ -3,58 +3,30 @@
 #include <algorithm>
 
 #include "pipeline/burst_pipeline.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftspan {
 
 std::size_t resolve_threads(std::size_t requested, std::size_t iterations) {
-  std::size_t t = requested == 0 ? ThreadPool::hardware_threads() : requested;
+  std::size_t t = requested == 0 ? hardware_threads() : requested;
   t = std::min(t, std::max<std::size_t>(iterations, 1));
   return std::clamp<std::size_t>(t, 1, kMaxConversionThreads);
 }
 
 std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
                                    std::size_t num_edges,
-                                   const IterationBody& body) {
-  return union_iterations(iterations, threads, num_edges, 0,
-                          [&body](std::size_t) { return body; });
-}
-
-std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
-                                   std::size_t num_edges,
                                    const IterationBodyFactory& factory) {
-  return union_iterations(iterations, threads, num_edges, 0, factory);
-}
-
-std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
-                                   std::size_t num_edges, std::size_t burst,
-                                   const IterationBodyFactory& factory,
-                                   bool pin, std::vector<char>* lane_pinned) {
   const std::size_t workers = resolve_threads(threads, iterations);
-
-  if (workers == 1) {
-    if (lane_pinned != nullptr) lane_pinned->assign(1, 0);
-    std::vector<char> marks(num_edges, 0);
-    const IterationBody body = factory(0);
-    for (std::size_t it = 0; it < iterations; ++it) body(it, marks);
-    return marks;
-  }
 
   // Per-worker mark buffers: the burst pipeline guarantees worker w's task
   // runs only on worker w's thread, so buffers[w] needs no synchronization
   // beyond the pipeline's own join.
   std::vector<std::vector<char>> buffers(workers,
                                          std::vector<char>(num_edges, 0));
-  BurstOptions opt;
-  opt.workers = workers;
-  opt.burst = burst;
-  opt.pin = pin;
-  std::vector<char> pinned = run_bursts(
-      iterations, opt, [&buffers, &factory](std::size_t w) -> BurstTask {
-        return [&marks = buffers[w],
-                body = factory(w)](std::size_t it) { body(it, marks); };
-      });
-  if (lane_pinned != nullptr) *lane_pinned = std::move(pinned);
+  run_bursts(iterations, workers,
+             [&buffers, &factory](std::size_t w) -> BurstTask {
+               return [&marks = buffers[w],
+                       body = factory(w)](std::size_t it) { body(it, marks); };
+             });
 
   // Fold in worker order: OR is commutative, so this is determinism garnish —
   // but it keeps the merged buffer's construction reproducible too.

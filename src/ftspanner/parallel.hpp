@@ -2,14 +2,15 @@
 //
 // Both fault-tolerance conversions (vertex faults in conversion.cpp, edge
 // faults in edge_faults.cpp) are a union of α independent sampling
-// iterations. This engine fans those iterations across a thread pool and
-// OR-merges per-thread edge marks, with two rules that make the result
-// *bit-identical* to the sequential path for the same seed:
+// iterations. This engine fans those iterations across the burst pipeline's
+// worker lanes (pipeline/burst_pipeline.hpp) and OR-merges per-worker edge
+// marks, with two rules that make the result *bit-identical* to the
+// sequential path for the same seed:
 //
 //   1. Every iteration draws from its own RNG stream, seeded by
 //      hash_combine(seed, iteration index) — which worker runs it, and in
 //      what order, cannot change what it samples.
-//   2. The union is a commutative OR over per-thread mark buffers, folded in
+//   2. The union is a commutative OR over per-worker mark buffers, folded in
 //      worker order and emitted as a sorted edge-id scan — scheduling cannot
 //      change the output edge set either.
 //
@@ -54,34 +55,17 @@ inline constexpr std::size_t kMaxConversionThreads = 256;
 std::size_t resolve_threads(std::size_t requested, std::size_t iterations);
 
 /// Runs `iterations` bodies across resolve_threads(threads, iterations)
-/// workers (inline, pool-free, when that resolves to 1) and returns the
-/// OR-union of their marks — a buffer of `num_edges` chars. Iterations are
-/// fed to the workers in fixed-size bursts through per-worker SPSC rings
-/// (pipeline/burst_pipeline.hpp), so the shared-line hand-off cost is paid
-/// once per burst, not once per iteration; each worker owns a private mark
-/// buffer, so the hot loop is write-contention-free. Rethrows the first
+/// workers and returns the OR-union of their marks — a buffer of `num_edges`
+/// chars. Each worker builds its body once via `factory` and then drains
+/// iterations through it. Iterations are fed to the workers in bursts through
+/// per-worker SPSC rings (pipeline/burst_pipeline.hpp; inline on the caller's
+/// thread when that resolves to 1 worker), so the shared-line hand-off cost
+/// is paid once per burst, not once per iteration; each worker owns a private
+/// mark buffer, so the hot loop is write-contention-free. Rethrows the first
 /// exception an iteration raised.
 std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
                                    std::size_t num_edges,
-                                   const IterationBody& body);
-
-/// As above, but with per-worker pooled state: each worker builds its body
-/// once via `factory` and then drains iterations through it.
-std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
-                                   std::size_t num_edges,
                                    const IterationBodyFactory& factory);
-
-/// As above with an explicit burst size (iterations per ring hand-off);
-/// 0 picks the default. Burst size never changes the output. With pin = true
-/// worker lanes are core-pinned where supported (util/affinity.hpp); the
-/// per-lane status (1 = pinned) is written to *lane_pinned when given — the
-/// single-worker inline path reports one unpinned lane. Neither knob ever
-/// changes the output marks.
-std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
-                                   std::size_t num_edges, std::size_t burst,
-                                   const IterationBodyFactory& factory,
-                                   bool pin = false,
-                                   std::vector<char>* lane_pinned = nullptr);
 
 /// Collects the marked edge ids in increasing order — the canonical output
 /// form shared by the sequential and parallel paths.

@@ -1,5 +1,6 @@
 #include "pipeline/burst_pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -8,9 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/affinity.hpp"
 #include "util/spsc_ring.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftspan {
 
@@ -22,15 +21,26 @@ struct Burst {
   std::size_t end = 0;
 };
 
+/// Indices per burst for a run of count >= 1: full kDefaultBurst bursts for
+/// large fan-outs, finer ones when count < kDefaultBurst * workers so no lane
+/// gets more than its even share.
+std::size_t burst_width(std::size_t count, std::size_t workers) {
+  return std::min(kDefaultBurst, (count + workers - 1) / workers);
+}
+
 }  // namespace
+
+std::size_t hardware_threads() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
+}
 
 /// Everything one worker owns. Rings are per-worker (SPSC: coordinator
 /// produces, the worker consumes). The mutex/cv pair only matters while the
 /// lane is idle: a worker with a non-empty ring never touches it, so the
 /// in-flight hand-off cost stays one acquire/release pair per burst.
 struct BurstPool::Lane {
-  explicit Lane(std::size_t ring_capacity) : ring(ring_capacity) {}
-  SpscRing<Burst> ring;
+  SpscRing<Burst> ring{kRingCapacity};
   std::mutex m;
   std::condition_variable cv;
   bool stop = false;         ///< guarded by m
@@ -46,17 +56,14 @@ struct BurstPool::Completion {
   std::condition_variable cv;
 };
 
-BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory,
-                     std::size_t ring_capacity, bool pin) {
+BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory) {
   const std::size_t n = workers == 0 ? 1 : workers;
   lanes_.reserve(n);
   for (std::size_t w = 0; w < n; ++w)
-    lanes_.push_back(std::make_unique<Lane>(ring_capacity));
+    lanes_.push_back(std::make_unique<Lane>());
 
   done_ = std::make_unique<Completion>();
   threads_.reserve(n);
-  pinned_.assign(n, 0);
-  const std::size_t cores = ThreadPool::hardware_threads();
   for (std::size_t w = 0; w < n; ++w) {
     Lane* lane = lanes_[w].get();
     Completion* done = done_.get();
@@ -94,7 +101,6 @@ BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory,
         lane->cv.wait(l);
       }
     });
-    if (pin) pinned_[w] = pin_thread(threads_[w], w % cores) ? 1 : 0;
   }
 }
 
@@ -120,9 +126,9 @@ void BurstPool::feed(Lane& lane, std::size_t begin, std::size_t end) {
   lane.cv.notify_one();
 }
 
-void BurstPool::run(std::size_t count, std::size_t burst) {
+void BurstPool::run(std::size_t count) {
   if (count == 0) return;
-  const std::size_t width = burst == 0 ? kDefaultBurst : burst;
+  const std::size_t width = burst_width(count, lanes_.size());
   const std::size_t total = (count + width - 1) / width;
 
   done_->bursts.store(0, std::memory_order_relaxed);
@@ -143,9 +149,9 @@ void BurstPool::run(std::size_t count, std::size_t burst) {
     });
   }
 
-  // First error by worker index: deterministic, like run_bursts. Task
-  // errors are cleared so the pool stays usable; a lane whose factory threw
-  // never got a task, so its error is permanent.
+  // First error by worker index, so the rethrown exception is deterministic.
+  // Task errors are cleared so the pool stays usable; a lane whose factory
+  // threw never got a task, so its error is permanent.
   std::exception_ptr first;
   for (auto& lane : lanes_) {
     if (lane->error != nullptr && first == nullptr) first = lane->error;
@@ -154,26 +160,19 @@ void BurstPool::run(std::size_t count, std::size_t burst) {
   if (first != nullptr) std::rethrow_exception(first);
 }
 
-std::vector<char> run_bursts(std::size_t count, const BurstOptions& options,
-                             const BurstTaskFactory& factory) {
-  const std::size_t workers = options.workers == 0 ? 1 : options.workers;
-  if (count == 0) return std::vector<char>(workers, 0);
-  const std::size_t burst = options.burst == 0 ? kDefaultBurst : options.burst;
-
-  if (workers == 1) {
-    // Inline on the caller's thread: never pinned (the caller's affinity is
-    // not ours to change), so the one lane always reports 0.
+void run_bursts(std::size_t count, std::size_t workers,
+                const BurstTaskFactory& factory) {
+  if (count == 0) return;
+  if (workers <= 1) {
     const BurstTask task = factory(0);
     for (std::size_t i = 0; i < count; ++i) task(i);
-    return std::vector<char>(1, 0);
+    return;
   }
 
-  // One-shot: a temporary pool scoped to this call. Spawning here is what
-  // run_bursts always did; callers with a steady cadence of small batches
-  // hold a BurstPool instead.
-  BurstPool pool(workers, factory, options.ring_capacity, options.pin);
-  pool.run(count, burst);
-  return pool.pinned_lanes();
+  // One-shot: a temporary pool scoped to this call. Callers with a steady
+  // cadence of small batches hold a BurstPool instead.
+  BurstPool pool(workers, factory);
+  pool.run(count);
 }
 
 }  // namespace ftspan

@@ -1,28 +1,33 @@
-// run_bursts — the dataplane-batched fan-out driver.
+// run_bursts — the repo's one fan-out executor.
 //
-// The repo's two hot fan-outs (conversion sampling iterations, StretchOracle
-// fault-set checks) are index loops 0..count whose bodies run on per-worker
-// pooled state. The previous dispatcher handed indices to a generic thread
-// pool one atomic fetch_add at a time: one shared-cache-line bounce per
-// task, with tasks that can be a few microseconds each. This driver applies
-// the dataplane shape instead (per-core workers, SPSC rings, burst
-// processing — the ndn-dpdk idiom):
+// Every parallel loop in the repo (conversion sampling iterations,
+// StretchOracle fault-set checks, QueryEngine cache misses) is an index loop
+// 0..count whose bodies run on per-worker pooled state. A generic thread pool
+// would hand indices out one atomic fetch_add at a time: one shared-cache-line
+// bounce per task, with tasks that can be a few microseconds each. This
+// driver applies the dataplane shape instead (per-core workers, SPSC rings,
+// burst processing — the ndn-dpdk idiom):
 //
-//   - the coordinator slices 0..count into fixed-size bursts and round-robins
-//     them into one SpscRing per worker (single producer: the coordinator;
-//     single consumer: the worker — no shared ring, no CAS anywhere);
-//   - each worker drains its own ring and runs whole bursts against its
-//     pinned state (engines, scratch graphs), so the shared-line traffic is
-//     one acquire/release pair per burst instead of per task;
+//   - the coordinator slices 0..count into bursts and round-robins them into
+//     one SpscRing per worker (single producer: the coordinator; single
+//     consumer: the worker — no shared ring, no CAS anywhere);
+//   - each worker drains its own ring and runs whole bursts against its own
+//     state (engines, scratch graphs), so the shared-line traffic is one
+//     acquire/release pair per burst instead of per task;
 //   - distribution is deterministic (burst b → worker b % workers), which
 //     keeps "which worker ran which index" reproducible, though callers must
-//     not depend on it — output determinism comes from index-keyed results,
-//     as before.
+//     not depend on it — output determinism comes from index-keyed results.
+//
+// The burst width is derived, never configured: min(kDefaultBurst,
+// ceil(count / workers)). Fan-outs of at least 16·workers indices get full
+// 16-index bursts; smaller ones are cut finer, so no lane runs more than its
+// even share of ceil(count / workers) indices (12 fault sets on 4 workers run
+// as four bursts of 3, one per lane).
 //
 // Exceptions: a worker that throws records the first exception and discards
 // the rest of its feed (it keeps draining so the coordinator never blocks on
 // a full ring); the coordinator rethrows the lowest-indexed worker's
-// exception after joining, matching the thread pool's propagation contract.
+// exception after joining.
 #pragma once
 
 #include <cstddef>
@@ -33,21 +38,16 @@
 
 namespace ftspan {
 
-/// Default indices per burst. Large enough to amortize the ring hand-off,
-/// small enough that a burst of even the slowest tasks (a greedy run per
-/// index) keeps all workers fed for typical iteration counts.
+/// Largest burst: indices per ring hand-off once count >= 16·workers. Large
+/// enough to amortize the hand-off, small enough that a burst of even the
+/// slowest tasks (a greedy run per index) keeps all workers fed.
 inline constexpr std::size_t kDefaultBurst = 16;
 
-struct BurstOptions {
-  std::size_t workers = 1;  ///< consumer threads; 1 = inline, no threads
-  std::size_t burst = kDefaultBurst;  ///< indices per burst; 0 = default
-  std::size_t ring_capacity = 64;     ///< bursts in flight per worker
-  /// Pin lane i to core i % hardware_threads() (util/affinity.hpp). Only a
-  /// hint: per-lane success is reported back, and the single-worker inline
-  /// path never pins (it runs on the caller's thread, whose affinity must
-  /// not be silently changed). Default off — see ThreadPool's rationale.
-  bool pin = false;
-};
+/// Bursts in flight per worker before the coordinator waits on that ring.
+inline constexpr std::size_t kRingCapacity = 64;
+
+/// The machine's hardware concurrency, never reported as 0.
+std::size_t hardware_threads();
 
 /// Runs one index of the fan-out. Invoked on the owning worker's thread.
 using BurstTask = std::function<void(std::size_t)>;
@@ -56,16 +56,14 @@ using BurstTask = std::function<void(std::size_t)>;
 /// per-worker state (engines, scratch) is constructed where it runs.
 using BurstTaskFactory = std::function<BurstTask(std::size_t worker)>;
 
-/// Runs task(i) for every i in [0, count) across options.workers workers.
-/// With workers == 1 this is a plain inline loop (no threads, no rings).
-/// With more it stands up a temporary BurstPool (below) for the call.
-/// Returns the per-lane affinity status (one entry per worker, 1 = pinned);
-/// all zero unless options.pin succeeded — callers that don't report
-/// affinity just ignore it.
-std::vector<char> run_bursts(std::size_t count, const BurstOptions& options,
-                             const BurstTaskFactory& factory);
+/// Runs task(i) for every i in [0, count) across `workers` workers (0 is
+/// taken as 1). With one worker this is a plain inline loop on the caller's
+/// thread (no threads, no rings); with more it stands up a temporary
+/// BurstPool (below) for the call.
+void run_bursts(std::size_t count, std::size_t workers,
+                const BurstTaskFactory& factory);
 
-/// BurstPool — the persistent form of run_bursts (dataplane phase 2).
+/// BurstPool — the persistent form of run_bursts.
 ///
 /// run_bursts spawns and joins its workers on every call, which is fine for
 /// one-shot fan-outs (a conversion, an oracle check) but wrong for a server
@@ -96,12 +94,8 @@ class BurstPool {
  public:
   /// Spawns `workers` (>= 1) lanes; the factory is invoked on each worker
   /// thread before its first burst. A factory that throws poisons the lane:
-  /// its bursts are drained unrun and the next run() rethrows. With
-  /// pin = true, lane i is pinned to core i % hardware_threads() where the
-  /// platform allows it (the kernel migrates an already-running thread on
-  /// the spot, so pinning from the constructor is race-free).
-  BurstPool(std::size_t workers, BurstTaskFactory factory,
-            std::size_t ring_capacity = 64, bool pin = false);
+  /// its bursts are drained unrun and the next run() rethrows.
+  BurstPool(std::size_t workers, BurstTaskFactory factory);
   ~BurstPool();  ///< joins all workers
 
   BurstPool(const BurstPool&) = delete;
@@ -109,18 +103,9 @@ class BurstPool {
 
   std::size_t workers() const { return lanes_.size(); }
 
-  /// Per-lane affinity status: pinned_lanes()[i] is 1 iff lane i was
-  /// successfully pinned (all zero when pinning was off or unsupported).
-  const std::vector<char>& pinned_lanes() const { return pinned_; }
-  std::size_t pinned_count() const {
-    std::size_t k = 0;
-    for (const char p : pinned_) k += p != 0;
-    return k;
-  }
-
-  /// Runs task(i) for every i in [0, count), `burst` indices per hand-off
-  /// (0 = kDefaultBurst). Blocks until every burst has been processed.
-  void run(std::size_t count, std::size_t burst = 0);
+  /// Runs task(i) for every i in [0, count) in bursts of the derived width
+  /// (see the file comment). Blocks until every burst has been processed.
+  void run(std::size_t count);
 
  private:
   struct Lane;
@@ -130,7 +115,6 @@ class BurstPool {
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<Completion> done_;
   std::vector<std::thread> threads_;
-  std::vector<char> pinned_;
 };
 
 }  // namespace ftspan

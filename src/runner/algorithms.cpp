@@ -50,9 +50,7 @@ BoundAlgorithm bind_ft_vertex(const Graph& g) {
     if (p.iterations > 0) opt.iterations = p.iterations;
     opt.threads = p.threads;
     opt.engine = p.engine;
-    opt.batch = p.batch;
     opt.bucket_max = p.bucket_max;
-    opt.pin = p.pin;
     // Hand each worker its own pooled workspace; `handed` restarts at 0 for
     // every conversion call (bound instances are sequential-use).
     auto handed = std::make_shared<std::size_t>(0);
@@ -83,7 +81,6 @@ BoundAlgorithm bind_ft_vertex(const Graph& g) {
                  {"max_survivors", static_cast<double>(res.max_survivors)},
                  {"keep_probability", res.keep_probability},
                  {"threads_used", static_cast<double>(res.threads_used)}};
-    out.lane_pinned = std::move(res.lane_pinned);
     return out;
   };
 }
@@ -155,9 +152,7 @@ Registry<SpannerAlgorithm> build_registry() {
                if (p.iterations > 0) opt.iterations = p.iterations;
                opt.threads = p.threads;
                opt.engine = p.engine;
-               opt.batch = p.batch;
                opt.bucket_max = p.bucket_max;
-               opt.pin = p.pin;
                EdgeFtResult res =
                    ft_edge_greedy_spanner(*gp, p.k, p.r, p.seed, opt);
                AlgoResult out;
@@ -166,7 +161,6 @@ Registry<SpannerAlgorithm> build_registry() {
                    {"iterations", static_cast<double>(res.iterations)},
                    {"keep_probability", res.keep_probability},
                    {"threads_used", static_cast<double>(res.threads_used)}};
-               out.lane_pinned = std::move(res.lane_pinned);
                return out;
              };
            }});

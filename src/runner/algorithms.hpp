@@ -38,10 +38,8 @@ struct AlgoParams {
   std::size_t threads = 1;     ///< iteration fan-out width (bit-identical)
   std::uint64_t seed = 1;      ///< RNG seed (ignored by deterministic algos)
   SpEnginePolicy engine = SpEnginePolicy::kAuto;  ///< SP queue policy
-  std::size_t batch = 0;       ///< pipeline burst size; 0 = default
   /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
   Weight bucket_max = kMaxBucketWeight;
-  bool pin = false;            ///< pin worker lanes to cores (best effort)
 };
 
 struct AlgoResult {
@@ -49,10 +47,6 @@ struct AlgoResult {
   /// Named algorithm-specific stats (iteration counts, LP values, costs...),
   /// in emission order. All values are deterministic given (graph, params).
   std::vector<std::pair<std::string, double>> stats;
-  /// Per-lane affinity status of the construction fan-out (1 = pinned).
-  /// Machine-dependent when AlgoParams::pin is set, so emitters keep it
-  /// inside the timings-gated block. Empty for single-shot algorithms.
-  std::vector<char> lane_pinned;
 };
 
 /// A SpannerAlgorithm bound to one graph. Sequential use only; the graph

@@ -64,10 +64,8 @@ void validate_cell(const ScenarioSpec& spec, const Graph& g, const Graph& h,
     opt.threads = cell.threads;
     opt.engine =
         parse_engine_policy(spec.engine).value_or(SpEnginePolicy::kAuto);
-    opt.batch = spec.batch;
     opt.bucket_max =
         spec.bucket_max != 0 ? spec.bucket_max : kMaxBucketWeight;
-    opt.pin = spec.pin;
     const StretchOracle oracle(g, h, cell.k);
     for (std::size_t rep = 0; rep < spec.reps; ++rep) {
       Timer timer;
@@ -150,9 +148,7 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
             // vocabulary).
             ap.engine = parse_engine_policy(spec.engine)
                             .value_or(SpEnginePolicy::kAuto);
-            ap.batch = spec.batch;
             ap.bucket_max = bucket_max;
-            ap.pin = spec.pin;
             cell.engine_resolved = to_string(select_sp_queue(
                 ap.engine, profile.integral, profile.max_weight, bucket_max));
 
@@ -170,7 +166,6 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
             cell.edges = result.edges.size();
             cell.edges_hash = edge_set_hash(result.edges);
             cell.stats = std::move(result.stats);
-            cell.lane_pinned = std::move(result.lane_pinned);
             cell.hw_concurrency = std::thread::hardware_concurrency();
 
             const Graph h = g.edge_subgraph(result.edges);
@@ -184,10 +179,8 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
                 spec.timings) {
               serve::QueryEngine::Options qo;
               qo.workers = threads;
-              qo.batch = spec.batch;
               qo.engine = ap.engine;
               qo.bucket_max = bucket_max;
-              qo.pin = spec.pin;
               serve::LoadTestOptions lo;
               lo.qps = spec.qps;
               lo.conns = spec.conns;
@@ -382,16 +375,6 @@ void json_cell(const ScenarioCell& c, bool timings, std::ostream& os,
     // timings=off keeps the JSON bit-identical across hosts.
     os << ",\n" << in << "\"peak_rss_bytes\": " << c.peak_rss;
     os << ",\n" << in << "\"hardware_concurrency\": " << c.hw_concurrency;
-    if (!c.lane_pinned.empty()) {
-      std::size_t pinned = 0;
-      os << ",\n" << in << "\"lane_pinned\": [";
-      for (std::size_t i = 0; i < c.lane_pinned.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << (c.lane_pinned[i] ? 1 : 0);
-        pinned += c.lane_pinned[i] != 0;
-      }
-      os << "],\n" << in << "\"lanes_pinned\": " << pinned;
-    }
     if (c.load.ran) {
       os << ",\n" << in << "\"load\": {";
       os << "\"requests\": " << c.load.requests;

@@ -61,12 +61,10 @@ struct ScenarioCell {
   std::size_t reps = 1;
   double seconds_best = 0;  ///< construction, best of `reps`
   double val_seconds = 0;   ///< validation, best of `reps`
-  /// std::thread::hardware_concurrency() where the cell ran, plus the
-  /// construction fan-out's per-lane affinity status (1 = pinned; empty for
-  /// single-shot algorithms). Machine-dependent, so the emitters keep both
-  /// inside the timings-gated block.
+  /// std::thread::hardware_concurrency() where the cell ran.
+  /// Machine-dependent, so the emitters keep it inside the timings-gated
+  /// block.
   std::size_t hw_concurrency = 0;
-  std::vector<char> lane_pinned;
   /// Process-wide peak RSS sampled after the cell ran (util/mem.hpp):
   /// an upper bound on the cell's footprint, monotone across cells.
   std::size_t peak_rss = 0;

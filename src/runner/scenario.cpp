@@ -141,12 +141,10 @@ std::string ScenarioSpec::to_string() const {
   if (iters != 0) os << " iters=" << iters;
   os << " seed=" << seed;
   os << " threads=" << join_sizes(threads);
-  // Engine/batch only appear when non-default so historical spec strings
+  // Engine knobs only appear when non-default so historical spec strings
   // stay byte-identical (to_string must round-trip through parse verbatim).
   if (engine != "auto") os << " engine=" << engine;
-  if (batch != 0) os << " batch=" << batch;
   if (bucket_max != 0) os << " bucket_max=" << format_double(bucket_max);
-  if (pin) os << " pin=on";
   os << " reps=" << reps;
   os << " validate=" << validate;
   if (validate != "none") {
@@ -237,8 +235,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "engine") {
       if (!parse_engine_policy(value)) bad_value(key, value);
       spec.engine = value;
-    } else if (key == "batch") {
-      spec.batch = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "bucket_max") {
       // Whole-valued, in [1, kBucketMaxCeiling]; 0 = engine default.
       spec.bucket_max = parse_double(key, value);
@@ -248,9 +244,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
            (spec.bucket_max < 1.0 ||
             spec.bucket_max > static_cast<double>(kBucketMaxCeiling))))
         bad_value(key, value);
-    } else if (key == "pin") {
-      if (value != "on" && value != "off") bad_value(key, value);
-      spec.pin = value == "on";
     } else if (key == "reps") {
       spec.reps = static_cast<std::size_t>(parse_u64(key, value));
       if (spec.reps == 0) bad_value(key, value);
@@ -272,7 +265,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
           "scenario spec: unknown key '" + key +
           "'; valid keys: workload path n p scale max_weight qps conns "
           "duration chaos reload_every wseed algo k r c iters seed threads "
-          "engine batch bucket_max pin reps validate trials adversarial "
+          "engine bucket_max reps validate trials adversarial "
           "vseed timings");
     }
   }

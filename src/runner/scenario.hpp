@@ -52,11 +52,9 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;              ///< algorithm RNG seed
   std::vector<std::size_t> threads = {1};  ///< fan-out width sweep
   std::string engine = "auto";  ///< SP engine policy: auto|heap|bucket|delta
-  std::size_t batch = 0;               ///< pipeline burst size; 0 = default
   /// Bucket/delta engine-resolution ceiling; 0 = the engine default
   /// (kMaxBucketWeight). Range-checked against kBucketMaxCeiling.
   double bucket_max = 0;
-  bool pin = false;  ///< pin worker lanes to cores (best effort; see JSON)
 
   // --- driver ---
   std::size_t reps = 1;  ///< timing repetitions; metrics use rep 0, time is best-of

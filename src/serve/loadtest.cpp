@@ -151,14 +151,23 @@ class Client {
 };
 
 /// The query mix: ~60% plain distance, ~25% stretch, ~15% fault what-if
-/// (distance avoiding one or two random vertices). Entirely seed-driven.
+/// (distance avoiding one or two random vertices). Entirely seed-driven:
+/// every vertex is drawn in its own statement, so the stream does not hang
+/// on the compiler's choice of operand order. The draws run last vertex
+/// first, which is the order the mix has always been generated in.
 std::string random_target(Rng& rng, std::size_t n) {
   const auto v = [&] { return std::to_string(rng.uniform_index(n)); };
   const double roll = rng.uniform();
-  if (roll < 0.60) return "/distance?s=" + v() + "&t=" + v();
-  if (roll < 0.85) return "/stretch?s=" + v() + "&t=" + v();
-  std::string target = "/distance?s=" + v() + "&t=" + v() + "&avoid=" + v();
-  if (rng.bernoulli(0.5)) target += "," + v();
+  if (roll < 0.85) {
+    const std::string t = v();
+    const std::string s = v();
+    return (roll < 0.60 ? "/distance?s=" : "/stretch?s=") + s + "&t=" + t;
+  }
+  const std::string avoid = v();
+  const std::string t = v();
+  const std::string s = v();
+  std::string target = "/distance?s=" + s + "&t=" + t + "&avoid=" + avoid;
+  if (rng.bernoulli(0.5)) target.append(",").append(v());
   return target;
 }
 

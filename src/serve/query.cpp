@@ -69,7 +69,7 @@ std::uint64_t ServeQuery::cache_key() const {
   return h;
 }
 
-/// One worker lane's pinned state: an engine per graph, a fault mask, and
+/// One worker lane's private state: an engine per graph, a fault mask, and
 /// the two dead-edge masks with touched-entry logs so resets are O(|F|),
 /// not O(m).
 struct QueryEngine::Scratch {
@@ -223,8 +223,8 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
   }
   if (miss_idx_.empty()) return;
 
-  // Phase 2: compute misses on worker-pinned engines. Results are keyed by
-  // index, so the answers are identical for every workers/batch setting.
+  // Phase 2: compute misses on per-worker engines. Results are keyed by
+  // index, so the answers are identical for every workers setting.
   cur_queries_ = queries;
   cur_answers_ = &answers;
   if (options_.workers == 1) {
@@ -240,9 +240,8 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
               answer_miss(cur_queries_[miss_idx_[i]],
                           (*cur_answers_)[miss_idx_[i]], *s);
             };
-          },
-          64, options_.pin);
-    pool_->run(miss_idx_.size(), options_.batch);
+          });
+    pool_->run(miss_idx_.size());
   }
 
   // Phase 3 (calling thread): newly computed answers land in the cache.
@@ -250,11 +249,6 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
     for (std::size_t j = 0; j < miss_idx_.size(); ++j)
       cache_insert(queries[miss_idx_[j]], miss_key_[j],
                    answers[miss_idx_[j]]);
-}
-
-std::vector<char> QueryEngine::lane_pinned() const {
-  if (pool_ == nullptr) return {};
-  return pool_->pinned_lanes();
 }
 
 ServeAnswer QueryEngine::answer(const ServeQuery& query) {

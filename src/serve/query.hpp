@@ -1,5 +1,5 @@
 // QueryEngine — the daemon's compute core: distance / stretch / fault-
-// what-if queries over a precomputed FT spanner, answered by worker-pinned
+// what-if queries over a precomputed FT spanner, answered by per-worker
 // pooled DijkstraEngines behind the burst pipeline, with an LRU answer
 // cache in front.
 //
@@ -12,7 +12,7 @@
 //
 // Threading contract: all public methods are called from ONE thread (the
 // daemon's event loop). Worker threads only ever run inside answer_batch's
-// pipeline fan-out, on their own pinned scratch; the cache is touched by
+// pipeline fan-out, on their own per-worker scratch; the cache is touched by
 // the calling thread exclusively.
 #pragma once
 
@@ -67,14 +67,10 @@ class QueryEngine {
  public:
   struct Options {
     std::size_t workers = 1;        ///< pipeline lanes; 1 = inline, no threads
-    std::size_t batch = 0;          ///< queries per burst; 0 = default
     std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables the cache
     SpEnginePolicy engine = SpEnginePolicy::kAuto;
     /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
     Weight bucket_max = kMaxBucketWeight;
-    /// Pin worker lanes to cores (util/affinity.hpp); per-lane success is
-    /// readable via lane_pinned(). Answers never depend on it.
-    bool pin = false;
   };
 
   /// g must outlive the engine; the spanner H is materialized internally
@@ -92,9 +88,9 @@ class QueryEngine {
 
   /// Answers queries[i] into answers[i] (resized to match). Cache lookups
   /// happen up front on the calling thread; misses fan out through the
-  /// burst pipeline onto worker-pinned engines, then land in the cache.
+  /// burst pipeline onto per-worker engines, then land in the cache.
   /// Queries must be canonicalized. Answers are deterministic and identical
-  /// for every workers/batch setting.
+  /// for every workers setting.
   void answer_batch(std::span<const ServeQuery> queries,
                     std::vector<ServeAnswer>& answers);
 
@@ -107,11 +103,6 @@ class QueryEngine {
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
   std::uint64_t queries_answered() const { return queries_; }
-
-  /// Per-lane affinity status of the miss-path pool (1 = pinned). Empty
-  /// until the first multi-worker batch spawns the pool; always all-zero
-  /// when Options::pin was false or the platform lacks affinity support.
-  std::vector<char> lane_pinned() const;
 
   const Graph& base() const { return *g_; }
   const Graph& spanner() const { return h_; }

@@ -173,34 +173,18 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   if (count == 0) return out;
 
   std::vector<Witness> witnesses(count);
-  const std::size_t workers = resolve_threads(options.threads, count);
-  if (workers == 1) {
-    out.lane_pinned.assign(1, 0);
-    Scratch scratch = make_scratch(options.engine, options.bucket_max);
-    for (std::size_t i = 0; i < count; ++i) witnesses[i] = eval(i, scratch);
-  } else {
-    // Burst pipeline: fault-set indices travel to worker-pinned scratch in
-    // fixed-size bursts (pipeline/burst_pipeline.hpp) — one ring hand-off
-    // per burst instead of one shared-counter bounce per fault set.
-    // Witnesses land in index-keyed slots, so scheduling stays invisible.
-    BurstOptions bopt;
-    bopt.workers = workers;
-    bopt.burst = options.batch;
-    bopt.pin = options.pin;
-    const SpEnginePolicy engine = options.engine;
-    const Weight bucket_max = options.bucket_max;
-    out.lane_pinned = run_bursts(
-        count, bopt,
-        [this, &witnesses, &eval, engine,
-         bucket_max](std::size_t) -> BurstTask {
-          auto scratch =
-              std::make_shared<Scratch>(make_scratch(engine, bucket_max));
-          return [&witnesses, &eval, scratch](std::size_t i) {
-            witnesses[i] = eval(i, *scratch);
-          };
-        });
-  }
-  for (const char p : out.lane_pinned) out.lanes_pinned += p != 0;
+  // Burst pipeline: fault-set indices travel to per-worker scratch in
+  // bursts (pipeline/burst_pipeline.hpp) — one ring hand-off per burst
+  // instead of one shared-counter bounce per fault set. Witnesses land in
+  // index-keyed slots, so scheduling stays invisible.
+  run_bursts(count, resolve_threads(options.threads, count),
+             [this, &witnesses, &eval, &options](std::size_t) -> BurstTask {
+               auto scratch = std::make_shared<Scratch>(
+                   make_scratch(options.engine, options.bucket_max));
+               return [&witnesses, &eval, scratch](std::size_t i) {
+                 witnesses[i] = eval(i, *scratch);
+               };
+             });
 
   // Deterministic fold in fault-set index order — identical to what a
   // sequential consider() chain over the same stream produces, regardless

@@ -15,8 +15,8 @@
 //      scratch reused across fault sets — no per-run allocation, O(1)
 //      invalidation — running over immutable CSR snapshots of both graphs
 //      taken once at oracle construction.
-//   3. Independent fault sets fanned across util/thread_pool.hpp workers,
-//      each with private scratch. Per-set witnesses land in an index-ordered
+//   3. Independent fault sets fanned across the burst pipeline's worker
+//      lanes (pipeline/burst_pipeline.hpp), each with private scratch. Per-set witnesses land in an index-ordered
 //      array and are folded sequentially, so the worst witness — and the
 //      whole FtCheckResult — is bit-identical for every thread count.
 //
@@ -41,8 +41,6 @@ struct FtCheckResult {
   Vertex witness_u = kInvalidVertex;   ///< violated / worst pair
   Vertex witness_v = kInvalidVertex;
   std::size_t fault_sets_checked = 0;
-  std::vector<char> lane_pinned;  ///< per-lane affinity status (1 = pinned)
-  std::size_t lanes_pinned = 0;   ///< number of successfully pinned lanes
 
   /// Records (F, u, v, stretch) if it is worse than the current worst.
   void consider(double stretch, const VertexSet& faults, Vertex u, Vertex v,
@@ -64,17 +62,9 @@ struct FtCheckOptions {
   /// weight profiles. Never changes the FtCheckResult.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
-  /// Fault sets per burst handed to a pipeline worker (0 = default burst;
-  /// see pipeline/burst_pipeline.hpp). Irrelevant to the result.
-  std::size_t batch = 0;
-
   /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
   /// Never changes the FtCheckResult.
   Weight bucket_max = kMaxBucketWeight;
-
-  /// Pin worker lanes to cores (util/affinity.hpp); per-lane success is
-  /// reported in FtCheckResult::lane_pinned. Irrelevant to the result.
-  bool pin = false;
 };
 
 /// Number of fault sets of size <= r over n vertices (saturating).

@@ -63,7 +63,6 @@ TEST(GoldenConversion, FtGreedySpannerBitIdenticalAcrossRefactorAndThreads) {
         opt.threads = threads;
         opt.iteration_constant = 0.25;
         opt.engine = engine;
-        opt.batch = threads == 4 ? 8 : 0;  // exercise a non-default burst
         const auto res = ft_greedy_spanner(g, 3.0, 2, want.seed, opt);
         EXPECT_EQ(res.edges.size(), want.edges)
             << "seed=" << want.seed << " threads=" << threads

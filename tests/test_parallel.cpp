@@ -3,22 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
+#include <utility>
 
 #include "ftspanner/conversion.hpp"
 #include "ftspanner/edge_faults.hpp"
 #include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
-#include "util/affinity.hpp"
-#include "util/thread_pool.hpp"
+#include "pipeline/burst_pipeline.hpp"
 
 namespace ftspan {
 namespace {
 
 TEST(ResolveThreads, ZeroMeansHardware) {
   EXPECT_EQ(resolve_threads(0, 100000),
-            std::min(ThreadPool::hardware_threads(), kMaxConversionThreads));
+            std::min(hardware_threads(), kMaxConversionThreads));
 }
 
 TEST(ResolveThreads, ClampedToIterations) {
@@ -32,52 +31,16 @@ TEST(ResolveThreads, BogusRequestHitsTheCeiling) {
             kMaxConversionThreads);
 }
 
-TEST(ThreadPool, RunsAllJobsAcrossWorkers) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, PropagatesJobException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, PinnedLanesReportMatchesPlatformSupport) {
-  // Default: no pinning requested, every lane reports 0.
-  {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.pinned_lanes(), std::vector<char>(3, 0));
-    EXPECT_EQ(pool.pinned_count(), 0u);
-  }
-  // pin = true: cores are taken modulo hardware_threads(), so even a pool
-  // wider than the machine pins every lane wherever the build supports
-  // affinity at all — and reports all zeros (not a lie) where it does not.
-  {
-    ThreadPool pool(4, /*pin=*/true);
-    ASSERT_EQ(pool.pinned_lanes().size(), 4u);
-    const char want = affinity_supported() ? 1 : 0;
-    for (std::size_t i = 0; i < 4; ++i)
-      EXPECT_EQ(pool.pinned_lanes()[i], want) << "lane " << i;
-    EXPECT_EQ(pool.pinned_count(), affinity_supported() ? 4u : 0u);
-    // A pinned pool still runs jobs normally.
-    std::atomic<int> count{0};
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 50);
-  }
+/// A factory that hands every worker the same stateless body.
+IterationBodyFactory every_worker(IterationBody body) {
+  return [body = std::move(body)](std::size_t) { return body; };
 }
 
 TEST(UnionIterations, SingleThreadMatchesManualLoop) {
   const auto body = [](std::size_t it, std::vector<char>& marks) {
     marks[it % marks.size()] = 1;
   };
-  const auto marks = union_iterations(5, 1, 3, body);
+  const auto marks = union_iterations(5, 1, 3, every_worker(body));
   EXPECT_EQ(marks, (std::vector<char>{1, 1, 1}));
   EXPECT_EQ(marks_to_edges(marks), (std::vector<EdgeId>{0, 1, 2}));
 }
@@ -86,8 +49,8 @@ TEST(UnionIterations, ThreadCountInvariant) {
   const auto body = [](std::size_t it, std::vector<char>& marks) {
     marks[(it * 7) % marks.size()] = 1;
   };
-  const auto one = union_iterations(20, 1, 50, body);
-  const auto four = union_iterations(20, 4, 50, body);
+  const auto one = union_iterations(20, 1, 50, every_worker(body));
+  const auto four = union_iterations(20, 4, 50, every_worker(body));
   EXPECT_EQ(one, four);
 }
 
@@ -95,41 +58,7 @@ TEST(UnionIterations, RethrowsBodyException) {
   const IterationBody body = [](std::size_t it, std::vector<char>&) {
     if (it == 3) throw std::invalid_argument("it 3");
   };
-  EXPECT_THROW(union_iterations(8, 4, 2, body), std::invalid_argument);
-}
-
-TEST(UnionIterations, PinReportsLanesAndNeverChangesTheMarks) {
-  const IterationBodyFactory factory = [](std::size_t) -> IterationBody {
-    return [](std::size_t it, std::vector<char>& marks) {
-      marks[(it * 13) % marks.size()] = 1;
-    };
-  };
-  const std::vector<char> want = union_iterations(40, 1, 64, 0, factory);
-
-  // Multi-worker with pin on: same marks, one status slot per resolved
-  // worker, each honest about platform support.
-  std::vector<char> lanes;
-  const std::vector<char> pinned =
-      union_iterations(40, 4, 64, 0, factory, /*pin=*/true, &lanes);
-  EXPECT_EQ(pinned, want);
-  ASSERT_EQ(lanes.size(), resolve_threads(4, 40));
-  const char expect = affinity_supported() ? 1 : 0;
-  for (std::size_t i = 0; i < lanes.size(); ++i)
-    EXPECT_EQ(lanes[i], expect) << "lane " << i;
-
-  // Single worker resolves to the inline path: one unpinned lane, even
-  // with pin requested (the caller's thread affinity is left alone).
-  lanes.assign(5, 42);  // stale garbage the call must overwrite
-  EXPECT_EQ(union_iterations(40, 1, 64, 0, factory, /*pin=*/true, &lanes),
-            want);
-  EXPECT_EQ(lanes, std::vector<char>(1, 0));
-
-  // Pin off never pins, with or without the out-param.
-  lanes.clear();
-  EXPECT_EQ(union_iterations(40, 3, 64, 0, factory, /*pin=*/false, &lanes),
-            want);
-  EXPECT_EQ(lanes, std::vector<char>(resolve_threads(3, 40), 0));
-  EXPECT_EQ(union_iterations(40, 3, 64, 0, factory), want);
+  EXPECT_THROW(union_iterations(8, 4, 2, every_worker(body)), std::invalid_argument);
 }
 
 // The engine's headline guarantee: for the same seed, the conversion's edge

@@ -1,43 +1,26 @@
 // The dataplane pipeline: SpscRing (bounded lock-free SPSC queue) and
 // run_bursts (the burst-batched fan-out driver).
 //
-// This translation unit overrides the global allocation functions with
-// counting wrappers so the steady-state ring tests can assert an exact
+// This suite links tests/support/counting_allocator.cpp, whose counting
+// allocation functions let the steady-state ring tests assert an exact
 // allocation count of zero.
 #include "pipeline/burst_pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "ftspanner/parallel.hpp"
 #include "serve/query.hpp"
-#include "util/affinity.hpp"
+#include "support/counting_allocator.hpp"
 #include "util/spsc_ring.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ftspan {
 namespace {
@@ -87,13 +70,13 @@ TEST(SpscRing, WraparoundPreservesFifoOrder) {
 
 TEST(SpscRing, SteadyStateOperationsAreAllocationFree) {
   SpscRing<int> ring(8);
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = test::allocation_count();
   int out = 0;
   for (int i = 0; i < 10000; ++i) {
     ASSERT_TRUE(ring.try_push(i));
     ASSERT_TRUE(ring.try_pop(out));
   }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u);
 }
 
@@ -206,73 +189,91 @@ TEST(SpscRing, CarriesServeQueryPayloadsAcrossThreads) {
 
 // --- run_bursts ----------------------------------------------------------
 
-// Every index in [0, count) must run exactly once, whatever the worker and
-// burst geometry — including bursts larger than the whole count and the
-// 0 = default burst size.
+/// The width run_bursts derives: full kDefaultBurst bursts from 16·workers
+/// indices on, finer ones below (pipeline/burst_pipeline.hpp).
+std::size_t expected_width(std::size_t count, std::size_t workers) {
+  return std::min(kDefaultBurst, (count + workers - 1) / workers);
+}
+
+/// Counts on both sides of the 16·workers point where the derived width
+/// stops shrinking.
+std::vector<std::size_t> counts_around_full_bursts(std::size_t workers) {
+  const std::size_t full = kDefaultBurst * workers;
+  return {0, 1, workers, 12, full - 1, full, full + 1, 4 * full + 7};
+}
+
+// Every index in [0, count) must run exactly once, whatever the worker count
+// and whichever side of 16·workers the count falls on (finer bursts below,
+// full bursts above).
 TEST(RunBursts, CoversEveryIndexExactlyOnce) {
-  const std::size_t counts[] = {0, 1, 7, 64, 257};
-  const std::size_t workerses[] = {1, 2, 4};
-  const std::size_t bursts[] = {0, 1, 3, 1024};
-  for (const std::size_t count : counts)
-    for (const std::size_t workers : workerses)
-      for (const std::size_t burst : bursts) {
-        std::vector<std::atomic<int>> hits(count);
-        for (auto& h : hits) h.store(0);
-        BurstOptions opt;
-        opt.workers = workers;
-        opt.burst = burst;
-        run_bursts(count, opt, [&hits](std::size_t) -> BurstTask {
-          return [&hits](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-          };
-        });
-        for (std::size_t i = 0; i < count; ++i)
-          ASSERT_EQ(hits[i].load(), 1)
-              << "count=" << count << " workers=" << workers
-              << " burst=" << burst << " i=" << i;
-      }
+  for (const std::size_t workers : {1, 2, 4})
+    for (const std::size_t count : counts_around_full_bursts(workers)) {
+      std::vector<std::atomic<int>> hits(count);
+      for (auto& h : hits) h.store(0);
+      run_bursts(count, workers, [&hits](std::size_t) -> BurstTask {
+        return [&hits](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        };
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(hits[i].load(), 1)
+            << "count=" << count << " workers=" << workers << " i=" << i;
+    }
 }
 
 TEST(RunBursts, WorkerPinningIsDeterministic) {
   // Burst b goes to worker b % workers: record who ran each index and check
-  // the round-robin layout directly.
-  constexpr std::size_t kCount = 96, kWorkers = 3, kBurst = 8;
+  // the round-robin layout directly, at the derived width.
+  constexpr std::size_t kWorkers = 3;
+  for (const std::size_t count : counts_around_full_bursts(kWorkers)) {
+    std::vector<std::atomic<std::size_t>> ran_by(count);
+    for (auto& r : ran_by) r.store(SIZE_MAX);
+    run_bursts(count, kWorkers, [&ran_by](std::size_t w) -> BurstTask {
+      return [&ran_by, w](std::size_t i) {
+        ran_by[i].store(w, std::memory_order_relaxed);
+      };
+    });
+    const std::size_t width = expected_width(count, kWorkers);
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
+          << "count=" << count << " i=" << i;
+  }
+}
+
+// A fan-out smaller than one full burst per worker — the 12 fault sets of a
+// small certification on 4 workers — must still reach every lane instead of
+// running as one burst on lane 0.
+TEST(RunBursts, SmallFanOutReachesEveryLane) {
+  constexpr std::size_t kCount = 12, kWorkers = 4;
   std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  for (auto& r : ran_by) r.store(SIZE_MAX);
-  BurstOptions opt;
-  opt.workers = kWorkers;
-  opt.burst = kBurst;
-  run_bursts(kCount, opt, [&ran_by](std::size_t w) -> BurstTask {
+  run_bursts(kCount, kWorkers, [&ran_by](std::size_t w) -> BurstTask {
     return [&ran_by, w](std::size_t i) {
       ran_by[i].store(w, std::memory_order_relaxed);
     };
   });
-  for (std::size_t i = 0; i < kCount; ++i)
-    EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers) << "i=" << i;
+  std::vector<std::size_t> per_lane(kWorkers, 0);
+  for (const auto& w : ran_by) ++per_lane[w.load()];
+  EXPECT_EQ(per_lane, std::vector<std::size_t>(kWorkers, kCount / kWorkers));
 }
 
 TEST(RunBursts, TaskExceptionPropagatesWithoutDeadlock) {
   // A mid-stream throw must reach the caller even though the coordinator
   // keeps pushing bursts into the thrower's ring (the worker drains and
-  // discards them).
-  BurstOptions opt;
-  opt.workers = 2;
-  opt.burst = 1;
-  opt.ring_capacity = 2;  // small: a stalled consumer would deadlock the feed
-  EXPECT_THROW(
-      run_bursts(10000, opt,
-                 [](std::size_t) -> BurstTask {
-                   return [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("boom");
-                   };
-                 }),
-      std::runtime_error);
+  // discards them). 10000 indices on 2 workers are ~312 full bursts per
+  // lane, several times the kRingCapacity-burst ring, so a stalled consumer
+  // would deadlock the feed.
+  static_assert(10000 / (2 * kDefaultBurst) > 4 * kRingCapacity);
+  EXPECT_THROW(run_bursts(10000, 2,
+                          [](std::size_t) -> BurstTask {
+                            return [](std::size_t i) {
+                              if (i == 37) throw std::runtime_error("boom");
+                            };
+                          }),
+               std::runtime_error);
 }
 
 TEST(RunBursts, FactoryExceptionPropagates) {
-  BurstOptions opt;
-  opt.workers = 2;
-  EXPECT_THROW(run_bursts(100, opt,
+  EXPECT_THROW(run_bursts(100, 2,
                           [](std::size_t w) -> BurstTask {
                             if (w == 1)
                               throw std::runtime_error("factory boom");
@@ -283,9 +284,9 @@ TEST(RunBursts, FactoryExceptionPropagates) {
 
 // The consumer contract the conversion engine relies on: union_iterations
 // over the burst pipeline produces the same marks as the sequential loop,
-// for every (workers, burst) geometry.
+// for every worker count and on both sides of 16·workers iterations.
 TEST(RunBursts, UnionIterationsIsGeometryInvariant) {
-  constexpr std::size_t kIters = 200, kEdges = 512;
+  constexpr std::size_t kEdges = 512;
   const IterationBodyFactory factory = [](std::size_t) -> IterationBody {
     return [](std::size_t it, std::vector<char>& marks) {
       // A deterministic, iteration-dependent scatter.
@@ -293,26 +294,23 @@ TEST(RunBursts, UnionIterationsIsGeometryInvariant) {
         marks[(it * 31 + j * 97) % kEdges] = 1;
     };
   };
-  const std::vector<char> want =
-      union_iterations(kIters, 1, kEdges, 0, factory);
   for (const std::size_t workers : {2, 3, 8})
-    for (const std::size_t burst : {0, 1, 5, 64})
-      EXPECT_EQ(union_iterations(kIters, workers, kEdges, burst, factory),
-                want)
-          << "workers=" << workers << " burst=" << burst;
+    for (const std::size_t iters : counts_around_full_bursts(workers)) {
+      const std::vector<char> want = union_iterations(iters, 1, kEdges, factory);
+      EXPECT_EQ(union_iterations(iters, workers, kEdges, factory), want)
+          << "workers=" << workers << " iters=" << iters;
+    }
 }
 
 // The burst inner loop itself must not allocate: after the factory has built
 // the per-worker state, processing indices is ring pops + task calls only.
 TEST(RunBursts, SingleWorkerInnerLoopIsAllocationFree) {
-  BurstOptions opt;
-  opt.workers = 1;
   std::size_t sum = 0, before = 0, after = 0;
-  run_bursts(100000, opt, [&](std::size_t) -> BurstTask {
-    before = g_allocations.load(std::memory_order_relaxed);
+  run_bursts(100000, 1, [&](std::size_t) -> BurstTask {
+    before = test::allocation_count();
     return [&sum](std::size_t i) { sum += i; };
   });
-  after = g_allocations.load(std::memory_order_relaxed);
+  after = test::allocation_count();
   EXPECT_GT(sum, 0u);
   // The one allowance: materializing the returned BurstTask (a
   // std::function) may allocate once outside the loop.
@@ -340,7 +338,7 @@ TEST(BurstPool, ReusesLanesAcrossRuns) {
   int rounds = 0;
   for (const std::size_t count : counts) {
     for (auto& h : hits) h.store(0);
-    pool.run(count, /*burst=*/3);
+    pool.run(count);
     ++rounds;
     for (std::size_t i = 0; i < hits.size(); ++i)
       ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
@@ -361,10 +359,10 @@ TEST(BurstPool, RecoversAfterATaskException) {
       done.fetch_add(1, std::memory_order_relaxed);
     };
   });
-  EXPECT_THROW(pool.run(100, 1), std::runtime_error);
+  EXPECT_THROW(pool.run(100), std::runtime_error);
   armed.store(false);
   done.store(0);
-  pool.run(100, 1);
+  pool.run(100);
   EXPECT_EQ(done.load(), 100u);
 }
 
@@ -376,8 +374,8 @@ TEST(BurstPool, FactoryFailurePoisonsEveryRun) {
     if (w == 1) throw std::runtime_error("factory boom");
     return [](std::size_t) {};
   });
-  EXPECT_THROW(pool.run(50, 1), std::runtime_error);
-  EXPECT_THROW(pool.run(50, 1), std::runtime_error);
+  EXPECT_THROW(pool.run(50), std::runtime_error);
+  EXPECT_THROW(pool.run(50), std::runtime_error);
 }
 
 // --- BurstPool teardown --------------------------------------------------
@@ -402,7 +400,7 @@ TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
           done.fetch_add(1, std::memory_order_relaxed);
         };
       });
-      pool.run(64, 1);
+      pool.run(64);
     }  // ~BurstPool races the workers' post-completion wind-down
     EXPECT_EQ(done.load(), 64u);
   }
@@ -422,7 +420,7 @@ TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
         };
       });
       try {
-        pool.run(200, 4);
+        pool.run(200);
       } catch (const std::runtime_error&) {
         threw = true;
       }
@@ -454,117 +452,48 @@ TEST(BurstPool, DestructionOnADifferentThreadIsClean) {
       done.fetch_add(1, std::memory_order_relaxed);
     };
   });
-  pool->run(100, 2);
+  pool->run(100);
   EXPECT_EQ(done.load(), 100u);
   std::thread reaper([p = std::move(pool)]() mutable { p.reset(); });
   reaper.join();
 }
 
 // Same deterministic distribution as run_bursts: burst b -> worker
-// b % workers, stable across runs of the same pool.
+// b % workers at the derived width, stable across runs of the same pool.
 TEST(BurstPool, WorkerPinningMatchesRunBursts) {
-  constexpr std::size_t kCount = 96, kWorkers = 3, kBurst = 8;
+  constexpr std::size_t kWorkers = 3;
+  const std::vector<std::size_t> counts = counts_around_full_bursts(kWorkers);
+  std::vector<std::atomic<std::size_t>> ran_by(counts.back());
+  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
+    return [&ran_by, w](std::size_t i) {
+      ran_by[i].store(w, std::memory_order_relaxed);
+    };
+  });
+  for (int round = 0; round < 2; ++round)
+    for (const std::size_t count : counts) {
+      for (auto& r : ran_by) r.store(SIZE_MAX);
+      pool.run(count);
+      const std::size_t width = expected_width(count, kWorkers);
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
+            << "round=" << round << " count=" << count << " i=" << i;
+    }
+}
+
+// The persistent pool derives the same width: 12 indices on 4 lanes run as
+// four bursts of 3, one per lane.
+TEST(BurstPool, SmallRunReachesEveryLane) {
+  constexpr std::size_t kCount = 12, kWorkers = 4;
   std::vector<std::atomic<std::size_t>> ran_by(kCount);
   BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
     return [&ran_by, w](std::size_t i) {
       ran_by[i].store(w, std::memory_order_relaxed);
     };
   });
-  for (int round = 0; round < 3; ++round) {
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    pool.run(kCount, kBurst);
-    for (std::size_t i = 0; i < kCount; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers)
-          << "round=" << round << " i=" << i;
-  }
-}
-
-// --- core affinity (ISSUE 10) -------------------------------------------
-
-// run_bursts reports one affinity slot per worker, and the slots are honest:
-// all zero with pin off, all zero on the inline single-worker path (the
-// caller's affinity is not ours to change), and — wherever the platform
-// supports affinity at all — all one when pinning was requested on a real
-// pool.
-TEST(RunBursts, LanePinReportIsHonest) {
-  const BurstTaskFactory noop = [](std::size_t) -> BurstTask {
-    return [](std::size_t) {};
-  };
-
-  // count == 0: no lane ever ran, one zero slot per worker either way.
-  for (const bool pin : {false, true}) {
-    BurstOptions opt;
-    opt.workers = 3;
-    opt.pin = pin;
-    EXPECT_EQ(run_bursts(0, opt, noop), std::vector<char>(3, 0));
-  }
-
-  // workers == 1 runs inline on the caller's thread: never pinned, even
-  // when asked.
-  {
-    BurstOptions opt;
-    opt.workers = 1;
-    opt.pin = true;
-    EXPECT_EQ(run_bursts(16, opt, noop), std::vector<char>(1, 0));
-  }
-
-  // A real pool with pin off stays unpinned.
-  {
-    BurstOptions opt;
-    opt.workers = 2;
-    EXPECT_EQ(run_bursts(16, opt, noop), std::vector<char>(2, 0));
-  }
-
-  // Pin on: every lane reports success where the build supports affinity
-  // (cores are taken modulo hardware_threads(), so oversubscription cannot
-  // fail the call), and reports failure-as-zero where it does not.
-  {
-    BurstOptions opt;
-    opt.workers = 4;
-    opt.pin = true;
-    const std::vector<char> lanes = run_bursts(16, opt, noop);
-    ASSERT_EQ(lanes.size(), 4u);
-    const char want = affinity_supported() ? 1 : 0;
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-      EXPECT_EQ(lanes[i], want) << "lane " << i;
-  }
-}
-
-// The persistent pool exposes the same per-lane report, stable across runs,
-// and pinning must not perturb the deterministic burst distribution.
-TEST(BurstPool, PinnedLanesReportAndKeepDeterministicDistribution) {
-  constexpr std::size_t kCount = 64, kWorkers = 3, kBurst = 4;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  BurstPool pool(
-      kWorkers,
-      [&ran_by](std::size_t w) -> BurstTask {
-        return [&ran_by, w](std::size_t i) {
-          ran_by[i].store(w, std::memory_order_relaxed);
-        };
-      },
-      /*ring_capacity=*/64, /*pin=*/true);
-  const char want = affinity_supported() ? 1 : 0;
-  ASSERT_EQ(pool.pinned_lanes().size(), kWorkers);
-  for (std::size_t i = 0; i < kWorkers; ++i)
-    EXPECT_EQ(pool.pinned_lanes()[i], want) << "lane " << i;
-  EXPECT_EQ(pool.pinned_count(), affinity_supported() ? kWorkers : 0u);
-  for (int round = 0; round < 2; ++round) {
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    pool.run(kCount, kBurst);
-    for (std::size_t i = 0; i < kCount; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers)
-          << "round=" << round << " i=" << i;
-  }
-  // The report is a property of construction, not of any particular run.
-  EXPECT_EQ(pool.pinned_count(), affinity_supported() ? kWorkers : 0u);
-}
-
-TEST(BurstPool, DefaultConstructionDoesNotPin) {
-  BurstPool pool(2, [](std::size_t) -> BurstTask {
-    return [](std::size_t) {};
-  });
-  EXPECT_EQ(pool.pinned_lanes(), std::vector<char>(2, 0));
-  EXPECT_EQ(pool.pinned_count(), 0u);
+  pool.run(kCount);
+  std::vector<std::size_t> per_lane(kWorkers, 0);
+  for (const auto& w : ran_by) ++per_lane[w.load()];
+  EXPECT_EQ(per_lane, std::vector<std::size_t>(kWorkers, kCount / kWorkers));
 }
 
 }  // namespace

@@ -214,7 +214,9 @@ TEST(PropertyMatrix, MatrixIsSeedDeterministic) {
   const auto a = run_cell(gen, algo, kMatrixSeed);
   const auto b = run_cell(gen, algo, kMatrixSeed);
   EXPECT_EQ(a.has_value(), b.has_value());
-  if (a && b) EXPECT_EQ(replay_tuple(*a), replay_tuple(*b));
+  if (a && b) {
+    EXPECT_EQ(replay_tuple(*a), replay_tuple(*b));
+  }
 }
 
 TEST(PropertyMatrix, ShrinkingFindsASmallFailingInstance) {

@@ -103,18 +103,18 @@ TEST(ScenarioSpecTest, ParseToStringRoundTripsByteIdentically) {
       "workload=serve n=48 conns=3 duration=0.4 chaos=0.25 reload_every=50 "
       "wseed=2 algo=ft_vertex k=3 r=1 seed=3 threads=2 reps=1 "
       "validate=none",
-      // engine/batch print between threads and reps; engine=auto and
-      // batch=0 are the defaults and must stay invisible (first case above).
+      // engine prints between threads and reps; engine=auto is the default
+      // and must stay invisible (first case above).
       "workload=gnp wseed=1 algo=ft_vertex k=3 r=2 seed=1 threads=2 "
-      "engine=bucket batch=32 reps=1 validate=none",
+      "engine=bucket reps=1 validate=none",
       "workload=gnp wseed=1 algo=greedy k=3 r=0 seed=1 threads=1 "
       "engine=heap reps=1 validate=none",
-      // ISSUE 10 keys: max_weight prints after scale; bucket_max and pin
-      // print after batch; all three stay invisible at their defaults
-      // (every case above). format_double prints 100000 in its shortest
-      // round-trip form "1e+05" — that IS the canonical spelling.
+      // max_weight prints after scale; bucket_max prints after engine; both
+      // stay invisible at their defaults (every case above). format_double
+      // prints 100000 in its shortest round-trip form "1e+05" — that IS the
+      // canonical spelling.
       "workload=gnp n=64 max_weight=1e+05 wseed=1 algo=greedy k=3 r=0 "
-      "seed=1 threads=1 engine=delta bucket_max=8192 pin=on reps=1 "
+      "seed=1 threads=1 engine=delta bucket_max=8192 reps=1 "
       "validate=none",
       "workload=gnp wseed=1 algo=ft_vertex k=3 r=1 seed=1 threads=2 "
       "bucket_max=1048576 reps=1 validate=none",
@@ -149,8 +149,21 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(ScenarioSpec::parse("timings=sometimes"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("engine=quantum"), std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::parse("batch=-1"), std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::parse("pin=maybe"), std::invalid_argument);
+  // The burst width and lane placement are not configurable: batch= and
+  // pin= are unknown keys like any other.
+  for (const char* text : {"batch=16", "pin=on", "pin=off"}) {
+    try {
+      ScenarioSpec::parse(text);
+      FAIL() << "expected std::invalid_argument for \"" << text << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      const std::string key(text, std::strchr(text, '=') - text);
+      EXPECT_NE(what.find("unknown key '" + key + "'"), std::string::npos)
+          << what;
+      const std::string valid = what.substr(what.find("valid keys"));
+      EXPECT_EQ(valid.find(key), std::string::npos) << what;
+    }
+  }
   try {
     ScenarioSpec::parse("frobnicate=1");
   } catch (const std::invalid_argument& e) {
@@ -160,7 +173,6 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
     EXPECT_NE(std::string(e.what()).find("reload_every"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("max_weight"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("bucket_max"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("pin"), std::string::npos);
   }
 }
 
@@ -239,7 +251,7 @@ TEST(ScenarioSpecTest, IntegerBoundaryValuesErrorWithTheKeyName) {
       "r=99999999999999999999999",     // > 2^64: ERANGE saturation
       "seed=18446744073709551616",     // exactly 2^64
       "threads=",                      // empty value
-      "batch=",                        // empty value, new key
+      "reload_every=",                 // empty value, newer key
       "r=-1",                          // strtoull would wrap to 2^64-1
   };
   for (const char* text : bad) {

@@ -2,16 +2,12 @@
 // targeted early exit, epoch rollover of the pooled scratch, and the
 // zero-allocation guarantee for the conversion inner loop.
 //
-// This translation unit overrides the global allocation functions with
-// counting wrappers so the hot-loop tests can assert an exact allocation
+// This suite links tests/support/counting_allocator.cpp, whose counting
+// allocation functions let the hot-loop tests assert an exact allocation
 // count of zero after warm-up.
 #include "graph/sp_engine.hpp"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "ftspanner/conversion.hpp"
 #include "graph/csr.hpp"
@@ -19,23 +15,8 @@
 #include "graph/graph.hpp"
 #include "graph/shortest_paths.hpp"
 #include "spanner/greedy.hpp"
+#include "support/counting_allocator.hpp"
 #include "util/rng.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ftspan {
 namespace {
@@ -141,7 +122,9 @@ TEST(DijkstraEngine, SettleOrderIsNonDecreasingAndParentFirst) {
   for (const Vertex v : eng.settle_order()) {
     EXPECT_GE(eng.dist(v), prev);
     prev = eng.dist(v);
-    if (eng.parent(v) != kInvalidVertex) EXPECT_TRUE(seen[eng.parent(v)]);
+    if (eng.parent(v) != kInvalidVertex) {
+      EXPECT_TRUE(seen[eng.parent(v)]);
+    }
     seen[v] = 1;
   }
 }
@@ -424,9 +407,9 @@ TEST(DijkstraEngine, BucketQueueRunIsAllocationFreeAfterWarmUp) {
   eng.set_queue(SpQueue::kBucket, csr.weights().max_weight);
   eng.reserve(g.num_vertices(), 2 * g.num_edges() + 1);
   eng.run(csr, 0);  // warm-up
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = test::allocation_count();
   for (Vertex s = 0; s < g.num_vertices(); ++s) eng.run(csr, s);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u);
 }
 
@@ -437,9 +420,9 @@ TEST(DijkstraEngine, DeltaQueueRunIsAllocationFreeAfterWarmUp) {
   eng.set_queue(SpQueue::kDelta, csr.weights().max_weight);
   eng.reserve(g.num_vertices(), 2 * g.num_edges() + 1);
   eng.run(csr, 0);  // warm-up
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = test::allocation_count();
   for (Vertex s = 0; s < g.num_vertices(); ++s) eng.run(csr, s);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u);
 }
 
@@ -449,9 +432,9 @@ TEST(DijkstraEngine, RunIsAllocationFreeAfterWarmUp) {
   DijkstraEngine eng;
   eng.reserve(g.num_vertices(), 2 * g.num_edges() + 1);
   eng.run(csr, 0);  // warm-up
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = test::allocation_count();
   for (Vertex s = 0; s < g.num_vertices(); ++s) eng.run(csr, s);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u);
 }
 
@@ -473,9 +456,9 @@ TEST(DijkstraEngine, ConversionInnerLoopIsAllocationFreeAfterWarmUp) {
   };
 
   std::size_t kept = iteration(0);  // warm-up
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = test::allocation_count();
   for (std::uint64_t it = 1; it <= 20; ++it) kept += iteration(it);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = test::allocation_count();
   EXPECT_GT(kept, 0u);
   EXPECT_EQ(after - before, 0u);
 }

@@ -79,7 +79,7 @@ Args parse(int argc, char** argv, int from) {
       if (i + 1 < argc && argv[i + 1][0] != '-')
         a.options[s] = argv[++i];
       else
-        a.options[s] = "1";
+        a.options[s] = std::string("1");
     } else {
       a.positional.push_back(s);
     }
