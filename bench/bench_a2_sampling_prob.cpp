@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "validate/stretch_oracle.hpp"
 
 using namespace ftspan;
 
@@ -37,8 +37,8 @@ int main() {
       keep = res.keep_probability;
       size.add(static_cast<double>(res.edges.size()));
       survivors.add(static_cast<double>(res.max_survivors));
-      if (check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, r).valid)
-        ++valid;
+      const Graph h = g.edge_subgraph(res.edges);
+      if (StretchOracle(g, h, 3.0).check_exact(r).valid) ++valid;
     }
     t.row()
         .cell(scale, 2)

@@ -24,7 +24,7 @@
 #include <iostream>
 
 #include "graph/generators.hpp"
-#include "graph/shortest_paths.hpp"
+#include "graph/sp_engine.hpp"
 #include "runner/runner.hpp"
 #include "spanner/greedy.hpp"
 #include "util/table.hpp"
@@ -36,8 +36,8 @@ using runner::ScenarioSpec;
 
 namespace {
 
-/// The pre-oracle formulation: per fault set, one full Dijkstra pair per
-/// surviving edge, fresh allocations every run. Consumes the same per-trial
+/// The pre-oracle formulation: per fault set, one full (unbounded,
+/// untargeted) Dijkstra pair per surviving edge. Consumes the same per-trial
 /// RNG streams as StretchOracle::check_sampled's random trials, so the
 /// fault-set stream — and therefore the worst stretch — matches the oracle
 /// exactly.
@@ -51,18 +51,18 @@ FtCheckResult per_pair_reference(const Graph& g, const Graph& h, double k,
       std::min(r, n >= 2 ? n - 2 : std::size_t{0});
   std::vector<Vertex> pool;
   VertexSet faults(n);
+  DijkstraEngine dg, dh;
   for (std::size_t t = 0; t < trials; ++t) {
     Rng rng(hash_combine(seed, t));
     sample_fault_set(rng, fault_size, pool, faults);
     ++out.fault_sets_checked;
     for (const Edge& e : g.edges()) {
       if (faults.contains(e.u) || faults.contains(e.v)) continue;
-      const auto dg = dijkstra(g, e.u, &faults);  // one full run per PAIR
-      const auto dh = dijkstra(h, e.u, &faults);
-      if (!dg.reachable(e.v) || dg.dist[e.v] <= 0) continue;
-      const double stretch = dh.reachable(e.v)
-                                 ? dh.dist[e.v] / dg.dist[e.v]
-                                 : kInfiniteWeight;
+      dg.run(g, e.u, &faults);  // one full run per PAIR
+      dh.run(h, e.u, &faults);
+      if (!dg.reachable(e.v) || dg.dist(e.v) <= 0) continue;
+      const double stretch = dh.reachable(e.v) ? dh.dist(e.v) / dg.dist(e.v)
+                                               : kInfiniteWeight;
       out.consider(stretch, faults, e.u, e.v, k);
     }
   }

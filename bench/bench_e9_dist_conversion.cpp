@@ -6,11 +6,11 @@
 // tolerance check (exact where feasible, sampled otherwise).
 #include <cstdio>
 
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "local/dist_spanner.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "validate/stretch_oracle.hpp"
 
 using namespace ftspan;
 using namespace ftspan::local;
@@ -34,9 +34,9 @@ int main() {
       // Exact checking costs |fault sets| × n Dijkstras; keep it for the
       // smallest configurations only.
       exact = exact && n <= 64;
-      const auto check = exact
-                             ? check_ft_spanner_exact(g, h, 3.0, r)
-                             : check_ft_spanner_sampled(g, h, 3.0, r, 15, 25, 5);
+      const StretchOracle oracle(g, h, 3.0);
+      const auto check = exact ? oracle.check_exact(r)
+                               : oracle.check_sampled(r, 15, 25, /*seed=*/5);
       const double theory =
           std::pow(static_cast<double>(r), 3.0) * std::log(static_cast<double>(n));
       t.row()

@@ -3,7 +3,7 @@
 
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
-#include "graph/shortest_paths.hpp"
+#include "graph/sp_engine.hpp"
 #include "local/padded_decomposition.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/greedy.hpp"
@@ -18,9 +18,11 @@ using namespace ftspan;
 void BM_Dijkstra(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Graph g = gnp(n, 8.0 / static_cast<double>(n), 1, 4.0);
+  DijkstraEngine eng;
   Vertex src = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dijkstra(g, src));
+    eng.run(g, src);
+    benchmark::DoNotOptimize(eng.dist(static_cast<Vertex>(n - 1)));
     src = (src + 1) % n;
   }
 }

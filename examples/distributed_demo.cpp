@@ -6,12 +6,11 @@
 // 4. Distributed 2-spanner (Algorithm 2 / Theorem 3.9).
 #include <cstdio>
 
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "local/dist_2spanner.hpp"
 #include "local/dist_spanner.hpp"
 #include "local/padded_decomposition.hpp"
-#include "spanner/verify.hpp"
+#include "validate/stretch_oracle.hpp"
 
 using namespace ftspan;
 using namespace ftspan::local;
@@ -34,7 +33,8 @@ int main() {
   const Graph g = gnp(100, 0.15, /*seed=*/4);
   {
     const auto res = distributed_baswana_sen(g, 2, /*seed=*/5);
-    const bool ok = is_k_spanner(g, g.edge_subgraph(res.edges), 3.0);
+    const Graph h = g.edge_subgraph(res.edges);
+    const bool ok = StretchOracle(g, h, 3.0).check_exact(0).valid;
     std::printf("[2] distributed Baswana-Sen on G(100, .15): %zu -> %zu edges "
                 "in %zu rounds; 3-spanner: %s\n",
                 g.num_edges(), res.edges.size(), res.stats.rounds,
@@ -44,8 +44,9 @@ int main() {
   // --- 3. Distributed FT conversion (Theorem 2.3), r = 1. ---
   {
     const auto res = distributed_ft_spanner(g, 2, 1, /*seed=*/6);
-    const auto check = check_ft_spanner_sampled(
-        g, g.edge_subgraph(res.edges), 3.0, 1, 30, 50, 7);
+    const Graph h = g.edge_subgraph(res.edges);
+    const auto check =
+        StretchOracle(g, h, 3.0).check_sampled(1, 30, 50, /*seed=*/7);
     std::printf("[3] distributed 1-FT 3-spanner: %zu edges, %zu iterations, "
                 "%zu rounds; sampled validity: %s\n",
                 res.edges.size(), res.iterations, res.stats.rounds,

@@ -10,7 +10,7 @@
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/shortest_paths.hpp"
+#include "graph/sp_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -39,6 +39,7 @@ int main() {
 
   // Simulate closure scenarios: r random intersections fail; sample routes.
   Rng rng(7);
+  DijkstraEngine eng;
   Table t({"scenario", "closed", "routes sampled", "mean detour", "max detour"});
   for (int scenario = 1; scenario <= 5; ++scenario) {
     VertexSet closed(n);
@@ -51,9 +52,9 @@ int main() {
       const Vertex a = static_cast<Vertex>(rng.uniform_index(n));
       const Vertex b = static_cast<Vertex>(rng.uniform_index(n));
       if (a == b || closed.contains(a) || closed.contains(b)) continue;
-      const Weight direct = pair_distance(roads, a, b, &closed);
+      const Weight direct = eng.bounded_pair(roads, a, b, &closed);
       if (direct >= kInfiniteWeight || direct <= 0) continue;
-      const Weight via = pair_distance(backbone, a, b, &closed);
+      const Weight via = eng.bounded_pair(backbone, a, b, &closed);
       if (via >= kInfiniteWeight) {
         std::printf("  !! backbone disconnected a route (should not happen)\n");
         continue;

@@ -13,7 +13,7 @@
 #include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/shortest_paths.hpp"
+#include "graph/sp_engine.hpp"
 #include "spanner/distance_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -83,12 +83,13 @@ int main() {
 
   // Distance oracle on the backbone: constant-time approximate queries.
   const DistanceOracle oracle(backbone, /*k=*/2, /*seed=*/24);
+  DijkstraEngine eng;
   Stats ratio;
   for (int i = 0; i < 200; ++i) {
     const Vertex a = static_cast<Vertex>(rng.uniform_index(n));
     const Vertex b = static_cast<Vertex>(rng.uniform_index(n));
     if (a == b) continue;
-    const Weight exact = pair_distance(backbone, a, b);
+    const Weight exact = eng.bounded_pair(backbone, a, b);
     if (exact >= kInfiniteWeight || exact <= 0) continue;
     ratio.add(oracle.query(a, b) / exact);
   }

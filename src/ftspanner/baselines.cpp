@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "ftspanner/validate.hpp"
 #include "spanner/greedy.hpp"
 #include "util/rng.hpp"
+#include "validate/stretch_oracle.hpp"  // count_fault_sets
 
 namespace ftspan {
 

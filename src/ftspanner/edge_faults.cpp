@@ -7,10 +7,10 @@
 #include <stdexcept>
 
 #include "ftspanner/parallel.hpp"
-#include "ftspanner/validate.hpp"  // count_fault_sets (C(m, <=r) reuse)
 #include "graph/sp_engine.hpp"
 #include "spanner/greedy.hpp"
 #include "util/rng.hpp"
+#include "validate/stretch_oracle.hpp"  // count_fault_sets (C(m, <=r) reuse)
 
 namespace ftspan {
 

@@ -2,10 +2,35 @@
 
 #include <algorithm>
 
-#include "graph/shortest_paths.hpp"
 #include "graph/union_find.hpp"
 
 namespace ftspan {
+
+namespace {
+
+constexpr std::size_t kUnreached = static_cast<std::size_t>(-1);
+
+/// Hop counts from `source` on G \ faults by BFS; kUnreached where no path
+/// survives (everywhere when the source itself has failed).
+std::vector<std::size_t> hop_counts(const Graph& g, Vertex source,
+                                    const VertexSet* faults = nullptr) {
+  std::vector<std::size_t> hops(g.num_vertices(), kUnreached);
+  if (faults != nullptr && faults->contains(source)) return hops;
+  std::vector<Vertex> queue{source};
+  hops[source] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
+    for (const Arc& a : g.neighbors(v)) {
+      if (hops[a.to] != kUnreached) continue;
+      if (faults != nullptr && faults->contains(a.to)) continue;
+      hops[a.to] = hops[v] + 1;
+      queue.push_back(a.to);
+    }
+  }
+  return hops;
+}
+
+}  // namespace
 
 bool is_connected(const Graph& g, const VertexSet* faults) {
   return num_components(g, faults) <= 1;
@@ -28,11 +53,10 @@ std::size_t num_components(const Graph& g, const VertexSet* faults) {
 
 std::size_t hop_eccentricity(const Graph& g, Vertex v,
                              const VertexSet* faults) {
-  const auto t = bfs(g, v, faults);
-  Weight ecc = 0;
-  for (Vertex u = 0; u < g.num_vertices(); ++u)
-    if (t.reachable(u)) ecc = std::max(ecc, t.dist[u]);
-  return static_cast<std::size_t>(ecc);
+  std::size_t ecc = 0;
+  for (const std::size_t h : hop_counts(g, v, faults))
+    if (h != kUnreached) ecc = std::max(ecc, h);
+  return ecc;
 }
 
 std::size_t hop_diameter(const Graph& g, const VertexSet* faults) {
@@ -47,11 +71,9 @@ std::size_t hop_diameter(const Graph& g, const VertexSet* faults) {
 std::size_t weak_diameter(const Graph& g, const std::vector<Vertex>& subset) {
   std::size_t d = 0;
   for (Vertex v : subset) {
-    const auto t = bfs(g, v);
-    for (Vertex u : subset) {
-      if (!t.reachable(u)) continue;
-      d = std::max(d, static_cast<std::size_t>(t.dist[u]));
-    }
+    const std::vector<std::size_t> hops = hop_counts(g, v);
+    for (Vertex u : subset)
+      if (hops[u] != kUnreached) d = std::max(d, hops[u]);
   }
   return d;
 }

@@ -1,8 +1,8 @@
 // DijkstraEngine — the one shortest-path implementation in this repository.
 //
 // Every shortest-path computation in src/ (greedy spanner, Thorup–Zwick,
-// distance oracle, edge-fault checks, the StretchOracle, and the public
-// dijkstra()/pair_distance() wrappers) runs through run_visit() below. The
+// distance oracle, edge-fault checks, the StretchOracle, and the serve
+// query engine) runs through run_visit() below. The
 // engine is a *pooled workspace*: it owns epoch-stamped dist/parent/via
 // arrays, a reusable priority structure, and the settle-order log, so that
 // after the first run at a given graph size a run performs zero heap
@@ -163,8 +163,8 @@ class DijkstraEngine {
               });
   }
 
-  /// Single-pair distance with early exit once `target` settles; same
-  /// semantics as the historical pair_distance (bounded, fault-masked).
+  /// Single-pair distance on G \ faults (kInfiniteWeight beyond `bound`),
+  /// with early exit once `target` settles.
   template <class G>
   Weight bounded_pair(const G& g, Vertex source, Vertex target,
                       const VertexSet* faults = nullptr,

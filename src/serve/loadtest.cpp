@@ -214,12 +214,18 @@ void client_main(std::uint16_t port, std::size_t n,
       return std::chrono::duration<double>(Clock::now() - start).count();
     };
     std::uint64_t sent = 0;
+    // When the next request is due: its latency clock starts here, not at
+    // send, so a stall is charged to every request queued behind it (no
+    // coordinated omission). Closed loop has no schedule and times from send.
+    Clock::time_point due_at;
     for (;;) {
       if (paced_count > 0) {
         if (sent == paced_count) break;
         // Pace against the schedule, not the previous response, so a slow
         // reply doesn't silently lower the offered rate.
         const double due = static_cast<double>(sent) * interval_s;
+        due_at = start + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(due));
         const double now = elapsed();
         if (due > now)
           std::this_thread::sleep_for(
@@ -304,7 +310,7 @@ void client_main(std::uint16_t port, std::size_t n,
       }
 
       const std::string target = random_target(rng, n);
-      const Clock::time_point t0 = Clock::now();
+      const Clock::time_point t0 = paced_count > 0 ? due_at : Clock::now();
       const int status = client.round_trip("GET", target);
       const double ms =
           std::chrono::duration<double, std::milli>(Clock::now() - t0)

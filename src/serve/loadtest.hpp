@@ -6,8 +6,10 @@
 // socket/parse/batch/respond path is measured, not just the query engine),
 // and reports latency quantiles plus the engine's cache counters. With
 // qps > 0 the clients pace a fixed request count (open-ish loop: a late
-// response delays only its own connection); with qps == 0 they run closed
-// loop, back-to-back, for the full duration. The query mix and all client
+// response delays only its own connection) and time each request from its
+// due time on that schedule, so a stall counts against every request
+// queued behind it; with qps == 0 they run closed loop, back-to-back, for
+// the full duration, timing each request from its send. The query mix and all client
 // randomness derive from the seed, so the *request streams* are
 // reproducible — the latencies of course are not.
 //

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "ftspanner/validate.hpp"  // count_fault_sets
+#include "validate/stretch_oracle.hpp"  // count_fault_sets
 
 namespace ftspan {
 

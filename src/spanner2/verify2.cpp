@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ftspanner/validate.hpp"  // count_fault_sets
-
 namespace ftspan {
 
 std::size_t spanner_two_paths(const Digraph& g,
@@ -72,15 +70,6 @@ bool is_ft_2spanner_by_definition(const Digraph& g,
     if (in_spanner[id]) unit_h.add_edge(e.u, e.v, 1.0);
   }
   return DiStretchOracle(unit_g, unit_h, 2.0).check_exact(r, options).valid;
-}
-
-bool is_ft_2spanner_by_definition(const Digraph& g,
-                                  const std::vector<char>& in_spanner,
-                                  std::size_t r,
-                                  std::size_t max_fault_sets) {
-  FtCheckOptions options;
-  options.max_fault_sets = max_fault_sets;
-  return is_ft_2spanner_by_definition(g, in_spanner, r, options);
 }
 
 namespace {

@@ -46,11 +46,7 @@ double spanner_cost(const Digraph& g, const std::vector<char>& in_spanner);
 bool is_ft_2spanner_by_definition(const Digraph& g,
                                   const std::vector<char>& in_spanner,
                                   std::size_t r,
-                                  const FtCheckOptions& options);
-bool is_ft_2spanner_by_definition(const Digraph& g,
-                                  const std::vector<char>& in_spanner,
-                                  std::size_t r,
-                                  std::size_t max_fault_sets = 2'000'000);
+                                  const FtCheckOptions& options = {});
 
 /// Greedy repair: while some edge (u,v) is unsatisfied, apply the cheaper of
 /// (a) adding (u,v) itself, or (b) completing enough missing 2-paths to

@@ -20,8 +20,10 @@
 //      array and are folded sequentially, so the worst witness — and the
 //      whole FtCheckResult — is bit-identical for every thread count.
 //
-// The legacy validators (ftspanner/validate.hpp, spanner/verify.hpp,
-// spanner2/verify2.hpp) are thin wrappers over this class.
+// This is the one validation entry point: plain stretch is max_stretch() or
+// check_exact(0), fault tolerance is check_exact / check_sampled, and the
+// definition-level 2-spanner check (spanner2/verify2.hpp) runs a
+// DiStretchOracle over unit-cost copies.
 #pragma once
 
 #include <cstdint>

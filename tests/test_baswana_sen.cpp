@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "graph/generators.hpp"
-#include "spanner/verify.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -30,7 +30,8 @@ TEST(BaswanaSen, Stretch3OnRandomGraphs) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     const Graph g = gnp(60, 0.2, seed);
     const Graph h = baswana_sen_spanner_graph(g, 2, seed * 31);
-    EXPECT_TRUE(is_k_spanner(g, h, 3.0)) << "seed=" << seed;
+    EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(0).valid)
+        << "seed=" << seed;
   }
 }
 
@@ -38,7 +39,8 @@ TEST(BaswanaSen, Stretch5Weighted) {
   for (std::uint64_t seed : {5ull, 6ull}) {
     const Graph g = gnp(60, 0.3, seed, 6.0);
     const Graph h = baswana_sen_spanner_graph(g, 3, seed);
-    EXPECT_TRUE(is_k_spanner(g, h, 5.0)) << "seed=" << seed;
+    EXPECT_TRUE(StretchOracle(g, h, 5.0).check_exact(0).valid)
+        << "seed=" << seed;
   }
 }
 
@@ -58,7 +60,8 @@ TEST(BaswanaSen, FaultMaskExcludesFaultyEndpoints) {
     EXPECT_FALSE(f.contains(g.edge(id).u));
     EXPECT_FALSE(f.contains(g.edge(id).v));
   }
-  EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(edges), 3.0, &f));
+  const Graph h = g.edge_subgraph(edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).evaluate_sets({f}).valid);
 }
 
 TEST(BaswanaSen, DeterministicPerSeed) {
@@ -82,7 +85,7 @@ TEST_P(BsSweep, StretchBound) {
   const Graph h =
       baswana_sen_spanner_graph(g, static_cast<std::size_t>(k),
                                 static_cast<std::uint64_t>(seed) * 7 + 1);
-  EXPECT_TRUE(is_k_spanner(g, h, 2.0 * k - 1.0));
+  EXPECT_TRUE(StretchOracle(g, h, 2.0 * k - 1.0).check_exact(0).valid);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, BsSweep,

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <tuple>
 
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/greedy.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -46,16 +46,16 @@ TEST(Conversion, KeepProbabilityMatchesPaper) {
 TEST(Conversion, OneFaultCompleteGraphIsFtValid) {
   const Graph g = complete(14);
   const auto res = ft_greedy_spanner(g, 3.0, 1, 42);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(1);
   EXPECT_TRUE(check.valid) << "worst stretch " << check.worst_stretch;
 }
 
 TEST(Conversion, TwoFaultsGnpIsFtValid) {
   const Graph g = gnp(18, 0.5, 7);
   const auto res = ft_greedy_spanner(g, 3.0, 2, 43);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 2);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(2);
   EXPECT_TRUE(check.valid) << "worst stretch " << check.worst_stretch;
 }
 
@@ -64,11 +64,11 @@ TEST(Conversion, PlainGreedyFailsWhereConversionHolds) {
   // greedy output) is NOT 1-fault tolerant, while the conversion output is.
   const Graph g = complete(12);
   const Graph plain = greedy_spanner_graph(g, 3.0);
-  const auto plain_check = check_ft_spanner_exact(g, plain, 3.0, 1);
-  EXPECT_FALSE(plain_check.valid);
+  EXPECT_FALSE(StretchOracle(g, plain, 3.0).check_exact(1).valid);
 
   const auto res = ft_greedy_spanner(g, 3.0, 1, 44);
-  EXPECT_TRUE(check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1).valid);
+  const Graph h = g.edge_subgraph(res.edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(1).valid);
 }
 
 TEST(Conversion, SizeWithinCorollaryBound) {
@@ -107,8 +107,8 @@ TEST(Conversion, WorksWithBaswanaSenBase) {
     return baswana_sen_spanner(graph, 2, seed, mask);
   };
   const auto res = fault_tolerant_spanner(g, 1, base, 48);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(1);
   EXPECT_TRUE(check.valid) << "worst stretch " << check.worst_stretch;
 }
 
@@ -141,7 +141,8 @@ TEST_P(ConversionSweep, ExactlyFaultTolerant) {
   const auto [n, r, k] = GetParam();
   const Graph g = gnp(n, 0.6, 100 + n + r);
   const auto res = ft_greedy_spanner(g, k, r, 1000 + n * r);
-  const auto check = check_ft_spanner_exact(g, g.edge_subgraph(res.edges), k, r);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, k).check_exact(r);
   EXPECT_TRUE(check.valid)
       << "n=" << n << " r=" << r << " k=" << k << " stretch "
       << check.worst_stretch;

@@ -9,16 +9,17 @@
 
 #include "ftspanner/conversion.hpp"
 #include "ftspanner/edge_faults.hpp"
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/shortest_paths.hpp"
+#include "graph/sp_engine.hpp"
 #include "spanner/distance_oracle.hpp"
 #include "spanner/thorup_zwick.hpp"
 #include "spanner2/exact_bb.hpp"
 #include "spanner2/formulation.hpp"
 #include "spanner2/rounding.hpp"
 #include "spanner2/verify2.hpp"
+#include "support/reference_sp.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -83,8 +84,8 @@ TEST(Crosscutting, ConversionOverThorupZwickBase) {
     return thorup_zwick_spanner(graph, 2, seed, mask);
   };
   const auto res = fault_tolerant_spanner(g, 1, base, 11);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(1);
   EXPECT_TRUE(check.valid) << check.worst_stretch;
 }
 
@@ -111,14 +112,15 @@ TEST(Crosscutting, OracleOnSpannerComposesStretch) {
   const Graph g = gnp_connected(40, 0.2, 17, 4.0);
   const Graph h = g.edge_subgraph(thorup_zwick_spanner(g, 2, 19));  // 3-spanner
   const DistanceOracle oracle(h, 2, 23);  // stretch 3 on h
-  const auto exact = all_pairs_distances(g);
-  for (Vertex u = 0; u < 40; u += 3)
+  for (Vertex u = 0; u < 40; u += 3) {
+    const auto exact = test::reference_dijkstra(g, u);
     for (Vertex v = 1; v < 40; v += 3) {
       if (u == v) continue;
       // Composition: oracle(u,v) <= 3 * d_h(u,v) <= 9 * d_g(u,v).
-      EXPECT_LE(oracle.query(u, v), 9.0 * exact[u][v] + 1e-9);
-      EXPECT_GE(oracle.query(u, v), exact[u][v] - 1e-9);
+      EXPECT_LE(oracle.query(u, v), 9.0 * exact.dist[v] + 1e-9);
+      EXPECT_GE(oracle.query(u, v), exact.dist[v] - 1e-9);
     }
+  }
 }
 
 // --- rounding on the undirectable: bidirected instances should cost at
@@ -159,10 +161,11 @@ TEST(Crosscutting, ConversionSizeMonotoneInRWithDefaultIterations) {
 TEST(Crosscutting, SampledCheckIsWeakerThanExact) {
   const Graph g = complete(10);
   const Graph star_h = star(10);
-  const auto exact = check_ft_spanner_exact(g, star_h, 2.0, 1);
+  const StretchOracle oracle(g, star_h, 2.0);
+  const auto exact = oracle.check_exact(1);
   ASSERT_FALSE(exact.valid);
   // Sampled with an adversary finds it too (the converse need not hold).
-  const auto sampled = check_ft_spanner_sampled(g, star_h, 2.0, 1, 10, 40, 3);
+  const auto sampled = oracle.check_sampled(1, 10, 40, /*seed=*/3);
   EXPECT_FALSE(sampled.valid);
 }
 
@@ -172,12 +175,14 @@ TEST(Crosscutting, MaskAndMaterializedSubgraphAgree) {
   const Graph g = gnp_connected(30, 0.2, 37, 5.0);
   VertexSet f(30, {3, 11, 22});
   const Graph without = g.subgraph_without(f);
+  DijkstraEngine masked;
   for (Vertex u : {0u, 7u, 29u}) {
-    const auto masked = dijkstra(g, u, &f);
-    const auto materialized = dijkstra(without, u);
+    masked.run(g, u, &f);
+    const auto materialized = test::reference_dijkstra(without, u);
     for (Vertex v = 0; v < 30; ++v) {
       if (f.contains(v) || f.contains(u)) continue;
-      EXPECT_DOUBLE_EQ(masked.dist[v], materialized.dist[v]);
+      EXPECT_EQ(masked.dist(v), materialized.dist[v])
+          << "u=" << u << " v=" << v;
     }
   }
 }

@@ -4,17 +4,15 @@
 
 #include <tuple>
 
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
-#include "spanner/verify.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan::local {
 namespace {
 
 using ftspan::Graph;
 using ftspan::VertexSet;
-using ftspan::check_ft_spanner_exact;
-using ftspan::is_k_spanner;
+using ftspan::StretchOracle;
 
 TEST(DistBaswanaSen, K1TakesWholeGraph) {
   const Graph g = ftspan::gnp(20, 0.3, 1);
@@ -27,7 +25,8 @@ TEST(DistBaswanaSen, Stretch3OnRandomGraphs) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const Graph g = ftspan::gnp(50, 0.25, seed);
     const auto res = distributed_baswana_sen(g, 2, seed * 11);
-    EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(res.edges), 3.0))
+    const Graph h = g.edge_subgraph(res.edges);
+    EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(0).valid)
         << "seed=" << seed;
   }
 }
@@ -36,7 +35,8 @@ TEST(DistBaswanaSen, Stretch5) {
   for (std::uint64_t seed : {4ull, 5ull}) {
     const Graph g = ftspan::gnp(50, 0.3, seed);
     const auto res = distributed_baswana_sen(g, 3, seed);
-    EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(res.edges), 5.0));
+    const Graph h = g.edge_subgraph(res.edges);
+    EXPECT_TRUE(StretchOracle(g, h, 5.0).check_exact(0).valid);
   }
 }
 
@@ -64,14 +64,15 @@ TEST(DistBaswanaSen, FaultMaskRespected) {
     EXPECT_FALSE(f.contains(g.edge(id).u));
     EXPECT_FALSE(f.contains(g.edge(id).v));
   }
-  EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(res.edges), 3.0, &f));
+  const Graph h = g.edge_subgraph(res.edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).evaluate_sets({f}).valid);
 }
 
 TEST(DistFtSpanner, ExactFaultToleranceSmall) {
   const Graph g = ftspan::gnp(12, 0.6, 17);
   const auto res = distributed_ft_spanner(g, 2, 1, 19);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1);
+  const Graph h = g.edge_subgraph(res.edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(1);
   EXPECT_TRUE(check.valid) << "worst " << check.worst_stretch;
 }
 
@@ -93,7 +94,7 @@ TEST(DistFtSpanner, UnionGrowsWithR) {
   Graph h1 = g.edge_subgraph(r1.edges);
   // More iterations/faults should not shrink the spanner on average; at
   // minimum the r=1 spanner is a valid 3-spanner.
-  EXPECT_TRUE(is_k_spanner(g, h1, 3.0));
+  EXPECT_TRUE(StretchOracle(g, h1, 3.0).check_exact(0).valid);
 }
 
 class DistBsSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -103,8 +104,8 @@ TEST_P(DistBsSweep, StretchBound) {
   const Graph g = ftspan::gnp(40, 0.3, static_cast<std::uint64_t>(seed));
   const auto res = distributed_baswana_sen(
       g, static_cast<std::size_t>(k), static_cast<std::uint64_t>(seed) * 5);
-  EXPECT_TRUE(
-      is_k_spanner(g, g.edge_subgraph(res.edges), 2.0 * k - 1.0));
+  const Graph h = g.edge_subgraph(res.edges);
+  EXPECT_TRUE(StretchOracle(g, h, 2.0 * k - 1.0).check_exact(0).valid);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, DistBsSweep,

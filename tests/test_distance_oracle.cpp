@@ -3,12 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.hpp"
-#include "graph/shortest_paths.hpp"
+#include "support/reference_sp.hpp"
 
 namespace ftspan {
 namespace {
+
+/// exact[u][v] = d_G(u, v), one reference Dijkstra per source.
+std::vector<std::vector<Weight>> exact_distances(const Graph& g) {
+  std::vector<std::vector<Weight>> d;
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    d.push_back(test::reference_dijkstra(g, v).dist);
+  return d;
+}
 
 TEST(DistanceOracle, RejectsK0) {
   EXPECT_THROW(DistanceOracle(path(3), 0, 1), std::invalid_argument);
@@ -22,7 +31,7 @@ TEST(DistanceOracle, SelfDistanceZero) {
 TEST(DistanceOracle, K1IsExact) {
   const Graph g = gnp_connected(40, 0.15, 3, 5.0);
   const DistanceOracle oracle(g, 1, 7);
-  const auto exact = all_pairs_distances(g);
+  const auto exact = exact_distances(g);
   for (Vertex u = 0; u < 40; u += 3)
     for (Vertex v = 0; v < 40; v += 5)
       EXPECT_NEAR(oracle.query(u, v), exact[u][v], 1e-9);
@@ -33,7 +42,7 @@ TEST(DistanceOracle, StretchBoundHolds) {
     for (std::uint64_t seed : {1ull, 2ull}) {
       const Graph g = gnp_connected(50, 0.15, seed, 4.0);
       const DistanceOracle oracle(g, k, seed * 11);
-      const auto exact = all_pairs_distances(g);
+      const auto exact = exact_distances(g);
       for (Vertex u = 0; u < 50; u += 2) {
         for (Vertex v = 0; v < 50; v += 3) {
           if (u == v) continue;
@@ -114,7 +123,7 @@ TEST_P(OracleSweep, NeverUnderestimatesNeverExceedsStretch) {
   const auto [k, seed] = GetParam();
   const Graph g = gnp_connected(35, 0.2, static_cast<std::uint64_t>(seed), 3.0);
   const DistanceOracle oracle(g, k, static_cast<std::uint64_t>(seed) * 29);
-  const auto exact = all_pairs_distances(g);
+  const auto exact = exact_distances(g);
   for (Vertex u = 0; u < 35; u += 4)
     for (Vertex v = 1; v < 35; v += 4) {
       if (u == v) continue;

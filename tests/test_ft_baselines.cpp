@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "spanner/greedy.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -18,8 +18,8 @@ BaseSpanner greedy_base(double k) {
 TEST(UnionOverFaults, IsAlwaysFaultTolerant) {
   const Graph g = gnp(12, 0.5, 3);
   const auto edges = union_over_faults_spanner(g, 2, greedy_base(3.0), 1);
-  const auto check =
-      check_ft_spanner_exact(g, g.edge_subgraph(edges), 3.0, 2);
+  const Graph h = g.edge_subgraph(edges);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(2);
   EXPECT_TRUE(check.valid) << check.worst_stretch;
 }
 
@@ -70,7 +70,7 @@ TEST(LayeredGreedy, IsNotVertexFaultTolerantOnStarLikeGraphs) {
   g.add_edge(5, 2, 10.0);
   const auto edges = layered_greedy_spanner(g, 3.0, 1);
   const Graph h = g.edge_subgraph(edges);
-  const auto check = check_ft_spanner_exact(g, h, 3.0, 1);
+  const auto check = StretchOracle(g, h, 3.0).check_exact(1);
   // Not asserting failure is guaranteed on every graph — but this gadget is
   // constructed so that a single fault (the hub) must break some layer pair.
   // What we *do* check: validity of the union construction differs from the

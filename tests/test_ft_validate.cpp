@@ -1,6 +1,11 @@
-#include "ftspanner/validate.hpp"
+// Fault-tolerant spanner validation through StretchOracle: fault-set
+// counting, exact enumeration (verdict, witness, overflow cap), sampled
+// checks, and FtCheckResult's worst-case bookkeeping.
+#include "validate/stretch_oracle.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
@@ -50,29 +55,21 @@ TEST(CountFaultSets, BoundaryRNearNSaturates) {
   EXPECT_EQ(count_fault_sets(80, 1000), cap);
 }
 
-TEST(ExactCheck, SpannerOfItselfIsAlwaysValid) {
-  const Graph g = gnp(12, 0.5, 3);
-  const auto res = check_ft_spanner_exact(g, g, 3.0, 2);
-  EXPECT_TRUE(res.valid);
-  EXPECT_DOUBLE_EQ(res.worst_stretch, 1.0);
-  EXPECT_EQ(res.fault_sets_checked, count_fault_sets(12, 2));
-}
-
-TEST(ExactCheck, DetectsNonFaultTolerantSpanner) {
+TEST(StretchOracle, ExactCheckDetectsNonFaultTolerantSpanner) {
   // Star spanner of K_5 is a 2-spanner but dies with the center.
   const Graph g = complete(5);
   const Graph h = star(5);
-  EXPECT_TRUE(check_ft_spanner_exact(g, h, 2.0, 0).valid);
-  const auto res = check_ft_spanner_exact(g, h, 2.0, 1);
+  const StretchOracle oracle(g, h, 2.0);
+  EXPECT_TRUE(oracle.check_exact(0).valid);
+  const FtCheckResult res = oracle.check_exact(1);
   EXPECT_FALSE(res.valid);
-  // Witness should be the center.
-  EXPECT_TRUE(res.witness_faults.contains(0));
+  EXPECT_TRUE(res.witness_faults.contains(0));  // the center
 }
 
-TEST(ExactCheck, WitnessPairIsReal) {
+TEST(StretchOracle, ExactCheckWitnessPairIsReal) {
   const Graph g = complete(6);
   const Graph h = star(6);
-  const auto res = check_ft_spanner_exact(g, h, 3.0, 1);
+  const FtCheckResult res = StretchOracle(g, h, 3.0).check_exact(1);
   ASSERT_FALSE(res.valid);
   EXPECT_NE(res.witness_u, kInvalidVertex);
   EXPECT_NE(res.witness_v, kInvalidVertex);
@@ -81,32 +78,12 @@ TEST(ExactCheck, WitnessPairIsReal) {
   EXPECT_FALSE(res.witness_faults.contains(res.witness_v));
 }
 
-TEST(ExactCheck, TooManyFaultSetsThrows) {
-  const Graph g = gnp(100, 0.1, 1);
-  EXPECT_THROW(check_ft_spanner_exact(g, g, 3.0, 8), std::runtime_error);
-}
-
-TEST(ExactCheck, TooManyFaultSetsMessageReportsParameters) {
-  const Graph g = gnp(100, 0.1, 1);
-  try {
-    check_ft_spanner_exact(g, g, 3.0, 8);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("check_ft_spanner_exact"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("n=100"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("r=8"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(std::to_string(count_fault_sets(100, 8))),
-              std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("max_fault_sets=2000000"), std::string::npos) << msg;
-  }
-}
-
-TEST(ExactCheck, CustomCapIsReportedInMessage) {
+TEST(StretchOracle, ExactCheckCustomCapIsReportedInMessage) {
   const Graph g = complete(10);
+  FtCheckOptions options;
+  options.max_fault_sets = 5;
   try {
-    check_ft_spanner_exact(g, g, 2.0, 2, /*max_fault_sets=*/5);
+    StretchOracle(g, g, 2.0).check_exact(2, options);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -117,27 +94,13 @@ TEST(ExactCheck, CustomCapIsReportedInMessage) {
   }
 }
 
-TEST(SampledCheck, AgreesWithExactOnValidSpanner) {
+TEST(StretchOracle, SampledCheckAgreesWithExactOnValidSpanner) {
   const Graph g = complete(14);
   const auto ft = ft_greedy_spanner(g, 3.0, 1, 7);
   const Graph h = g.edge_subgraph(ft.edges);
-  ASSERT_TRUE(check_ft_spanner_exact(g, h, 3.0, 1).valid);
-  EXPECT_TRUE(check_ft_spanner_sampled(g, h, 3.0, 1, 200, 200, 5).valid);
-}
-
-TEST(SampledCheck, AdversaryFindsStarWeakness) {
-  // Random fault sets rarely hit the star center for large n, but the
-  // targeted adversary fails interior path vertices — i.e. the center.
-  const Graph g = complete(40);
-  const Graph h = star(40);
-  const auto res = check_ft_spanner_sampled(g, h, 2.0, 1, 0, 50, 5);
-  EXPECT_FALSE(res.valid);
-}
-
-TEST(SampledCheck, CountsFaultSets) {
-  const Graph g = complete(10);
-  const auto res = check_ft_spanner_sampled(g, g, 2.0, 1, 17, 9, 5);
-  EXPECT_EQ(res.fault_sets_checked, 26u);
+  const StretchOracle oracle(g, h, 3.0);
+  ASSERT_TRUE(oracle.check_exact(1).valid);
+  EXPECT_TRUE(oracle.check_sampled(1, 200, 200, 5).valid);
 }
 
 TEST(FtCheckResult, ConsiderTracksWorst) {

@@ -6,8 +6,8 @@
 
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/shortest_paths.hpp"
-#include "spanner/verify.hpp"
+#include "graph/sp_engine.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -28,13 +28,14 @@ TEST(GreedySpanner, CompleteGraphStretch3IsSparse) {
   // K_n with unit weights: a 3-spanner can be a star (n-1 edges); the greedy
   // kept-edge set has girth > 4 so it is far below n²/2.
   EXPECT_LT(edges.size(), g.num_edges() / 4);
-  EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(edges), 3.0));
+  const Graph h = g.edge_subgraph(edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(0).valid);
 }
 
 TEST(GreedySpanner, StretchOneKeepsShortestPathsExactly) {
   const Graph g = gnp_connected(30, 0.3, 7, 5.0);
   const Graph h = greedy_spanner_graph(g, 1.0);
-  EXPECT_TRUE(is_k_spanner(g, h, 1.0));
+  EXPECT_TRUE(StretchOracle(g, h, 1.0).check_exact(0).valid);
 }
 
 TEST(GreedySpanner, GirthProperty) {
@@ -48,7 +49,8 @@ TEST(GreedySpanner, GirthProperty) {
     Graph without(h.num_vertices());
     for (const Edge& f : h.edges())
       if (f.u != e.u || f.v != e.v) without.add_edge(f.u, f.v, f.w);
-    EXPECT_GT(pair_distance(without, e.u, e.v, nullptr, 3.0), 3.0);
+    EXPECT_GT(DijkstraEngine().bounded_pair(without, e.u, e.v, nullptr, 3.0),
+              3.0);
   }
 }
 
@@ -61,14 +63,15 @@ TEST(GreedySpanner, FaultMaskRestrictsSpanner) {
     EXPECT_FALSE(f.contains(g.edge(id).v));
   }
   // And it spans the survivors.
-  EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(edges), 3.0, &f));
+  const Graph h = g.edge_subgraph(edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).evaluate_sets({f}).valid);
 }
 
 TEST(GreedySpanner, WeightedStretchRespected) {
   const Graph g = gnp_connected(35, 0.25, 13, 8.0);
   for (double k : {2.0, 3.0, 5.0}) {
     const Graph h = greedy_spanner_graph(g, k);
-    EXPECT_TRUE(is_k_spanner(g, h, k)) << "k=" << k;
+    EXPECT_TRUE(StretchOracle(g, h, k).check_exact(0).valid) << "k=" << k;
   }
 }
 
@@ -104,7 +107,7 @@ TEST_P(GreedySweep, AlwaysValid) {
   const auto [n, p, k, seed] = GetParam();
   const Graph g = gnp(n, p, static_cast<std::uint64_t>(seed), 4.0);
   const Graph h = greedy_spanner_graph(g, k);
-  EXPECT_TRUE(is_k_spanner(g, h, k));
+  EXPECT_TRUE(StretchOracle(g, h, k).check_exact(0).valid);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "spanner/greedy.hpp"
 #include "validate/stretch_oracle.hpp"
@@ -56,17 +55,17 @@ TEST(OracleDeterminism, SampledCheckBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(OracleDeterminism, WrapperThreadsKnobIsBitIdenticalToo) {
-  // Through the legacy entry points (the options overloads).
+TEST(OracleDeterminism, ValidConversionOutputBitIdenticalAcrossThreads) {
+  // A valid FT spanner: the witness is the worst non-violating pair.
   const Graph g = gnp(24, 0.4, 3);
   const auto ft = ft_greedy_spanner(g, 3.0, 1, 9);
   const Graph h = g.edge_subgraph(ft.edges);
-  const FtCheckResult base = check_ft_spanner_exact(g, h, 3.0, 1);
+  const StretchOracle oracle(g, h, 3.0);
+  const FtCheckResult base = oracle.check_exact(1);
   for (const std::size_t threads : {2u, 8u}) {
     FtCheckOptions opt;
     opt.threads = threads;
-    expect_bit_identical(base, check_ft_spanner_exact(g, h, 3.0, 1, opt),
-                         threads);
+    expect_bit_identical(base, oracle.check_exact(1, opt), threads);
   }
 }
 

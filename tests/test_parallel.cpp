@@ -8,9 +8,9 @@
 
 #include "ftspanner/conversion.hpp"
 #include "ftspanner/edge_faults.hpp"
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "pipeline/burst_pipeline.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -114,8 +114,8 @@ TEST(ParallelConversion, ParallelOutputIsStillValid) {
   opt.threads = 4;
   const auto res = ft_greedy_spanner(g, 3.0, 2, 17, opt);
   // Determinism aside, the parallel union must still be fault tolerant.
-  EXPECT_TRUE(
-      check_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 2).valid);
+  const Graph h = g.edge_subgraph(res.edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(2).valid);
 }
 
 }  // namespace

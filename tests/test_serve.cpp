@@ -28,13 +28,13 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "graph/shortest_paths.hpp"
 #include "ftspanner/conversion.hpp"
 #include "serve/epoch.hpp"
 #include "serve/http.hpp"
 #include "serve/loadtest.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+#include "support/reference_sp.hpp"
 #include "util/rng.hpp"
 #include "validate/stretch_oracle.hpp"
 
@@ -299,8 +299,10 @@ TEST(QueryEngine, MatchesMaterializedSubgraphDijkstra) {
     }
     const Graph gf = minus_faults(g, q.avoid_vertices, q.avoid_edges);
     const Graph hf = minus_faults(h, q.avoid_vertices, q.avoid_edges);
-    EXPECT_EQ(a.dg, dijkstra(gf, q.s).dist[q.t]) << "trial " << trial;
-    EXPECT_EQ(a.dh, dijkstra(hf, q.s).dist[q.t]) << "trial " << trial;
+    EXPECT_EQ(a.dg, test::reference_dijkstra(gf, q.s).dist[q.t])
+        << "trial " << trial;
+    EXPECT_EQ(a.dh, test::reference_dijkstra(hf, q.s).dist[q.t])
+        << "trial " << trial;
   }
 }
 
@@ -1152,6 +1154,29 @@ TEST(LoadTest, ClosedLoopReportsQuantilesAndCacheCounters) {
   EXPECT_EQ(r.cache_hits + r.cache_misses, engine.queries_answered());
   EXPECT_GE(r.cache_hit_rate, 0.0);
   EXPECT_LE(r.cache_hit_rate, 1.0);
+}
+
+// Paced mode times each request from its due time on the schedule, so a
+// backlog shows in the tail. Here all 2000 requests fall due within 2 ms,
+// but one connection needs many times that to serve them: most requests
+// wait behind the others for a large share of the run. Timed from send, p99
+// would be one round trip (well under a millisecond).
+TEST(LoadTest, PacedLatencyChargesTheBacklogToQueuedRequests) {
+  const Graph g = gnp_connected(24, 0.25, 9, 3.0);
+  std::vector<EdgeId> ids(g.num_edges());
+  for (EdgeId id = 0; id < g.num_edges(); ++id) ids[id] = id;
+  serve::QueryEngine engine(g, ids, 3.0);
+  serve::LoadTestOptions options;
+  options.qps = 1'000'000;
+  options.duration = 0.002;
+  options.conns = 1;
+  options.seed = 7;
+  const serve::LoadTestResult r = run_load_test(engine, options);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.requests, 2000u);
+  EXPECT_GE(r.p99_ms, 0.5 * r.seconds * 1000) << "p99 " << r.p99_ms
+                                              << " ms over " << r.seconds
+                                              << " s";
 }
 
 // The in-process acceptance run: hostile seeded clients (resets, slow-loris,

@@ -1,4 +1,5 @@
-// DijkstraEngine / Csr tests: equivalence with the public dijkstra() wrapper,
+// DijkstraEngine / Csr tests: equivalence with an independent textbook
+// Dijkstra (tests/support/reference_sp.hpp), fault masks, bounds, digraphs,
 // targeted early exit, epoch rollover of the pooled scratch, and the
 // zero-allocation guarantee for the conversion inner loop.
 //
@@ -9,17 +10,37 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ftspanner/conversion.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/shortest_paths.hpp"
 #include "spanner/greedy.hpp"
 #include "support/counting_allocator.hpp"
+#include "support/reference_sp.hpp"
 #include "util/rng.hpp"
 
 namespace ftspan {
 namespace {
+
+using test::reference_dijkstra;
+
+// The engine's last run from `s` against the reference: distances equal bit
+// for bit; every parent is a tight predecessor (ties may break differently),
+// and the source and unreachable vertices have none.
+template <class G>
+void expect_matches_reference(const G& g, const DijkstraEngine& eng,
+                              const test::ReferenceTree& ref, Vertex s) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(eng.dist(v), ref.dist[v]) << "s=" << s << " v=" << v;
+    if (v == s || !ref.reachable(v))
+      EXPECT_EQ(eng.parent(v), kInvalidVertex) << "s=" << s << " v=" << v;
+    else
+      EXPECT_TRUE(test::is_tight_parent(g, ref, eng.parent(v), v))
+          << "s=" << s << " v=" << v << " parent=" << eng.parent(v);
+  }
+}
 
 Graph weighted_test_graph() {
   Graph g(8);
@@ -36,15 +57,23 @@ Graph weighted_test_graph() {
 }
 
 TEST(DijkstraEngine, MatchesReferenceDijkstra) {
-  const Graph g = gnp(60, 0.1, 7);
+  for (const double max_weight : {1.0, 5.0}) {
+    const Graph g = gnp(60, 0.1, 7, max_weight);
+    DijkstraEngine eng;
+    for (Vertex s = 0; s < g.num_vertices(); s += 7) {
+      eng.run(g, s);
+      expect_matches_reference(g, eng, reference_dijkstra(g, s), s);
+    }
+  }
+}
+
+TEST(DijkstraEngine, DigraphRunMatchesReference) {
+  const Digraph g = di_gnp(50, 0.1, 5);
+  const VertexSet f(50, {4, 19});
   DijkstraEngine eng;
   for (Vertex s = 0; s < g.num_vertices(); s += 7) {
-    const auto ref = dijkstra(g, s);
-    eng.run(g, s);
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(eng.dist(v), ref.dist[v]) << "s=" << s << " v=" << v;
-      EXPECT_EQ(eng.parent(v), ref.parent[v]) << "s=" << s << " v=" << v;
-    }
+    eng.run(g, s, &f, {}, /*bound=*/3.0);
+    expect_matches_reference(g, eng, reference_dijkstra(g, s, &f, 3.0), s);
   }
 }
 
@@ -81,11 +110,10 @@ TEST(DijkstraEngine, BoundAndFaultsMatchReference) {
   VertexSet faults(g.num_vertices());
   faults.insert(3);
   const Weight bound = 4.0;
-  const auto ref = dijkstra(g, 0, &faults, bound);
   DijkstraEngine eng;
   eng.run(g, 0, &faults, {}, bound);
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(eng.dist(v), ref.dist[v]) << "v=" << v;
+  expect_matches_reference(g, eng, reference_dijkstra(g, 0, &faults, bound),
+                           0);
 }
 
 TEST(DijkstraEngine, TargetedEarlyExitSettlesAllTargets) {
@@ -93,15 +121,15 @@ TEST(DijkstraEngine, TargetedEarlyExitSettlesAllTargets) {
   DijkstraEngine eng;
   const Vertex targets[] = {2, 6};
   eng.run(g, 0, nullptr, targets);
-  const auto ref = dijkstra(g, 0);
+  const auto ref = reference_dijkstra(g, 0);
   for (const Vertex t : targets) {
     EXPECT_TRUE(eng.settled(t));
     EXPECT_EQ(eng.dist(t), ref.dist[t]);
   }
 }
 
-TEST(DijkstraEngine, BoundedPairMatchesPairDistance) {
-  const Graph g = gnp(50, 0.12, 9);
+TEST(DijkstraEngine, BoundedPairMatchesReference) {
+  const Graph g = gnp(50, 0.12, 9, 4.0);
   DijkstraEngine eng;
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
@@ -109,7 +137,9 @@ TEST(DijkstraEngine, BoundedPairMatchesPairDistance) {
         rng.uniform_int(0, static_cast<std::int64_t>(g.num_vertices()) - 1));
     const Vertex t = static_cast<Vertex>(
         rng.uniform_int(0, static_cast<std::int64_t>(g.num_vertices()) - 1));
-    EXPECT_EQ(eng.bounded_pair(g, s, t), pair_distance(g, s, t));
+    EXPECT_EQ(eng.bounded_pair(g, s, t), reference_dijkstra(g, s).dist[t]);
+    EXPECT_EQ(eng.bounded_pair(g, s, t, nullptr, 2.0),
+              reference_dijkstra(g, s, nullptr, 2.0).dist[t]);
   }
 }
 
@@ -134,8 +164,6 @@ TEST(DijkstraEngine, SettleOrderIsNonDecreasingAndParentFirst) {
 // to just below the wrap and check results straddling it.
 TEST(DijkstraEngine, EpochRolloverKeepsResultsCorrect) {
   const Graph g = weighted_test_graph();
-  const auto ref = dijkstra(g, 0);
-
   DijkstraEngine eng;
   eng.run(g, 0);  // stamps every reachable vertex at epoch 1
   eng.debug_set_epoch(0xfffffffeu);
@@ -143,9 +171,7 @@ TEST(DijkstraEngine, EpochRolloverKeepsResultsCorrect) {
   // the same value the first run used. Stale stamps must not leak through.
   for (int run = 0; run < 3; ++run) {
     eng.run(g, 1);  // different source: distances differ from the stale run
-    const auto ref1 = dijkstra(g, 1);
-    for (Vertex v = 0; v < g.num_vertices(); ++v)
-      EXPECT_EQ(eng.dist(v), ref1.dist[v]) << "run=" << run << " v=" << v;
+    expect_matches_reference(g, eng, reference_dijkstra(g, 1), 1);
   }
   EXPECT_GE(eng.debug_epoch(), 1u);
   EXPECT_LE(eng.debug_epoch(), 2u);  // wrapped: 0xffffffff -> 1 -> 2

@@ -1,4 +1,7 @@
-#include "spanner/verify.hpp"
+// Plain (fault-free and single-fault-set) spanner stretch through
+// StretchOracle: max_stretch, its verdict, and the fault-aware exemption of
+// pairs that F disconnects in G.
+#include "validate/stretch_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,82 +10,50 @@
 namespace ftspan {
 namespace {
 
-TEST(MaxEdgeStretch, IdenticalGraphsHaveStretchOne) {
+TEST(StretchOracle, IdenticalGraphsHaveStretchOne) {
   const Graph g = gnp_connected(30, 0.2, 3, 4.0);
-  EXPECT_DOUBLE_EQ(max_edge_stretch(g, g), 1.0);
+  EXPECT_DOUBLE_EQ(StretchOracle(g, g, 1.0).max_stretch(), 1.0);
 }
 
-TEST(MaxEdgeStretch, KnownStretchOnCycle) {
+TEST(StretchOracle, KnownStretchOnCycle) {
   // C_5 minus one edge: the removed edge's endpoints are 4 apart.
   const Graph g = cycle(5);
   Graph h(5);
   for (const Edge& e : g.edges())
     if (!(e.u == 0 && e.v == 1)) h.add_edge(e.u, e.v, e.w);
-  EXPECT_DOUBLE_EQ(max_edge_stretch(g, h), 4.0);
-  EXPECT_TRUE(is_k_spanner(g, h, 4.0));
-  EXPECT_FALSE(is_k_spanner(g, h, 3.0));
+  EXPECT_DOUBLE_EQ(StretchOracle(g, h, 4.0).max_stretch(), 4.0);
+  EXPECT_TRUE(StretchOracle(g, h, 4.0).check_exact(0).valid);
+  EXPECT_FALSE(StretchOracle(g, h, 3.0).check_exact(0).valid);
 }
 
-TEST(MaxEdgeStretch, DisconnectedSpannerIsInfinite) {
+TEST(StretchOracle, DisconnectedSpannerIsInfinite) {
   const Graph g = path(4);
   Graph h(4);
   h.add_edge(0, 1);
   h.add_edge(2, 3);  // missing middle edge
-  EXPECT_EQ(max_edge_stretch(g, h), kInfiniteWeight);
+  EXPECT_EQ(StretchOracle(g, h, 3.0).max_stretch(), kInfiniteWeight);
 }
 
-TEST(MaxEdgeStretch, VertexCountMismatchThrows) {
-  EXPECT_THROW(max_edge_stretch(path(4), Graph(3)), std::invalid_argument);
-}
-
-TEST(MaxEdgeStretch, FaultAwareExemptsDisconnectedPairs) {
+TEST(StretchOracle, FaultAwareExemptsDisconnectedPairs) {
   // 0-1-2 plus 0-2: remove vertex 1; edge (0,2) must still be checked, but
-  // edge (0,1)/(1,2) are exempt.
+  // edges (0,1) and (1,2) are exempt.
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(0, 2);
   Graph h(3);
   h.add_edge(0, 2);
-  VertexSet f(3, {1});
-  EXPECT_DOUBLE_EQ(max_edge_stretch(g, h, &f), 1.0);
+  const StretchOracle oracle(g, h, 1.0);
+  const VertexSet f(3, {1});
+  EXPECT_DOUBLE_EQ(oracle.max_stretch(&f), 1.0);
+  EXPECT_TRUE(oracle.evaluate_sets({f}).valid);
   // Without faults, h misses edges (0,1) and (1,2) entirely.
-  EXPECT_EQ(max_edge_stretch(g, h), kInfiniteWeight);
+  EXPECT_EQ(oracle.max_stretch(), kInfiniteWeight);
 }
 
-TEST(MaxEdgeStretch, NoEdgesGivesOne) {
-  EXPECT_DOUBLE_EQ(max_edge_stretch(Graph(5), Graph(5)), 1.0);
-}
-
-TEST(SampledPairStretch, AgreesWithExactOnSmallGraph) {
-  const Graph g = gnp_connected(25, 0.25, 5);
-  Graph h(25);
-  // h = g minus nothing (copy): stretch 1 everywhere.
-  for (const Edge& e : g.edges()) h.add_edge(e.u, e.v, e.w);
-  EXPECT_DOUBLE_EQ(sampled_pair_stretch(g, h, 200, 1), 1.0);
-}
-
-TEST(SampledPairStretch, DetectsMissingConnectivity) {
-  const Graph g = path(6);
-  Graph h(6);
-  h.add_edge(0, 1);  // mostly disconnected
-  EXPECT_EQ(sampled_pair_stretch(g, h, 500, 2), kInfiniteWeight);
-}
-
-TEST(SampledPairStretch, LowerBoundsExactStretch) {
-  const Graph g = gnp_connected(30, 0.3, 9);
-  // Delete a few edges to create stretch.
-  Graph h(30);
-  for (EdgeId i = 0; i < g.num_edges(); ++i)
-    if (i % 7 != 0) {
-      const Edge& e = g.edge(i);
-      h.add_edge(e.u, e.v, e.w);
-    }
-  const double exact = max_edge_stretch(g, h);
-  const double sampled = sampled_pair_stretch(g, h, 400, 3);
-  if (exact < kInfiniteWeight) {
-    EXPECT_LE(sampled, exact + 1e-9);
-  }
+TEST(StretchOracle, NoEdgesGivesOne) {
+  const Graph g(5), h(5);
+  EXPECT_DOUBLE_EQ(StretchOracle(g, h, 1.0).max_stretch(), 1.0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "graph/generators.hpp"
-#include "spanner/verify.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
@@ -23,7 +23,8 @@ TEST(ThorupZwick, Stretch3OnRandomGraphs) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     const Graph g = gnp(60, 0.2, seed);
     const Graph h = thorup_zwick_spanner_graph(g, 2, seed * 13 + 5);
-    EXPECT_TRUE(is_k_spanner(g, h, 3.0)) << "seed=" << seed;
+    EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(0).valid)
+        << "seed=" << seed;
   }
 }
 
@@ -31,7 +32,8 @@ TEST(ThorupZwick, Stretch5Weighted) {
   for (std::uint64_t seed : {9ull, 10ull}) {
     const Graph g = gnp(50, 0.3, seed, 5.0);
     const Graph h = thorup_zwick_spanner_graph(g, 3, seed);
-    EXPECT_TRUE(is_k_spanner(g, h, 5.0)) << "seed=" << seed;
+    EXPECT_TRUE(StretchOracle(g, h, 5.0).check_exact(0).valid)
+        << "seed=" << seed;
   }
 }
 
@@ -49,7 +51,8 @@ TEST(ThorupZwick, FaultMaskRespected) {
     EXPECT_FALSE(f.contains(g.edge(id).u));
     EXPECT_FALSE(f.contains(g.edge(id).v));
   }
-  EXPECT_TRUE(is_k_spanner(g, g.edge_subgraph(edges), 3.0, &f));
+  const Graph h = g.edge_subgraph(edges);
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).evaluate_sets({f}).valid);
 }
 
 TEST(ThorupZwick, DeterministicPerSeed) {
@@ -64,7 +67,7 @@ TEST(ThorupZwick, DisconnectedGraphHandled) {
   g.add_edge(3, 4);
   g.add_edge(4, 5);
   const Graph h = thorup_zwick_spanner_graph(g, 2, 3);
-  EXPECT_TRUE(is_k_spanner(g, h, 3.0));
+  EXPECT_TRUE(StretchOracle(g, h, 3.0).check_exact(0).valid);
 }
 
 class TzSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -75,7 +78,7 @@ TEST_P(TzSweep, StretchBound) {
   const Graph h =
       thorup_zwick_spanner_graph(g, static_cast<std::size_t>(k),
                                  static_cast<std::uint64_t>(seed) * 3 + 2);
-  EXPECT_TRUE(is_k_spanner(g, h, 2.0 * k - 1.0));
+  EXPECT_TRUE(StretchOracle(g, h, 2.0 * k - 1.0).check_exact(0).valid);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, TzSweep,

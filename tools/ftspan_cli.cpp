@@ -5,7 +5,6 @@
 //   ftspan_cli ft        -i graph.txt -k K -r R [-c CONST] [--threads T]
 //   ftspan_cli ftedge    -i graph.txt -k K -r R [-c CONST] [--threads T]
 //   ftspan_cli ft2       -i digraph.txt -r R            (directed 2-spanner)
-//   ftspan_cli verify    -i graph.txt -s spanner.txt -k K [-r R] [--exact]
 //   ftspan_cli check     -i graph.txt -s spanner.txt -k K -r R [--threads T]
 //   ftspan_cli import    -i in.gr -o out.fgb [--format auto|dimacs|edgelist]
 //   ftspan_cli info      -i graph.fgb         (validate + print the header)
@@ -20,6 +19,8 @@
 // `--threads T` fans the conversion's sampling iterations across T worker
 // threads (0 = all hardware threads); the output edge set is bit-identical
 // to --threads 1 for the same seed (see src/ftspanner/parallel.hpp).
+#include <cctype>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -27,12 +28,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
 #include "ftspanner/edge_faults.hpp"
-#include "ftspanner/validate.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/import.hpp"
@@ -46,15 +47,23 @@
 #include "spanner/baswana_sen.hpp"
 #include "spanner/greedy.hpp"
 #include "spanner/thorup_zwick.hpp"
-#include "spanner/verify.hpp"
 #include "spanner2/rounding.hpp"
-#include "spanner2/verify2.hpp"
 #include "util/timer.hpp"
 #include "validate/stretch_oracle.hpp"
 
 using namespace ftspan;
 
 namespace {
+
+/// A malformed command line: main() prints it and exits 2, like usage().
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// "-k" / "--threads": how the user spelled the flag stored as `name`.
+std::string flag_name(const std::string& name) {
+  return (name.size() == 1 ? "-" : "--") + name;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -64,19 +73,53 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? dflt : it->second;
   }
+  /// Numeric flag value, `dflt` when absent; throws UsageError unless the
+  /// whole value parses as a number.
   double num(const std::string& name, double dflt) const {
+    return parse_number(name, dflt, "a number");
+  }
+  /// Count flag (-r, --threads, --trials, --seed, ...): like num(), but the
+  /// value must be a non-negative integer.
+  std::size_t count(const std::string& name, std::size_t dflt) const {
+    constexpr const char* kExpected = "a non-negative integer";
+    const double v = parse_number(name, static_cast<double>(dflt), kExpected);
+    if (!(v >= 0 && v < 0x1p64) || v != std::floor(v))
+      throw bad_value(name, kExpected);
+    return static_cast<std::size_t>(v);
+  }
+
+ private:
+  UsageError bad_value(const std::string& name, const char* expected) const {
+    return UsageError("invalid value '" + get(name) + "' for " +
+                      flag_name(name) + " (expected " + expected + ")");
+  }
+  double parse_number(const std::string& name, double dflt,
+                      const char* expected) const {
     const auto it = options.find(name);
-    return it == options.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == options.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0') throw bad_value(name, expected);
+    return v;
   }
 };
+
+/// A token after a flag is that flag's value unless it is itself a flag;
+/// "-1" or "-.5" is a (negative) value, so count flags can reject it.
+bool is_flag(const char* token) {
+  return token[0] == '-' &&
+         !std::isdigit(static_cast<unsigned char>(token[1])) &&
+         token[1] != '.';
+}
 
 Args parse(int argc, char** argv, int from) {
   Args a;
   for (int i = from; i < argc; ++i) {
     std::string s = argv[i];
-    if (s.rfind("-", 0) == 0) {
+    if (is_flag(s.c_str())) {
       while (!s.empty() && s[0] == '-') s.erase(s.begin());
-      if (i + 1 < argc && argv[i + 1][0] != '-')
+      if (i + 1 < argc && !is_flag(argv[i + 1]))
         a.options[s] = argv[++i];
       else
         a.options[s] = std::string("1");
@@ -150,14 +193,6 @@ void print_usage(std::FILE* out) {
       "      -r R             fault tolerance, default 1\n"
       "      --seed S         RNG seed, default 1\n"
       "      -o FILE          write the 2-spanner as a digraph file\n"
-      "\n"
-      "  verify               check a (fault-tolerant) spanner\n"
-      "      -i FILE          original graph (required)\n"
-      "      -s FILE          candidate spanner (required)\n"
-      "      -k K             stretch to check, default 3\n"
-      "      -r R             fault tolerance; 0 (default) = plain stretch\n"
-      "      --exact          enumerate all fault sets of size <= R instead\n"
-      "                       of the sampled + adversarial check\n"
       "\n"
       "  check                validate a spanner with the batched\n"
       "                       StretchOracle (one source-batched Dijkstra\n"
@@ -242,8 +277,7 @@ void emit(const Graph& g, const std::string& path, bool binary = false) {
 int cmd_gen(const Args& a) {
   if (a.positional.empty()) return usage();
   const std::string kind = a.positional[0];
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::uint64_t seed = a.count("seed", 1);
   Graph g;
   if (kind == "gnp" && a.positional.size() >= 3) {
     g = gnp(std::strtoul(a.positional[1].c_str(), nullptr, 10),
@@ -269,7 +303,7 @@ int cmd_spanner(const Args& a) {
   if (in.empty()) return usage();
   const Graph g = load_graph_any(in);
   const std::string algo = a.get("algo", "greedy");
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::uint64_t seed = a.count("seed", 1);
 
   std::vector<EdgeId> edges;
   if (algo == "greedy") {
@@ -284,7 +318,7 @@ int cmd_spanner(const Args& a) {
   const Graph h = g.edge_subgraph(edges);
   std::printf("%s %g-spanner: %zu -> %zu edges, stretch (exact over edges): %.3f\n",
               algo.c_str(), k, g.num_edges(), h.num_edges(),
-              max_edge_stretch(g, h));
+              StretchOracle(g, h, k).max_stretch());
   emit(h, a.get("o"), a.flag("binary"));
   return 0;
 }
@@ -298,10 +332,10 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
   if (in.empty()) return usage();
   const Graph g = load_graph_any(in);
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
+  const std::size_t r = a.count("r", 1);
   const double c = a.num("c", 1.0);
-  const std::size_t threads = static_cast<std::size_t>(a.num("threads", 1));
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::size_t threads = a.count("threads", 1);
+  const std::uint64_t seed = a.count("seed", 1);
 
   // One branch per fault model: run the conversion and its matching sampled
   // checker, landing in a model-agnostic summary.
@@ -328,7 +362,8 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
     opt.threads = threads;
     const auto res = ft_greedy_spanner(g, k, r, seed, opt);
     Graph h = g.edge_subgraph(res.edges);
-    const auto check = check_ft_spanner_sampled(g, h, k, r, 40, 60, 99);
+    const auto check =
+        StretchOracle(g, h, k).check_sampled(r, 40, 60, /*seed=*/99);
     s = {std::move(h), res.iterations, res.threads_used, check.valid,
          check.worst_stretch};
   }
@@ -361,9 +396,8 @@ int cmd_ft2(const Args& a) {
     return 1;
   }
   const Digraph g = read_digraph(is);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
-  const auto res =
-      approx_ft_2spanner(g, r, static_cast<std::uint64_t>(a.num("seed", 1)));
+  const std::size_t r = a.count("r", 1);
+  const auto res = approx_ft_2spanner(g, r, a.count("seed", 1));
   std::printf("%zu-fault-tolerant 2-spanner: cost %.3f (LP lower bound %.3f), "
               "valid: %s\n",
               r, res.cost, res.lp_value, res.valid ? "yes" : "NO");
@@ -382,49 +416,27 @@ int cmd_ft2(const Args& a) {
   return res.valid ? 0 : 1;
 }
 
-int cmd_verify(const Args& a) {
-  const std::string in = a.get("i"), sp = a.get("s");
-  if (in.empty() || sp.empty()) return usage();
-  const Graph g = load_graph_any(in);
-  const Graph h = load_graph_any(sp);
-  const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 0));
-  if (r == 0) {
-    const double stretch = max_edge_stretch(g, h);
-    std::printf("stretch: %.4f — %s %g-spanner\n", stretch,
-                stretch <= k * (1 + 1e-9) ? "valid" : "NOT a", k);
-    return stretch <= k * (1 + 1e-9) ? 0 : 1;
-  }
-  const auto check = a.flag("exact")
-                         ? check_ft_spanner_exact(g, h, k, r)
-                         : check_ft_spanner_sampled(g, h, k, r, 60, 80, 7);
-  std::printf("%s check over %zu fault sets: %s (worst stretch %.4f)\n",
-              a.flag("exact") ? "exact" : "sampled", check.fault_sets_checked,
-              check.valid ? "valid" : "INVALID", check.worst_stretch);
-  return check.valid ? 0 : 1;
-}
-
 /// `check` — the oracle-backed validator: exact (fault-set enumeration) or
 /// sampled + adversarial, with a threads knob and a witness report.
 int cmd_check(const Args& a) {
   const std::string in = a.get("i"), sp = a.get("s");
   if (in.empty() || sp.empty()) return usage();
+  const double k = a.num("k", 3.0);
+  const std::size_t r = a.count("r", 0);
+  const bool exact = a.flag("exact") || r == 0;  // r = 0 enumerates only ∅
+  FtCheckOptions opt;
+  opt.threads = a.count("threads", 1);
+  const std::size_t trials = a.count("trials", 60);
+  const std::size_t adversarial = a.count("adversarial", 80);
+  const std::uint64_t seed = a.count("seed", 7);
+
   const Graph g = load_graph_any(in);
   const Graph h = load_graph_any(sp);
-  const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 0));
-  const bool exact = a.flag("exact") || r == 0;  // r = 0 enumerates only ∅
-
-  FtCheckOptions opt;
-  opt.threads = static_cast<std::size_t>(a.num("threads", 1));
   const StretchOracle oracle(g, h, k);
   Timer timer;
   const FtCheckResult res =
       exact ? oracle.check_exact(r, opt)
-            : oracle.check_sampled(
-                  r, static_cast<std::size_t>(a.num("trials", 60)),
-                  static_cast<std::size_t>(a.num("adversarial", 80)),
-                  static_cast<std::uint64_t>(a.num("seed", 7)), opt);
+            : oracle.check_sampled(r, trials, adversarial, seed, opt);
   const double ms = timer.millis();
 
   std::printf("%s oracle check: %s (worst stretch %.4f over %zu fault sets, "
@@ -509,7 +521,7 @@ int cmd_corpus(const Args& a) {
   if (dir.empty()) return usage();
   runner::WorkloadParams wp;
   wp.scale = a.num("scale", 0.25);
-  wp.seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  wp.seed = a.count("seed", 1);
   for (const std::string& name : runner::workload_registry().names()) {
     // Skip the families that exist to consume external input (file) or to
     // parameterize the daemon load test (serve) — neither is a generator
@@ -547,9 +559,9 @@ int cmd_serve(const Args& a) {
   const std::string in = a.get("i");
   if (in.empty()) return usage();
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
-  const std::size_t threads = static_cast<std::size_t>(a.num("threads", 1));
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::size_t r = a.count("r", 1);
+  const std::size_t threads = a.count("threads", 1);
+  const std::uint64_t seed = a.count("seed", 1);
 
   ConversionOptions copt;
   copt.iteration_constant = a.num("c", 1.0);
@@ -557,7 +569,7 @@ int cmd_serve(const Args& a) {
 
   serve::QueryEngine::Options qo;
   qo.workers = threads == 0 ? 1 : threads;
-  qo.cache_capacity = static_cast<std::size_t>(a.num("cache", 1024));
+  qo.cache_capacity = a.count("cache", 1024);
 
   // The reload builder: load + convert + engine-build, identically to the
   // initial boot. An empty path means "the current source again" (the
@@ -577,10 +589,10 @@ int cmd_serve(const Args& a) {
 
   serve::ServeOptions so;
   so.host = a.get("host", "127.0.0.1");
-  so.port = static_cast<std::uint16_t>(a.num("port", 8080));
-  so.max_pipeline = static_cast<std::size_t>(a.num("max-pipeline", 16));
-  so.max_pending = static_cast<std::size_t>(a.num("max-pending", 512));
-  so.deadline_ms = static_cast<int>(a.num("deadline-ms", 0));
+  so.port = static_cast<std::uint16_t>(a.count("port", 8080));
+  so.max_pipeline = a.count("max-pipeline", 16);
+  so.max_pending = a.count("max-pending", 512);
+  so.deadline_ms = static_cast<int>(a.count("deadline-ms", 0));
   serve::ServeDaemon daemon(epochs, so);
   daemon.listen();
 
@@ -702,7 +714,7 @@ int cmd_selftest() {
   }
   const auto res = ft_greedy_spanner(g2, 3.0, 1, 3);
   const Graph h = g2.edge_subgraph(res.edges);
-  const auto check = check_ft_spanner_exact(g2, h, 3.0, 1);
+  const auto check = StretchOracle(g2, h, 3.0).check_exact(1);
   if (!check.valid) {
     std::fprintf(stderr, "selftest: FT check failed (stretch %.3f)\n",
                  check.worst_stretch);
@@ -734,7 +746,6 @@ int main(int argc, char** argv) {
     if (cmd == "ft") return cmd_ft(a);
     if (cmd == "ftedge") return cmd_ftedge(a);
     if (cmd == "ft2") return cmd_ft2(a);
-    if (cmd == "verify") return cmd_verify(a);
     if (cmd == "check") return cmd_check(a);
     if (cmd == "bench") return cmd_bench(a);
     if (cmd == "import") return cmd_import(a);
@@ -743,6 +754,9 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(a);
     if (cmd == "version") return cmd_version();
     if (cmd == "selftest") return cmd_selftest();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
