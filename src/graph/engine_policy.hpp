@@ -1,11 +1,12 @@
 // Engine selection for the shortest-path engine (graph/sp_engine.hpp).
 //
-// The engine owns three interchangeable priority structures: the 4-ary heap
-// (works on any weights), a Dial-style bucket queue (integer weights only,
-// O(1) push/pop — the classic win over comparison heaps for bounded integer
-// distances), and a delta-stepping queue (integer weights of any magnitude:
-// delta-wide buckets park far pushes in O(1), a small heap orders only the
-// active bucket). Callers express a *policy*; the concrete queue is picked
+// The engine owns two interchangeable priority structures: the 4-ary heap
+// (works on any weights) and a bucket queue (integer weights only). The
+// bucket queue runs in one of two configurations, named by SpQueue: Dial's
+// queue (kBucket: one key per bucket, O(1) push/pop — the classic win over
+// comparison heaps for bounded integer distances) and delta-stepping
+// (kDelta: delta-wide buckets park far pushes in O(1), a heap orders only
+// the open bucket). Callers express a *policy*; the concrete queue is picked
 // per graph from its hoisted weight profile (see WeightProfile in
 // graph/csr.hpp), so `auto` costs one branch per run, not a per-run scan.
 #pragma once
@@ -25,13 +26,14 @@ enum class SpQueue : std::uint8_t { kHeap, kBucket, kDelta };
 /// when the weights are non-negative integers no larger than the bucket
 /// ceiling, the delta queue for integer weights above it (the mid-range
 /// regime: DIMACS road weights up to ~10^6), and the heap otherwise.
-/// kBucket and kDelta are *requests*, downgraded to the heap on fractional
-/// weights (a label-setting bucket structure is incorrect there), so every
-/// policy is safe on every graph.
+/// kBucket and kDelta are *requests*, downgraded to the heap unless every
+/// path sum is an exact integer (WeightProfile::exact_sums): a label-setting
+/// bucket structure is incorrect on fractional keys, and its integer key
+/// overflows on sums past 2^64. So every policy is safe on every graph.
 enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kBucket, kDelta };
 
 /// Largest integer arc weight the bucket queue accepts by default: the
-/// circular bucket array has max_weight + 1 slots and a pop scans forward
+/// circular bucket array has max_weight + 2 slots and a pop scans forward
 /// one key at a time (Dial's O(m + D)), so huge weights would trade heap
 /// log-factors for a worse linear scan. 4096 covers every integer-weight
 /// workload in the registry with a bucket array that still fits in L1/L2.
@@ -40,7 +42,7 @@ enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kBucket, kDelta };
 inline constexpr Weight kMaxBucketWeight = 4096;
 
 /// Upper wall for the `bucket_max=` knob: the bucket array is allocated
-/// eagerly at bucket_max + 1 slots, so an unchecked value would turn a typo
+/// eagerly at bucket_max + 2 slots, so an unchecked value would turn a typo
 /// into a multi-GiB allocation. 2^20 slots is ~16 MiB of Slot heads — far
 /// past any L2-friendly configuration but still a safe experiment.
 inline constexpr Weight kBucketMaxCeiling = 1048576;
@@ -58,19 +60,21 @@ inline Weight tune_delta(Weight max_weight,
   return delta;
 }
 
-inline SpQueue select_sp_queue(SpEnginePolicy policy, bool weights_integral,
+/// `exact_sums` is the graph's WeightProfile::exact_sums(): the weights are
+/// non-negative integers whose path sums are all exact.
+inline SpQueue select_sp_queue(SpEnginePolicy policy, bool exact_sums,
                                Weight max_weight,
                                Weight bucket_max = kMaxBucketWeight) {
   switch (policy) {
     case SpEnginePolicy::kHeap: return SpQueue::kHeap;
     case SpEnginePolicy::kBucket:
-      return weights_integral && max_weight <= bucket_max ? SpQueue::kBucket
-                                                          : SpQueue::kHeap;
+      return exact_sums && max_weight <= bucket_max ? SpQueue::kBucket
+                                                    : SpQueue::kHeap;
     case SpEnginePolicy::kDelta:
-      return weights_integral ? SpQueue::kDelta : SpQueue::kHeap;
+      return exact_sums ? SpQueue::kDelta : SpQueue::kHeap;
     case SpEnginePolicy::kAuto:
     default:
-      if (!weights_integral) return SpQueue::kHeap;
+      if (!exact_sums) return SpQueue::kHeap;
       return max_weight <= bucket_max ? SpQueue::kBucket : SpQueue::kDelta;
   }
 }

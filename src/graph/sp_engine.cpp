@@ -6,7 +6,28 @@ void DijkstraEngine::reserve(std::size_t n, std::size_t heap_hint) {
   ensure(n);
   heap_.reserve(heap_hint);
   bucket_.reserve(heap_hint);
-  delta_.reserve(heap_hint);
+}
+
+void DijkstraEngine::BucketQueue::push_open(Weight d, Vertex v) {
+  open_.push(d, v);
+}
+
+Weight DijkstraEngine::BucketQueue::front_d_open() {
+  open_next_if_drained();
+  return open_.front_d();
+}
+
+DijkstraEngine::QueueItem DijkstraEngine::BucketQueue::pop_open() {
+  open_next_if_drained();
+  return open_.pop();
+}
+
+void DijkstraEngine::BucketQueue::open_next_if_drained() {
+  if (!open_.empty()) return;
+  const std::size_t b = advance();
+  for (std::uint32_t i = heads_[b]; i != kNil; i = slab_[i].next)
+    open_.push(slab_[i].d, slab_[i].v);
+  heads_[b] = kNil;
 }
 
 void DijkstraEngine::ensure(std::size_t n) {

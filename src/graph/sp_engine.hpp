@@ -7,38 +7,26 @@
 // arrays, a reusable priority structure, and the settle-order log, so that
 // after the first run at a given graph size a run performs zero heap
 // allocations — invalidation of the previous run's state is an O(1) epoch
-// bump, not an O(n) infinity-fill (the trick that bought 17.6x on the
-// validation side in validate/scratch.hpp, now shared by the construction
-// side too).
+// bump, not an O(n) infinity-fill.
 //
-// Three interchangeable priority structures sit behind the same loop
+// Two interchangeable priority structures sit behind the same loop
 // (selected with set_queue; see graph/engine_policy.hpp for the policy):
 //
 //   HeapQueue    a 4-ary min-heap ordered by (distance, push sequence) —
 //                the push-sequence tie-break makes equal-distance pops FIFO,
 //                i.e. *stable*, which pins the settle order to something a
 //                bucket queue can reproduce exactly.
-//   BucketQueue  Dial's algorithm: max_weight + 1 circular buckets indexed
-//                by distance mod width, FIFO within a bucket, O(1) push and
-//                amortized O(1) pop. Integer weights only (a label-setting
-//                bucket queue is incorrect on fractional keys); on integer
-//                weights it pops in exactly the stable heap's (distance,
-//                push sequence) order, so distances, parents, vias, and the
+//   BucketQueue  integer weights only (a label-setting bucket queue is
+//                incorrect on fractional keys): circular buckets of 2^shift
+//                keys each. With shift 0 it is Dial's algorithm — one key
+//                per bucket, FIFO within a bucket, O(1) push and amortized
+//                O(1) pop. With wider buckets (delta-stepping, for weights
+//                above the Dial ceiling) a far push is parked in O(1) and
+//                the open bucket is ordered by a HeapQueue, so the heap log
+//                factor is paid only within one bucket. Either way the pops
+//                come out in exactly the stable heap's (distance, push
+//                sequence) order, so distances, parents, vias, and the
 //                settle order are bit-identical between the two structures.
-//   DeltaQueue   delta-stepping (Meyer–Sanders) for integer weights above
-//                the Dial ceiling: delta-wide buckets (delta a power of
-//                two, so bucketing is a shift) park far pushes in the same
-//                flat-slab intrusive-FIFO layout as the BucketQueue; the
-//                active bucket is drained through a small binary heap on
-//                (distance bits, push sequence) — the settle-stamp pass.
-//                Classic delta-stepping is label-correcting (re-relaxes
-//                light edges); this is the deterministic *label-setting*
-//                variant: because Dijkstra's frontier is monotone and the
-//                buckets partition the key space, the global pop order is
-//                exactly (distance, push sequence) lexicographic, i.e.
-//                bit-identical to the stable heap — the heap log factor is
-//                paid only within one delta-window, not across the whole
-//                frontier.
 //
 // Usage pattern: one engine per thread, reused across runs. Engines are not
 // thread-safe; never share one across concurrent callers.
@@ -100,27 +88,27 @@ class DijkstraEngine {
 
   /// Selects the priority structure for subsequent runs. For kBucket and
   /// kDelta, max_weight is the largest integer arc weight any run will
-  /// relax (the Dial array gets max_weight + 1 slots; the delta queue gets
-  /// tune_delta(max_weight, bucket_max)-wide buckets, at most
-  /// bucket_max + 2 of them); the caller is responsible for only routing
-  /// integer-weight graphs here — use select_sp_queue with the graph's
-  /// WeightProfile. Defaults to the heap.
+  /// relax: kBucket gets one key per bucket (Dial's queue), kDelta gets
+  /// delta = tune_delta(max_weight, bucket_max) keys per bucket; either way
+  /// the circular array holds max_weight / delta + 2 buckets. The caller is
+  /// responsible for only routing integer-weight graphs whose path sums are
+  /// exact here — use select_sp_queue with the graph's WeightProfile.
+  /// Defaults to the heap.
   void set_queue(SpQueue q, Weight max_weight = 1,
                  Weight bucket_max = kMaxBucketWeight) {
     queue_ = q;
-    if (q == SpQueue::kBucket) {
-      bucket_.configure(static_cast<std::size_t>(max_weight) + 1);
-    } else if (q == SpQueue::kDelta) {
-      const Weight delta = tune_delta(max_weight, bucket_max);
-      delta_.configure(delta,
-                       static_cast<std::size_t>(max_weight / delta) + 2);
-    }
+    if (q == SpQueue::kHeap) return;
+    const Weight delta =
+        q == SpQueue::kDelta ? tune_delta(max_weight, bucket_max) : 1;
+    bucket_.configure(
+        static_cast<std::uint32_t>(
+            std::countr_zero(static_cast<std::uint64_t>(delta))),
+        static_cast<std::size_t>(max_weight / delta) + 2);
   }
   SpQueue queue() const { return queue_; }
 
   /// Single-source run; see the header comment for bound/targets semantics.
-  /// G is Graph, Digraph, or Csr. Drop-in replacement for the retired
-  /// DijkstraScratch::run.
+  /// G is Graph, Digraph, or Csr.
   template <class G>
   void run(const G& g, Vertex source, const VertexSet* faults = nullptr,
            std::span<const Vertex> targets = {},
@@ -207,14 +195,11 @@ class DijkstraEngine {
                  const VertexSet* faults, Weight bound,
                  std::span<const Vertex> targets, const Weight* prune_at,
                  VisitArcs&& visit) {
-    if (queue_ == SpQueue::kBucket)
+    if (queue_ == SpQueue::kHeap)
+      run_visit_q(heap_, n, sources, faults, bound, targets, prune_at, visit);
+    else
       run_visit_q(bucket_, n, sources, faults, bound, targets, prune_at,
                   visit);
-    else if (queue_ == SpQueue::kDelta)
-      run_visit_q(delta_, n, sources, faults, bound, targets, prune_at,
-                  visit);
-    else
-      run_visit_q(heap_, n, sources, faults, bound, targets, prune_at, visit);
   }
 
   /// Exact bounded s-t distance by *bidirectional* search: two cooperating
@@ -237,14 +222,11 @@ class DijkstraEngine {
                                            Vertex s, Vertex t,
                                            const VertexSet* faults,
                                            Weight bound, VisitArcs&& visit) {
-    if (fwd.queue_ == SpQueue::kBucket)
-      return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
+    if (fwd.queue_ == SpQueue::kHeap)
+      return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t,
                                 faults, bound, visit);
-    if (fwd.queue_ == SpQueue::kDelta)
-      return bidirectional_impl(fwd.delta_, bwd.delta_, fwd, bwd, n, s, t,
-                                faults, bound, visit);
-    return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t, faults,
-                              bound, visit);
+    return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
+                              faults, bound, visit);
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------
@@ -332,35 +314,53 @@ class DijkstraEngine {
     std::uint32_t seq_ = 0;
   };
 
-  // Dial's bucket queue: width = max_weight + 1 circular buckets, bucket
-  // index = integer distance mod width. Dijkstra's frontier is monotone and
-  // spans at most max_weight + 1 distinct keys, so the bucket holding the
-  // current key is always unambiguous. Entries live in one flat slab with an
-  // intrusive per-bucket FIFO list (head/tail indices), so the whole
-  // structure is three flat arrays: the slab never re-allocates once
-  // reserve()d to the push bound (2m + #sources — the same bound the heap
-  // uses), unlike a vector-per-bucket layout whose per-bucket capacities
-  // would keep growing run over run. Appends during a bucket's drain land
-  // behind the list head and are popped in the same pass, which preserves
-  // global FIFO-within-key — the order the stable heap reproduces.
+  // The bucketed queue: a circular array of buckets, each spanning 2^shift
+  // consecutive integer keys (bucket index = key >> shift, so no division).
+  // Dijkstra's frontier is monotone and spans at most max_weight + 1
+  // distinct keys, so with max_weight / 2^shift + 2 buckets the bucket
+  // holding a key is always unambiguous and one conditional wrap finds it.
+  // Entries live in one flat slab with an intrusive per-bucket FIFO list
+  // (head/tail indices): the slab never re-allocates once reserve()d to the
+  // push bound (2m + #sources — the same bound the heap uses), unlike a
+  // vector-per-bucket layout whose capacities would keep growing run over
+  // run.
+  //
+  // shift == 0 (Dial's queue): a bucket holds one key, so its FIFO chain is
+  // already in (distance, push sequence) order and pops drain it in place;
+  // a push landing on the cursor's key during the drain appends to the
+  // chain's tail and is popped in the same pass.
+  //
+  // shift > 0 (delta-stepping): the cursor's bucket is *open*. Opening it
+  // moves its chain, in push order, into a stable HeapQueue, and pushes
+  // landing inside the open window go to that heap directly. Every entry
+  // the heap receives was pushed after the entries already in it, so the
+  // heap's own sequence numbers reproduce the global push order, and
+  // monotonicity makes the open bucket the global minimum: pops come out
+  // in exactly (distance, push sequence) order with the log factor paid only
+  // within one window. Unlike classic (label-correcting) delta-stepping
+  // there is no re-relaxation — the engine's stale-entry check keeps this
+  // label-setting. The wide path lives out of line in sp_engine.cpp so the
+  // Dial path stays as tight as a dedicated Dial queue.
   class BucketQueue {
    public:
-    /// Sizes the circular array for keys spanning `width` = max_weight + 1.
+    /// Sizes the circular array for `width` buckets of 2^shift keys each.
     /// Only grows; leftover entries from an abandoned run are dropped by the
     /// next clear().
-    void configure(std::size_t width) {
+    void configure(std::uint32_t shift, std::size_t width) {
       if (heads_.size() < width) {
         heads_.resize(width, kNil);
         tails_.resize(width, kNil);
       }
+      shift_ = shift;
       width_ = width;
     }
 
     /// Pre-sizes the slab for a run pushing at most cap entries (the dirty
-    /// list is bounded by the push count too).
+    /// list, and the open bucket's heap, are bounded by the push count too).
     void reserve(std::size_t cap) {
       slab_.reserve(cap);
       dirty_.reserve(cap);
+      open_.reserve(cap);
     }
 
     void clear() {
@@ -370,6 +370,7 @@ class DijkstraEngine {
       }
       dirty_.clear();
       slab_.clear();
+      open_.clear();
       cur_ = 0;
       cur_b_ = 0;
       live_ = 0;
@@ -377,12 +378,19 @@ class DijkstraEngine {
     bool empty() const { return live_ == 0; }
 
     void push(Weight d, Vertex v) {
-      // Monotonicity gives key - cur_ < width_, so the bucket index is the
+      ++live_;
+      const std::uint64_t ab = static_cast<std::uint64_t>(d) >> shift_;
+      // With shift > 0 the cursor's bucket is always open (bucket 0 from
+      // clear() on), so an in-window push joins its heap.
+      if (shift_ != 0 && ab == cur_) {
+        push_open(d, v);
+        return;
+      }
+      // Monotonicity gives ab - cur_ < width_, so the bucket index is the
       // cursor's bucket plus that offset with one conditional wrap — no
       // hardware division (a div per push would dominate these short
       // searches).
-      const std::uint64_t key = static_cast<std::uint64_t>(d);
-      std::size_t b = cur_b_ + static_cast<std::size_t>(key - cur_);
+      std::size_t b = cur_b_ + static_cast<std::size_t>(ab - cur_);
       if (b >= width_) b -= width_;
       const std::uint32_t i = static_cast<std::uint32_t>(slab_.size());
       slab_.push_back({d, v, kNil});
@@ -393,17 +401,20 @@ class DijkstraEngine {
         slab_[tails_[b]].next = i;
       }
       tails_[b] = i;
-      ++live_;
     }
 
     /// Minimum queued distance. Precondition: !empty().
-    Weight front_d() { return slab_[heads_[advance()]].d; }
+    Weight front_d() {
+      if (shift_ != 0) return front_d_open();
+      return slab_[heads_[advance()]].d;
+    }
 
     QueueItem pop() {
+      --live_;
+      if (shift_ != 0) return pop_open();
       const std::size_t b = advance();
       const Slot& s = slab_[heads_[b]];
       heads_[b] = s.next;
-      --live_;
       return {s.d, s.v};
     }
 
@@ -417,10 +428,11 @@ class DijkstraEngine {
     };  // 16 bytes, no padding
 
     /// Index of the bucket holding the current minimum key. An empty bucket
-    /// at the cursor means no live key equals it (live keys sit in
-    /// [cur_, cur_ + width_ - 1], so indices are unambiguous), and the slot
-    /// it vacates is exactly the one key cur_ + width_ will need.
-    /// Precondition: !empty().
+    /// at the cursor holds no live key (live keys sit within width_ - 1
+    /// buckets of cur_, so indices are unambiguous), and the slot it vacates
+    /// is exactly the one bucket cur_ + width_ will need. An open bucket's
+    /// slot is empty too, so the scan moves past it. Precondition: a
+    /// non-empty bucket exists.
     std::size_t advance() {
       while (heads_[cur_b_] == kNil) {
         ++cur_;
@@ -429,191 +441,24 @@ class DijkstraEngine {
       return cur_b_;
     }
 
-    std::vector<Slot> slab_;            ///< all entries, in push order
-    std::vector<std::uint32_t> heads_;  ///< per-bucket FIFO head slab index
-    std::vector<std::uint32_t> tails_;  ///< per-bucket FIFO tail slab index
-    std::vector<std::uint32_t> dirty_;  ///< buckets made non-empty since clear
-    std::size_t width_ = 1;
-    std::uint64_t cur_ = 0;   ///< absolute key cursor (monotone within a run)
-    std::size_t cur_b_ = 0;   ///< cur_ % width_, maintained incrementally
-    std::size_t live_ = 0;
-  };
-
-  // Delta-stepping queue: a two-level structure for integer weights above
-  // the Dial ceiling. Level 1 is the BucketQueue's flat-slab circular array,
-  // but each bucket spans a delta-wide key range (delta a power of two, so
-  // bucket index = integer key >> shift — no division); a push beyond the
-  // active bucket parks its entry in O(1), untouched until its bucket opens.
-  // Level 2 is a small binary min-heap on (distance bits, push sequence):
-  // when the cursor reaches a bucket, its whole FIFO chain is moved into the
-  // heap (the settle-stamp pass), and pushes that land *inside* the open
-  // bucket's window go straight to the heap. Monotonicity makes the open
-  // bucket's contents the global minimum at all times, and the heap's
-  // (key, seq) order is total, so pops come out in exactly the stable heap's
-  // order — bit-identical settle order at a log factor paid only within one
-  // delta window. Unlike classic (label-correcting) delta-stepping there is
-  // no re-relaxation: the engine's stale-entry check keeps this label-
-  // setting, and determinism is structural, not a post-pass.
-  class DeltaQueue {
-   public:
-    /// Sizes the circular array for `width` buckets of `delta` keys each
-    /// (delta must be a power of two — use tune_delta). Only grows; leftover
-    /// entries from an abandoned run are dropped by the next clear().
-    void configure(Weight delta, std::size_t width) {
-      shift_ = static_cast<std::uint32_t>(
-          std::countr_zero(static_cast<std::uint64_t>(delta)));
-      if (heads_.size() < width) {
-        heads_.resize(width, kNil);
-        tails_.resize(width, kNil);
-      }
-      width_ = width;
-    }
-
-    /// Pre-sizes the slab and the active heap for a run pushing at most cap
-    /// entries (every parked entry may pass through the heap).
-    void reserve(std::size_t cap) {
-      slab_.reserve(cap);
-      dirty_.reserve(cap);
-      active_.reserve(cap);
-    }
-
-    void clear() {
-      for (const std::uint32_t b : dirty_) {
-        heads_[b] = kNil;
-        tails_[b] = kNil;
-      }
-      dirty_.clear();
-      slab_.clear();
-      active_.clear();
-      cur_ab_ = 0;
-      cur_b_ = 0;
-      live_ = 0;
-      seq_ = 0;
-      open_ = false;
-    }
-    bool empty() const { return live_ == 0; }
-
-    void push(Weight d, Vertex v) {
-      const std::uint64_t ab = static_cast<std::uint64_t>(d) >> shift_;
-      ++live_;
-      if (open_ && ab == cur_ab_) {
-        // Lands inside the open window: joins the settle heap directly so
-        // it is ordered against the bucket's remaining entries.
-        heap_push({std::bit_cast<std::uint64_t>(d), v, seq_++});
-        return;
-      }
-      // Far push: park it. Monotonicity bounds ab - cur_ab_ by
-      // max_weight / delta + 1 < width_, so one conditional wrap suffices.
-      std::size_t b = cur_b_ + static_cast<std::size_t>(ab - cur_ab_);
-      if (b >= width_) b -= width_;
-      const std::uint32_t i = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back({d, v, seq_++, kNil});
-      if (heads_[b] == kNil) {
-        dirty_.push_back(static_cast<std::uint32_t>(b));
-        heads_[b] = i;
-      } else {
-        slab_[tails_[b]].next = i;
-      }
-      tails_[b] = i;
-    }
-
-    /// Minimum queued distance. Precondition: !empty().
-    Weight front_d() {
-      open_next_bucket_if_needed();
-      return std::bit_cast<Weight>(active_.front().key);
-    }
-
-    QueueItem pop() {
-      open_next_bucket_if_needed();
-      const Item top = heap_pop();
-      --live_;
-      return {std::bit_cast<Weight>(top.key), top.v};
-    }
-
-   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Slot {
-      Weight d;
-      Vertex v;
-      std::uint32_t seq;   ///< global push stamp — the heap tie-break
-      std::uint32_t next;  ///< next slab index in this bucket's FIFO, or kNil
-    };  // 24 bytes (8-byte aligned)
-
-    struct Item {
-      std::uint64_t key;  ///< distance as raw bits (order-preserving for >= 0)
-      Vertex v;
-      std::uint32_t seq;
-    };
-
-    static bool less(const Item& a, const Item& b) {
-      return a.key < b.key || (a.key == b.key && a.seq < b.seq);
-    }
-
-    /// If the settle heap is drained, advances the cursor to the next
-    /// non-empty bucket and moves its FIFO chain into the heap. While a
-    /// bucket is open its flat slot stays empty (in-window pushes go to the
-    /// heap), so the scan never revisits it. Precondition: !empty().
-    void open_next_bucket_if_needed() {
-      if (!active_.empty()) return;
-      while (heads_[cur_b_] == kNil) {
-        ++cur_ab_;
-        if (++cur_b_ == width_) cur_b_ = 0;
-      }
-      for (std::uint32_t i = heads_[cur_b_]; i != kNil;) {
-        const Slot& s = slab_[i];
-        heap_push({std::bit_cast<std::uint64_t>(s.d), s.v, s.seq});
-        i = s.next;
-      }
-      heads_[cur_b_] = kNil;
-      tails_[cur_b_] = kNil;
-      open_ = true;
-    }
-
-    void heap_push(Item it) {
-      active_.push_back(it);
-      std::size_t i = active_.size() - 1;
-      while (i > 0) {
-        const std::size_t p = (i - 1) >> 1;
-        if (!less(active_[i], active_[p])) break;
-        std::swap(active_[p], active_[i]);
-        i = p;
-      }
-    }
-
-    Item heap_pop() {
-      const Item top = active_.front();
-      const Item last = active_.back();
-      active_.pop_back();
-      if (!active_.empty()) {
-        std::size_t i = 0;
-        const std::size_t n = active_.size();
-        for (;;) {
-          const std::size_t l = (i << 1) + 1;
-          if (l >= n) break;
-          std::size_t best = l;
-          if (l + 1 < n && less(active_[l + 1], active_[l])) best = l + 1;
-          if (!less(active_[best], last)) break;
-          active_[i] = active_[best];
-          i = best;
-        }
-        active_[i] = last;
-      }
-      return top;
-    }
+    // The wide path (shift > 0), defined in sp_engine.cpp.
+    void push_open(Weight d, Vertex v);
+    Weight front_d_open();
+    QueueItem pop_open();
+    /// If the open bucket's heap is drained, advances the cursor to the next
+    /// non-empty bucket and moves its FIFO chain into the heap.
+    void open_next_if_drained();
 
     std::vector<Slot> slab_;            ///< parked entries, in push order
     std::vector<std::uint32_t> heads_;  ///< per-bucket FIFO head slab index
     std::vector<std::uint32_t> tails_;  ///< per-bucket FIFO tail slab index
     std::vector<std::uint32_t> dirty_;  ///< buckets made non-empty since clear
-    std::vector<Item> active_;          ///< settle heap over the open bucket
-    std::uint32_t shift_ = 0;           ///< log2(delta)
-    std::size_t width_ = 1;
-    std::uint64_t cur_ab_ = 0;  ///< absolute bucket cursor (key >> shift_)
-    std::size_t cur_b_ = 0;     ///< cur_ab_ % width_, maintained incrementally
-    std::size_t live_ = 0;
-    std::uint32_t seq_ = 0;     ///< per-run global push sequence
-    bool open_ = false;         ///< cursor bucket has been moved to the heap
+    HeapQueue open_;                    ///< the open bucket (shift > 0 only)
+    std::uint32_t shift_ = 0;           ///< log2 of the keys per bucket
+    std::size_t width_ = 1;             ///< number of buckets
+    std::uint64_t cur_ = 0;   ///< absolute bucket cursor (monotone in a run)
+    std::size_t cur_b_ = 0;   ///< cur_ % width_, maintained incrementally
+    std::size_t live_ = 0;    ///< entries parked or in the open heap
   };
 
   template <class Q, class VisitArcs>
@@ -667,8 +512,11 @@ class DijkstraEngine {
     }
   }
 
+  // Kept out of line: inlined into its caller (the greedy's bounded_pair)
+  // it made tiny unit-weight pair searches ~1.4x slower (gcc 12, 4-vCPU
+  // Xeon).
   template <class Q, class VisitArcs>
-  static Weight bidirectional_impl(Q& qf, Q& qb, DijkstraEngine& fwd,
+  [[gnu::noinline]] static Weight bidirectional_impl(Q& qf, Q& qb, DijkstraEngine& fwd,
                                    DijkstraEngine& bwd, std::size_t n,
                                    Vertex s, Vertex t, const VertexSet* faults,
                                    Weight bound, VisitArcs&& visit) {
@@ -758,7 +606,6 @@ class DijkstraEngine {
   std::vector<EdgeId> via_;
   HeapQueue heap_;
   BucketQueue bucket_;
-  DeltaQueue delta_;
   SpQueue queue_ = SpQueue::kHeap;
   std::vector<Vertex> order_;
 

@@ -149,8 +149,9 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
             ap.engine = parse_engine_policy(spec.engine)
                             .value_or(SpEnginePolicy::kAuto);
             ap.bucket_max = bucket_max;
-            cell.engine_resolved = to_string(select_sp_queue(
-                ap.engine, profile.integral, profile.max_weight, bucket_max));
+            cell.engine_resolved = to_string(
+                select_sp_queue(ap.engine, profile.exact_sums(),
+                                profile.max_weight, bucket_max));
 
             // Metrics come from the first repetition; later repetitions
             // redo identical work purely to take the best wall clock.

@@ -78,10 +78,10 @@ struct QueryEngine::Scratch {
     dead_g.assign(cg.num_arcs() / 2, 0);
     dead_h.assign(ch.num_arcs() / 2, 0);
     faults = VertexSet(cg.num_vertices());
-    eng_g.set_queue(select_sp_queue(policy, cg.weights().integral,
+    eng_g.set_queue(select_sp_queue(policy, cg.weights().exact_sums(),
                                     cg.weights().max_weight, bucket_max),
                     cg.weights().max_weight, bucket_max);
-    eng_h.set_queue(select_sp_queue(policy, ch.weights().integral,
+    eng_h.set_queue(select_sp_queue(policy, ch.weights().exact_sums(),
                                     ch.weights().max_weight, bucket_max),
                     ch.weights().max_weight, bucket_max);
     eng_g.reserve(cg.num_vertices(), cg.num_arcs() + 1);

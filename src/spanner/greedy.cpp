@@ -26,7 +26,7 @@ GreedyContext::GreedyContext(const Graph& g) : graph(&g) {
 void GreedyWorkspace::configure_scratch(const WeightProfile& wp) {
   exact_sums_ = wp.exact_sums();
   const SpQueue q =
-      select_sp_queue(policy_, wp.integral, wp.max_weight, bucket_max_);
+      select_sp_queue(policy_, wp.exact_sums(), wp.max_weight, bucket_max_);
   eng_.set_queue(q, wp.max_weight, bucket_max_);
   bwd_.set_queue(q, wp.max_weight, bucket_max_);
 }

@@ -111,10 +111,10 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
   const WeightProfile& wg = cg_.weights();
   const WeightProfile& wh = ch_.weights();
   s.dg.set_queue(
-      select_sp_queue(policy, wg.integral, wg.max_weight, bucket_max),
+      select_sp_queue(policy, wg.exact_sums(), wg.max_weight, bucket_max),
       wg.max_weight, bucket_max);
   s.dh.set_queue(
-      select_sp_queue(policy, wh.integral, wh.max_weight, bucket_max),
+      select_sp_queue(policy, wh.exact_sums(), wh.max_weight, bucket_max),
       wh.max_weight, bucket_max);
   s.dg.reserve(g_->num_vertices(), cg_.num_arcs() + 1);
   s.dh.reserve(h_->num_vertices(), ch_.num_arcs() + 1);

@@ -48,8 +48,8 @@ constexpr Golden kGolden[] = {
 TEST(GoldenConversion, FtGreedySpannerBitIdenticalAcrossRefactorAndThreads) {
   const Graph g = gnp(400, 0.05, 1234);
   // The golden hashes must also survive every engine policy: the bucket
-  // queue's FIFO pop order — and the delta queue's (key, seq) settle-stamp
-  // order — are the stable heap's order, so heap, bucket, delta, and auto
+  // queue's pop order — FIFO per key for Dial, the open bucket's stable heap
+  // for delta — is the stable heap's order, so heap, bucket, delta, and auto
   // are all bit-identical on this unit-weight graph — at every thread count
   // and burst geometry.
   constexpr SpEnginePolicy kPolicies[] = {

@@ -221,9 +221,10 @@ TEST(GraphFormat, WeightProfileSurvivesBinaryRoundTripForAllWorkloads) {
       EXPECT_EQ(loaded.weights().total_weight, want.weights().total_weight);
       // The policy hook itself: both profiles must resolve the same queue.
       EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto,
-                                mg.weights().integral,
+                                mg.weights().exact_sums(),
                                 mg.weights().max_weight),
-                select_sp_queue(SpEnginePolicy::kAuto, want.weights().integral,
+                select_sp_queue(SpEnginePolicy::kAuto,
+                                want.weights().exact_sums(),
                                 want.weights().max_weight));
     }
   }

@@ -58,7 +58,7 @@ TEST(PropertyMatrix, BucketEngineMatchesHeapAcrossAllWorkloads) {
     const WeightProfile& wp = csr.weights();
     if (!wp.integral || wp.max_weight > static_cast<Weight>(kMaxBucketWeight)) {
       // Outside the bucket domain kAuto must fall back to the heap.
-      EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, wp.integral,
+      EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums(),
                                 wp.max_weight),
                 SpQueue::kHeap);
       continue;
@@ -125,7 +125,7 @@ TEST(PropertyMatrix, DeltaEngineMatchesHeapAcrossAllWorkloads) {
     if (prof.max_weight <= static_cast<Weight>(kMaxBucketWeight))
       continue;  // a tiny family that happened to draw only small weights
     ++cells;
-    EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, prof.integral,
+    EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, prof.exact_sums(),
                               prof.max_weight),
               SpQueue::kDelta);
 

@@ -177,46 +177,62 @@ TEST(DijkstraEngine, EpochRolloverKeepsResultsCorrect) {
   EXPECT_LE(eng.debug_epoch(), 2u);  // wrapped: 0xffffffff -> 1 -> 2
 }
 
-// An integer-weight random graph (weights 1..max_w). With the default
+// An integer-weight random graph (weights min_w..max_w). With the default
 // max_w = 12 this is the domain where kAuto switches to the bucket queue;
 // with max_w above kMaxBucketWeight it is the delta queue's mid-range.
+// min_w = 0 adds zero-weight arcs, whose pushes land in the bucket being
+// drained.
 Graph integer_test_graph(std::size_t n, double p, std::uint64_t seed,
-                         std::int64_t max_w = 12) {
+                         std::int64_t max_w = 12, std::int64_t min_w = 1) {
   Graph g = gnp(n, p, seed);
   Graph out(g.num_vertices());
   Rng rng(hash_combine(seed, 0x1b));
   for (EdgeId id = 0; id < g.num_edges(); ++id) {
     const Edge& e = g.edge(id);
-    out.add_edge(e.u, e.v, static_cast<Weight>(rng.uniform_int(1, max_w)));
+    out.add_edge(e.u, e.v,
+                 static_cast<Weight>(rng.uniform_int(min_w, max_w)));
   }
   return out;
 }
 
-// The tentpole contract: on integer weights the bucket queue reproduces the
-// stable heap bit-for-bit — distances, parents, vias, AND the settle order.
-TEST(DijkstraEngine, BucketQueueMatchesHeapBitForBitOnIntegerWeights) {
-  const Graph g = integer_test_graph(90, 0.08, 21);
-  const Csr csr(g);
-  ASSERT_TRUE(csr.weights().integral);
-  DijkstraEngine heap, bucket;
-  heap.set_queue(SpQueue::kHeap);
-  bucket.set_queue(SpQueue::kBucket, csr.weights().max_weight);
+// Runs `heap` and `other` from every 5th source under a two-vertex fault
+// set and expects distances, parents, vias, AND the settle order to match
+// bit for bit.
+void expect_matches_heap_bit_for_bit(const Graph& g, const Csr& csr,
+                                     DijkstraEngine& heap,
+                                     DijkstraEngine& other) {
   VertexSet faults(g.num_vertices());
   faults.insert(3);
   faults.insert(17);
   for (Vertex s = 0; s < g.num_vertices(); s += 5) {
     heap.run(csr, s, &faults);
-    bucket.run(csr, s, &faults);
+    other.run(csr, s, &faults);
     const auto ho = heap.settle_order();
-    const auto bo = bucket.settle_order();
-    ASSERT_EQ(ho.size(), bo.size()) << "s=" << s;
+    const auto oo = other.settle_order();
+    ASSERT_EQ(ho.size(), oo.size()) << "s=" << s;
     for (std::size_t i = 0; i < ho.size(); ++i)
-      EXPECT_EQ(ho[i], bo[i]) << "s=" << s << " i=" << i;
+      EXPECT_EQ(ho[i], oo[i]) << "s=" << s << " i=" << i;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(heap.dist(v), bucket.dist(v)) << "s=" << s << " v=" << v;
-      EXPECT_EQ(heap.parent(v), bucket.parent(v)) << "s=" << s << " v=" << v;
-      EXPECT_EQ(heap.via(v), bucket.via(v)) << "s=" << s << " v=" << v;
+      EXPECT_EQ(heap.dist(v), other.dist(v)) << "s=" << s << " v=" << v;
+      EXPECT_EQ(heap.parent(v), other.parent(v)) << "s=" << s << " v=" << v;
+      EXPECT_EQ(heap.via(v), other.via(v)) << "s=" << s << " v=" << v;
     }
+  }
+}
+
+// The core contract: on integer weights the bucket queue reproduces the
+// stable heap bit-for-bit — distances, parents, vias, AND the settle order.
+// The zero-minimum input pushes into the bucket being drained.
+TEST(DijkstraEngine, BucketQueueMatchesHeapBitForBitOnIntegerWeights) {
+  for (const std::int64_t min_w : {1, 0}) {
+    SCOPED_TRACE(min_w);
+    const Graph g = integer_test_graph(90, 0.08, 21, 12, min_w);
+    const Csr csr(g);
+    ASSERT_TRUE(csr.weights().integral);
+    DijkstraEngine heap, bucket;
+    heap.set_queue(SpQueue::kHeap);
+    bucket.set_queue(SpQueue::kBucket, csr.weights().max_weight);
+    expect_matches_heap_bit_for_bit(g, csr, heap, bucket);
   }
 }
 
@@ -264,30 +280,23 @@ TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnBucketQueue) {
 // The delta queue on mid-range weights (1..10^5, above the Dial ceiling):
 // distances, parents, vias, AND the settle order must match the stable heap
 // bit for bit — the same contract the bucket queue carries below the ceiling.
+// The zero-minimum input (0..12 with bucket_max 2, so 8-key buckets) pushes
+// into the open bucket's heap on most relaxations, zero-weight arcs included.
 TEST(DijkstraEngine, DeltaQueueMatchesHeapBitForBitOnMidRangeWeights) {
-  const Graph g = integer_test_graph(90, 0.08, 21, 100000);
-  const Csr csr(g);
-  ASSERT_TRUE(csr.weights().integral);
-  ASSERT_GT(csr.weights().max_weight, kMaxBucketWeight);
-  DijkstraEngine heap, delta;
-  heap.set_queue(SpQueue::kHeap);
-  delta.set_queue(SpQueue::kDelta, csr.weights().max_weight);
-  VertexSet faults(g.num_vertices());
-  faults.insert(3);
-  faults.insert(17);
-  for (Vertex s = 0; s < g.num_vertices(); s += 5) {
-    heap.run(csr, s, &faults);
-    delta.run(csr, s, &faults);
-    const auto ho = heap.settle_order();
-    const auto dl = delta.settle_order();
-    ASSERT_EQ(ho.size(), dl.size()) << "s=" << s;
-    for (std::size_t i = 0; i < ho.size(); ++i)
-      EXPECT_EQ(ho[i], dl[i]) << "s=" << s << " i=" << i;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(heap.dist(v), delta.dist(v)) << "s=" << s << " v=" << v;
-      EXPECT_EQ(heap.parent(v), delta.parent(v)) << "s=" << s << " v=" << v;
-      EXPECT_EQ(heap.via(v), delta.via(v)) << "s=" << s << " v=" << v;
-    }
+  struct Input {
+    std::int64_t max_w, min_w;
+    Weight bucket_max;
+  };
+  for (const Input in : {Input{100000, 1, kMaxBucketWeight}, Input{12, 0, 2}}) {
+    SCOPED_TRACE(in.min_w);
+    const Graph g = integer_test_graph(90, 0.08, 21, in.max_w, in.min_w);
+    const Csr csr(g);
+    ASSERT_TRUE(csr.weights().integral);
+    ASSERT_GT(tune_delta(csr.weights().max_weight, in.bucket_max), 1.0);
+    DijkstraEngine heap, delta;
+    heap.set_queue(SpQueue::kHeap);
+    delta.set_queue(SpQueue::kDelta, csr.weights().max_weight, in.bucket_max);
+    expect_matches_heap_bit_for_bit(g, csr, heap, delta);
   }
 }
 

@@ -108,6 +108,22 @@ TEST(StretchOracle, MaxStretchAgreesWithPerPairBruteForce) {
   EXPECT_DOUBLE_EQ(StretchOracle(g, h, 3.0).max_stretch(), brute);
 }
 
+// Whole-valued weights so large that path sums pass 2^64: such a profile is
+// integral but its sums are not exact, so engine=auto must not route it to a
+// bucketed queue (whose integer key would overflow and break the pop
+// order). d_H(0, 2) = 2e19 via vertex 1 equals the chord's weight, so the
+// stretch is exactly 1.
+TEST(StretchOracle, HugeWholeWeightsKeepExactDistances) {
+  Graph h(4);
+  h.add_edge(0, 1, 1e19);
+  h.add_edge(1, 2, 1e19);
+  h.add_edge(0, 3, 2.5e19);
+  h.add_edge(3, 2, 1e19);
+  Graph g = h;
+  g.add_edge(0, 2, 2e19);
+  EXPECT_DOUBLE_EQ(StretchOracle(g, h, 2.0).max_stretch(), 1.0);
+}
+
 TEST(StretchOracle, EvaluateSetsAgreesWithPerSetBruteForce) {
   const Graph g = gnp(26, 0.3, 9, 2.0);
   const Graph h = greedy_spanner_graph(g, 3.0);
