@@ -7,17 +7,9 @@
 // is why ConversionOptions exposes it.
 //
 // All execution runs through the unified scenario runner (src/runner): the
-// c-sweep is one exactly-validated scenario per (c, seed) cell, the thread
-// fan-out is a single threads-sweep scenario, and the perf-tracked cell IS
-// the `conv_throughput` preset — the same scenario `ftspan bench
-// conv_throughput` runs and BENCH_pr5.json snapshots.
-//
-// `--json <path>` writes the runner's JSON record for that preset; the CI
-// perf-smoke job compares its iters_per_sec against the committed baseline.
+// c-sweep is one exactly-validated scenario per (c, seed) cell, and the
+// thread fan-out is a single threads-sweep scenario.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <vector>
 
 #include "pipeline/burst_pipeline.hpp"
@@ -28,17 +20,7 @@
 using namespace ftspan;
 using runner::ScenarioSpec;
 
-int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--json requires a path argument\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    }
-
+int main() {
   std::printf("# A1: iteration-constant sweep for the Theorem 2.1 conversion\n");
   std::printf("# instance: G(16, 0.5), k = 3, r = 2; 10 seeds per cell\n");
 
@@ -113,31 +95,6 @@ int main(int argc, char** argv) {
           .cell(seq.seconds_best / cell.seconds_best, 2);
     }
     tt.print();
-  }
-
-  // The perf-tracked cell: the conv_throughput preset (gnp(400, 0.05),
-  // k = 3, r = 2, c = 1, 1 thread, best of 3 — ISSUE 4's acceptance
-  // instance). Best-of-3, so one scheduler hiccup on a noisy host (CI!)
-  // does not read as a regression.
-  banner("conversion throughput: gnp(400, 0.05), k = 3, r = 2, 1 thread");
-  const ScenarioSpec perf = ScenarioSpec::parse(
-      runner::preset_registry().get("conv_throughput").spec);
-  const runner::ScenarioReport report = runner::run_scenario(perf);
-  const runner::ScenarioCell& cell = report.cells.front();
-  const double iters = cell.stat("iterations");
-  std::printf("alpha = %zu iterations, best of %zu: %.3f s -> %.1f "
-              "iterations/s\n",
-              static_cast<std::size_t>(iters), cell.reps, cell.seconds_best,
-              iters / cell.seconds_best);
-
-  if (json_path != nullptr) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::printf("ERROR: cannot open %s for writing\n", json_path);
-      return 1;
-    }
-    runner::print_json(report, os);
-    std::printf("wrote %s\n", json_path);
   }
   return 0;
 }

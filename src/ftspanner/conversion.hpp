@@ -72,8 +72,8 @@ struct ConversionOptions {
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
   /// Integer-weight ceiling separating the Dial bucket queue from
-  /// delta-stepping under engine resolution (the `bucket_max=` knob; see
-  /// graph/engine_policy.hpp). Never affects the output edge set.
+  /// delta-stepping under engine resolution (see graph/engine_policy.hpp).
+  /// Never affects the output edge set.
   Weight bucket_max = kMaxBucketWeight;
 };
 

@@ -108,14 +108,10 @@ EdgeFtResult ft_edge_greedy_spanner(const Graph& g, double k, std::size_t r,
   WeightProfile profile;
   for (EdgeId id = 0; id < m; ++id) profile.observe(g.edge(id).w);
 
-  const SpEnginePolicy engine = options.engine;
-  const Weight bucket_max = options.bucket_max;
-  const IterationBodyFactory bodies = [&g, k, keep, seed, n, m, profile,
-                                       engine,
-                                       bucket_max](std::size_t) -> IterationBody {
+  const IterationBodyFactory bodies = [&g, k, keep, seed, n, m,
+                                       profile](std::size_t) -> IterationBody {
     auto ws = std::make_shared<GreedyWorkspace>();
     ws->reserve(n, m);
-    ws->set_engine(engine, bucket_max);
     ws->configure_scratch(profile);
     auto survivors = std::vector<EdgeId>();
     survivors.reserve(m);
@@ -158,9 +154,10 @@ EdgeFtCheckResult check_edge_ft_spanner_exact(const Graph& g, const Graph& h,
                                               double k, std::size_t r,
                                               std::size_t max_fault_sets) {
   const std::size_t m = g.num_edges();
-  if (count_fault_sets(m, r) > max_fault_sets)
-    throw std::runtime_error(
-        "check_edge_ft_spanner_exact: too many edge-fault sets");
+  const std::size_t count = count_fault_sets(m, r);
+  if (count > max_fault_sets)
+    throw_fault_set_overflow("check_edge_ft_spanner_exact", m, r, count,
+                             max_fault_sets);
 
   const Csr cg(g), ch(h);
   const auto h2g = h_to_g_edges(g, h);

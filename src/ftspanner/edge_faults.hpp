@@ -17,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "graph/engine_policy.hpp"
 #include "graph/graph.hpp"
 
 namespace ftspan {
@@ -31,14 +30,6 @@ struct EdgeFtOptions {
   /// kMaxConversionThreads). Every value yields a bit-identical edge set for
   /// the same seed.
   std::size_t threads = 1;
-
-  /// Shortest-path engine policy for the per-iteration greedy searches
-  /// (graph/engine_policy.hpp). Output is engine-independent.
-  SpEnginePolicy engine = SpEnginePolicy::kAuto;
-
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  /// Output is engine-independent.
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 struct EdgeFtResult {

@@ -12,11 +12,10 @@
 // The snapshot is templated on the offset width. `Csr` (32-bit offsets) is
 // the default: offsets stay half the size, which matters in the hot loops,
 // and 2^32 - 1 arcs cover every in-memory workload. `Csr64` lifts that
-// ceiling for million-to-billion-arc graphs — same layout, 64-bit offsets —
-// and `make_csr_auto` picks the width from the arc count. `CsrView` is the
-// non-owning variant over externally owned arrays (64-bit offsets, the
-// ftspan.graph.v1 on-disk layout — see graph/graph_file.hpp), so an mmap'ed
-// graph is traversable without copying a byte.
+// ceiling for million-to-billion-arc graphs — same layout, 64-bit offsets.
+// `CsrView` is the non-owning variant over externally owned arrays (64-bit
+// offsets, the ftspan.graph.v1 on-disk layout — see graph/graph_file.hpp),
+// so an mmap'ed graph is traversable without copying a byte.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -64,12 +62,6 @@ struct CsrArc {
   Weight w = 1.0;
 };
 
-/// True when `num_arcs` overflows the 32-bit Csr's offset space and the
-/// 64-bit `Csr64` (or the always-64-bit on-disk layout) must carry the graph.
-inline constexpr bool csr_needs_64bit(std::size_t num_arcs) {
-  return num_arcs > std::numeric_limits<std::uint32_t>::max();
-}
-
 /// The refusal policy behind the 32-bit snapshot: a graph with >= 2^32 arcs
 /// (2^31 undirected edges) would wrap 32-bit offsets into non-monotonic
 /// garbage. Exposed as a function so the message is unit-testable without
@@ -82,8 +74,7 @@ void csr_check_arc_capacity(std::size_t num_arcs) {
       "Csr: arc count " + std::to_string(num_arcs) +
       " exceeds the 32-bit offset ceiling " +
       std::to_string(std::numeric_limits<Offset>::max()) +
-      "; snapshot this graph into the 64-bit-offset Csr64 instead "
-      "(make_csr_auto selects it automatically)");
+      "; snapshot this graph into the 64-bit-offset Csr64 instead");
 }
 
 template <class Offset>
@@ -177,22 +168,6 @@ class BasicCsr {
 using Csr = BasicCsr<std::uint32_t>;
 /// The 64-bit-offset variant for graphs past the 32-bit arc ceiling.
 using Csr64 = BasicCsr<std::uint64_t>;
-
-/// Width-erased snapshot plus the selector that picks the narrow offsets
-/// whenever they fit (hot-loop cache win) and falls over to 64-bit offsets
-/// exactly when the arc count demands them. Visit with std::visit — every
-/// consumer of a snapshot is already templated on the graph type.
-using CsrAuto = std::variant<Csr, Csr64>;
-
-inline CsrAuto make_csr_auto(const Graph& g) {
-  if (csr_needs_64bit(g.num_edges() * 2)) return Csr64(g);
-  return Csr(g);
-}
-
-inline CsrAuto make_csr_auto(const Digraph& g) {
-  if (csr_needs_64bit(g.num_edges())) return Csr64(g);
-  return Csr(g);
-}
 
 /// Non-owning CSR over externally owned arrays — the traversal interface of
 /// BasicCsr (out/degree/weights) without the copy. This is how an

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "graph/types.hpp"
 
@@ -37,15 +35,8 @@ enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kBucket, kDelta };
 /// one key at a time (Dial's O(m + D)), so huge weights would trade heap
 /// log-factors for a worse linear scan. 4096 covers every integer-weight
 /// workload in the registry with a bucket array that still fits in L1/L2.
-/// Overridable per scenario via the `bucket_max=` knob, which doubles as
-/// the delta queue's bucket-count budget (see tune_delta).
+/// It doubles as the delta queue's bucket-count budget (see tune_delta).
 inline constexpr Weight kMaxBucketWeight = 4096;
-
-/// Upper wall for the `bucket_max=` knob: the bucket array is allocated
-/// eagerly at bucket_max + 2 slots, so an unchecked value would turn a typo
-/// into a multi-GiB allocation. 2^20 slots is ~16 MiB of Slot heads — far
-/// past any L2-friendly configuration but still a safe experiment.
-inline constexpr Weight kBucketMaxCeiling = 1048576;
 
 /// Auto-tuned delta-stepping bucket width: the smallest power of two such
 /// that max_weight / delta <= bucket_max, i.e. the delta bucket array has
@@ -94,14 +85,6 @@ inline const char* to_string(SpQueue q) {
     case SpQueue::kDelta: return "delta";
     default: return "heap";
   }
-}
-
-inline std::optional<SpEnginePolicy> parse_engine_policy(std::string_view s) {
-  if (s == "auto") return SpEnginePolicy::kAuto;
-  if (s == "heap") return SpEnginePolicy::kHeap;
-  if (s == "bucket") return SpEnginePolicy::kBucket;
-  if (s == "delta") return SpEnginePolicy::kDelta;
-  return std::nullopt;
 }
 
 }  // namespace ftspan

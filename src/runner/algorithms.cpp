@@ -49,16 +49,12 @@ BoundAlgorithm bind_ft_vertex(const Graph& g) {
     opt.iteration_constant = p.c;
     if (p.iterations > 0) opt.iterations = p.iterations;
     opt.threads = p.threads;
-    opt.engine = p.engine;
-    opt.bucket_max = p.bucket_max;
     // Hand each worker its own pooled workspace; `handed` restarts at 0 for
     // every conversion call (bound instances are sequential-use).
     auto handed = std::make_shared<std::size_t>(0);
     const double k = p.k;
-    const SpEnginePolicy engine = p.engine;
-    const Weight bucket_max = p.bucket_max;
-    const BaseSpannerFactory factory = [ctx, pool, mu, handed, k, engine,
-                                        bucket_max]() -> BoundBaseSpanner {
+    const BaseSpannerFactory factory = [ctx, pool, mu, handed,
+                                        k]() -> BoundBaseSpanner {
       std::shared_ptr<GreedyWorkspace> ws;
       {
         std::lock_guard<std::mutex> lock(*mu);
@@ -67,7 +63,6 @@ BoundAlgorithm bind_ft_vertex(const Graph& g) {
         if (!(*pool)[i]) (*pool)[i] = std::make_shared<GreedyWorkspace>();
         ws = (*pool)[i];
       }
-      ws->set_engine(engine, bucket_max);
       return [ctx, ws, k](const VertexSet* mask,
                           std::uint64_t) -> std::span<const EdgeId> {
         return ws->run(*ctx, k, mask);
@@ -94,7 +89,6 @@ Registry<SpannerAlgorithm> build_registry() {
              auto ctx = std::make_shared<GreedyContext>(g);
              auto ws = std::make_shared<GreedyWorkspace>();
              return [ctx, ws](const AlgoParams& p) {
-               ws->set_engine(p.engine, p.bucket_max);
                const auto kept = ws->run(*ctx, p.k, nullptr);
                AlgoResult out;
                out.edges.assign(kept.begin(), kept.end());
@@ -151,8 +145,6 @@ Registry<SpannerAlgorithm> build_registry() {
                opt.iteration_constant = p.c;
                if (p.iterations > 0) opt.iterations = p.iterations;
                opt.threads = p.threads;
-               opt.engine = p.engine;
-               opt.bucket_max = p.bucket_max;
                EdgeFtResult res =
                    ft_edge_greedy_spanner(*gp, p.k, p.r, p.seed, opt);
                AlgoResult out;

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/engine_policy.hpp"
 #include "graph/graph.hpp"
 #include "runner/registry.hpp"
 
@@ -37,9 +36,6 @@ struct AlgoParams {
   std::size_t iterations = 0;  ///< hard iteration override; 0 = formula
   std::size_t threads = 1;     ///< iteration fan-out width (bit-identical)
   std::uint64_t seed = 1;      ///< RNG seed (ignored by deterministic algos)
-  SpEnginePolicy engine = SpEnginePolicy::kAuto;  ///< SP queue policy
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 struct AlgoResult {

@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "ftspanner/edge_faults.hpp"
+#include "graph/csr.hpp"
+#include "graph/engine_policy.hpp"
 #include "runner/workloads.hpp"
 #include "serve/loadtest.hpp"
 #include "util/mem.hpp"
@@ -62,10 +64,6 @@ void validate_cell(const ScenarioSpec& spec, const Graph& g, const Graph& h,
   } else {
     FtCheckOptions opt;
     opt.threads = cell.threads;
-    opt.engine =
-        parse_engine_policy(spec.engine).value_or(SpEnginePolicy::kAuto);
-    opt.bucket_max =
-        spec.bucket_max != 0 ? spec.bucket_max : kMaxBucketWeight;
     const StretchOracle oracle(g, h, cell.k);
     for (std::size_t rep = 0; rep < spec.reps; ++rep) {
       Timer timer;
@@ -109,14 +107,13 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
       const WorkloadInstance instance = make_workload(spec.workload, wp);
       const Graph& g = instance.g;
 
-      // The base graph's weight profile: what engine=auto (and the bucket/
-      // delta downgrades) resolve against — reported per cell as
-      // engine_resolved.
+      // The SP queue every engine resolves to on the base graph's weight
+      // profile — reported per cell as engine_resolved.
       WeightProfile profile;
       for (EdgeId id = 0; id < g.num_edges(); ++id)
         profile.observe(g.edge(id).w);
-      const Weight bucket_max =
-          spec.bucket_max != 0 ? spec.bucket_max : kMaxBucketWeight;
+      const char* const engine_resolved = to_string(select_sp_queue(
+          SpEnginePolicy::kAuto, profile.exact_sums(), profile.max_weight));
 
       // One bound algorithm per instance: the k/r/threads sweep and every
       // timing repetition below share its pooled scratch.
@@ -143,15 +140,7 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
             ap.iterations = spec.iters;
             ap.threads = threads;
             ap.seed = spec.seed;
-            // parse() validated the engine string, so the parse here cannot
-            // fail (specs constructed programmatically go through the same
-            // vocabulary).
-            ap.engine = parse_engine_policy(spec.engine)
-                            .value_or(SpEnginePolicy::kAuto);
-            ap.bucket_max = bucket_max;
-            cell.engine_resolved = to_string(
-                select_sp_queue(ap.engine, profile.exact_sums(),
-                                profile.max_weight, bucket_max));
+            cell.engine_resolved = engine_resolved;
 
             // Metrics come from the first repetition; later repetitions
             // redo identical work purely to take the best wall clock.
@@ -180,8 +169,6 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
                 spec.timings) {
               serve::QueryEngine::Options qo;
               qo.workers = threads;
-              qo.engine = ap.engine;
-              qo.bucket_max = bucket_max;
               serve::LoadTestOptions lo;
               lo.qps = spec.qps;
               lo.conns = spec.conns;
@@ -465,27 +452,6 @@ Registry<ScenarioPreset> build_presets() {
     reg.add("smoke_" + name,
             {"CI smoke: tiny " + name + " scenario, exact validation", spec});
   }
-
-  reg.add("conv_throughput",
-          {"the tracked conversion-throughput cell (BENCH_pr4/pr5 lineage): "
-           "gnp(400, 0.05), k=3, r=2, c=1, 1 thread, best of 3",
-           "workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
-           "seed=4242 threads=1 reps=3 validate=none"});
-
-  reg.add("validation_throughput",
-          {"the tracked StretchOracle cell (bench_e11's oracle side): "
-           "greedy 3-spanner of gnp(400, 0.05), 12 sampled fault sets",
-           "workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
-           "reps=1 validate=sampled trials=12 adversarial=0 vseed=1"});
-
-  reg.add("midrange_throughput",
-          {"the tracked mid-range integer-weight cell (BENCH_pr10 lineage): "
-           "greedy 3-spanner of gnp(400, 0.05) reweighted to w <= 1e5 "
-           "(engine=auto resolves to delta), 12 sampled fault sets, "
-           "best of 3",
-           "workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy "
-           "k=3 r=2 seed=1 threads=1 reps=3 validate=sampled trials=12 "
-           "adversarial=0 vseed=1"});
 
   // Deliberately NOT named smoke_<algo>: the CI scenario-smoke job globs
   // that prefix and compares goldens, which a wall-clock load test can

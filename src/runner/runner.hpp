@@ -40,11 +40,10 @@ struct ScenarioCell {
   std::size_t threads = 1;
   std::size_t edges = 0;         ///< spanner size |H|
   std::uint64_t edges_hash = 0;  ///< FNV-1a over the edge-id sequence
-  /// The SP queue the spec's engine policy resolves to against the BASE
-  /// graph's weight profile ("heap" | "bucket" | "delta"). Deterministic —
-  /// a function of (instance, engine, bucket_max) only — so it sits outside
-  /// the timings gate. (The spanner H resolves separately per graph; its
-  /// profile can only be narrower.)
+  /// The SP queue the engines resolve to against the BASE graph's weight
+  /// profile ("heap" | "bucket" | "delta"). Deterministic — a function of
+  /// the instance only — so it sits outside the timings gate. (The spanner
+  /// H resolves separately per graph; its profile can only be narrower.)
   std::string engine_resolved;
   std::vector<std::pair<std::string, double>> stats;
 
@@ -134,8 +133,8 @@ struct ScenarioPreset {
 };
 
 /// Presets: one `smoke_<algo>` per registered algorithm (tiny instances,
-/// used by the CI scenario-smoke job) plus the tracked performance cells
-/// (`conv_throughput`, `validation_throughput`) and a `quick` demo sweep.
+/// used by the CI scenario-smoke job), the serve load tests, and a `quick`
+/// demo sweep.
 const Registry<ScenarioPreset>& preset_registry();
 
 }  // namespace ftspan::runner

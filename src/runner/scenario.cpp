@@ -1,7 +1,5 @@
 #include "runner/scenario.hpp"
 
-#include "graph/engine_policy.hpp"
-
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -141,10 +139,6 @@ std::string ScenarioSpec::to_string() const {
   if (iters != 0) os << " iters=" << iters;
   os << " seed=" << seed;
   os << " threads=" << join_sizes(threads);
-  // Engine knobs only appear when non-default so historical spec strings
-  // stay byte-identical (to_string must round-trip through parse verbatim).
-  if (engine != "auto") os << " engine=" << engine;
-  if (bucket_max != 0) os << " bucket_max=" << format_double(bucket_max);
   os << " reps=" << reps;
   os << " validate=" << validate;
   if (validate != "none") {
@@ -232,18 +226,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "threads") {
       spec.threads = parse_size_list(key, value);
       if (spec.threads.empty()) bad_value(key, value);
-    } else if (key == "engine") {
-      if (!parse_engine_policy(value)) bad_value(key, value);
-      spec.engine = value;
-    } else if (key == "bucket_max") {
-      // Whole-valued, in [1, kBucketMaxCeiling]; 0 = engine default.
-      spec.bucket_max = parse_double(key, value);
-      if (!std::isfinite(spec.bucket_max) || spec.bucket_max < 0 ||
-          spec.bucket_max != std::floor(spec.bucket_max) ||
-          (spec.bucket_max != 0 &&
-           (spec.bucket_max < 1.0 ||
-            spec.bucket_max > static_cast<double>(kBucketMaxCeiling))))
-        bad_value(key, value);
     } else if (key == "reps") {
       spec.reps = static_cast<std::size_t>(parse_u64(key, value));
       if (spec.reps == 0) bad_value(key, value);
@@ -265,8 +247,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
           "scenario spec: unknown key '" + key +
           "'; valid keys: workload path n p scale max_weight qps conns "
           "duration chaos reload_every wseed algo k r c iters seed threads "
-          "engine bucket_max reps validate trials adversarial "
-          "vseed timings");
+          "reps validate trials adversarial vseed timings");
     }
   }
   return spec;

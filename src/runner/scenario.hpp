@@ -51,10 +51,6 @@ struct ScenarioSpec {
   std::size_t iters = 0;               ///< iteration override; 0 = formula
   std::uint64_t seed = 1;              ///< algorithm RNG seed
   std::vector<std::size_t> threads = {1};  ///< fan-out width sweep
-  std::string engine = "auto";  ///< SP engine policy: auto|heap|bucket|delta
-  /// Bucket/delta engine-resolution ceiling; 0 = the engine default
-  /// (kMaxBucketWeight). Range-checked against kBucketMaxCeiling.
-  double bucket_max = 0;
 
   // --- driver ---
   std::size_t reps = 1;  ///< timing repetitions; metrics use rep 0, time is best-of

@@ -40,6 +40,14 @@ Weight pair_avoiding(DijkstraEngine& eng, const Csr& c, Vertex s, Vertex t,
   return eng.dist(t);
 }
 
+/// Points `eng` at the queue SpEnginePolicy::kAuto picks for a graph's
+/// weights.
+void set_auto_queue(DijkstraEngine& eng, const WeightProfile& wp) {
+  eng.set_queue(
+      select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums(), wp.max_weight),
+      wp.max_weight);
+}
+
 }  // namespace
 
 void ServeQuery::canonicalize() {
@@ -73,17 +81,12 @@ std::uint64_t ServeQuery::cache_key() const {
 /// the two dead-edge masks with touched-entry logs so resets are O(|F|),
 /// not O(m).
 struct QueryEngine::Scratch {
-  Scratch(const Csr& cg, const Csr& ch, SpEnginePolicy policy,
-          Weight bucket_max) {
+  Scratch(const Csr& cg, const Csr& ch) {
     dead_g.assign(cg.num_arcs() / 2, 0);
     dead_h.assign(ch.num_arcs() / 2, 0);
     faults = VertexSet(cg.num_vertices());
-    eng_g.set_queue(select_sp_queue(policy, cg.weights().exact_sums(),
-                                    cg.weights().max_weight, bucket_max),
-                    cg.weights().max_weight, bucket_max);
-    eng_h.set_queue(select_sp_queue(policy, ch.weights().exact_sums(),
-                                    ch.weights().max_weight, bucket_max),
-                    ch.weights().max_weight, bucket_max);
+    set_auto_queue(eng_g, cg.weights());
+    set_auto_queue(eng_h, ch.weights());
     eng_g.reserve(cg.num_vertices(), cg.num_arcs() + 1);
     eng_h.reserve(ch.num_vertices(), ch.num_arcs() + 1);
   }
@@ -114,8 +117,7 @@ QueryEngine::QueryEngine(const Graph& g, const std::vector<EdgeId>& spanner_edge
   if (options_.workers == 0) options_.workers = 1;
   scratch_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w)
-    scratch_.push_back(std::make_unique<Scratch>(cg_, ch_, options_.engine,
-                                                 options_.bucket_max));
+    scratch_.push_back(std::make_unique<Scratch>(cg_, ch_));
 }
 
 QueryEngine::QueryEngine(const Graph& g,

@@ -68,9 +68,6 @@ class QueryEngine {
   struct Options {
     std::size_t workers = 1;        ///< pipeline lanes; 1 = inline, no threads
     std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables the cache
-    SpEnginePolicy engine = SpEnginePolicy::kAuto;
-    /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-    Weight bucket_max = kMaxBucketWeight;
   };
 
   /// g must outlive the engine; the spanner H is materialized internally

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "spanner/greedy.hpp"
@@ -109,9 +111,19 @@ TEST(EdgeFt, TwoEdgeFaultsSmallGnp) {
 }
 
 TEST(EdgeFt, ExactCheckThrowsOnHugeEnumeration) {
+  // Same report as the vertex-fault enumerations: where, r, the count, and
+  // the cap that was exceeded.
   const Graph g = complete(40);
-  EXPECT_THROW(check_edge_ft_spanner_exact(g, g, 3.0, 6, 1000),
-               std::runtime_error);
+  try {
+    check_edge_ft_spanner_exact(g, g, 3.0, 6, 1000);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("check_edge_ft_spanner_exact"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("r=6"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("max_fault_sets=1000"), std::string::npos) << msg;
+  }
 }
 
 TEST(EdgeFt, SampledAdversaryBreaksCutEdgeSpanner) {

@@ -311,17 +311,9 @@ TEST(GraphFormat, FromEdgesMatchesAdjacencySnapshot) {
   }
 }
 
-TEST(GraphFormat, AutoSelectorPicksNarrowOffsetsWhenTheyFit) {
-  const Graph g = grid(3, 3);
-  EXPECT_TRUE(std::holds_alternative<Csr>(make_csr_auto(g)));
-  EXPECT_FALSE(csr_needs_64bit(std::numeric_limits<std::uint32_t>::max()));
-  EXPECT_TRUE(csr_needs_64bit(
-      static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max()) + 1));
-}
-
 TEST(GraphFormat, ArcCapacityGuardNamesCountCeilingAndEscapeHatch) {
-  // The improved guard message (ISSUE 7 satellite): actual count, the 32-bit
-  // ceiling, and the 64-bit path to take instead.
+  // The guard message names the actual count, the 32-bit ceiling, and the
+  // 64-bit snapshot to take instead.
   try {
     csr_check_arc_capacity<std::uint32_t>(std::size_t{1} << 32);
     FAIL() << "expected length_error";
@@ -330,7 +322,6 @@ TEST(GraphFormat, ArcCapacityGuardNamesCountCeilingAndEscapeHatch) {
     EXPECT_NE(msg.find("4294967296"), std::string::npos) << msg;  // the count
     EXPECT_NE(msg.find("4294967295"), std::string::npos) << msg;  // ceiling
     EXPECT_NE(msg.find("Csr64"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("make_csr_auto"), std::string::npos) << msg;
   }
   // The 64-bit instantiation accepts the same count.
   EXPECT_NO_THROW(csr_check_arc_capacity<std::uint64_t>(std::size_t{1} << 32));

@@ -103,21 +103,11 @@ TEST(ScenarioSpecTest, ParseToStringRoundTripsByteIdentically) {
       "workload=serve n=48 conns=3 duration=0.4 chaos=0.25 reload_every=50 "
       "wseed=2 algo=ft_vertex k=3 r=1 seed=3 threads=2 reps=1 "
       "validate=none",
-      // engine prints between threads and reps; engine=auto is the default
-      // and must stay invisible (first case above).
-      "workload=gnp wseed=1 algo=ft_vertex k=3 r=2 seed=1 threads=2 "
-      "engine=bucket reps=1 validate=none",
-      "workload=gnp wseed=1 algo=greedy k=3 r=0 seed=1 threads=1 "
-      "engine=heap reps=1 validate=none",
-      // max_weight prints after scale; bucket_max prints after engine; both
-      // stay invisible at their defaults (every case above). format_double
-      // prints 100000 in its shortest round-trip form "1e+05" — that IS the
-      // canonical spelling.
+      // max_weight prints after scale and stays invisible at its default
+      // (every case above). format_double prints 100000 in its shortest
+      // round-trip form "1e+05" — that IS the canonical spelling.
       "workload=gnp n=64 max_weight=1e+05 wseed=1 algo=greedy k=3 r=0 "
-      "seed=1 threads=1 engine=delta bucket_max=8192 reps=1 "
-      "validate=none",
-      "workload=gnp wseed=1 algo=ft_vertex k=3 r=1 seed=1 threads=2 "
-      "bucket_max=1048576 reps=1 validate=none",
+      "seed=1 threads=1 reps=1 validate=none",
   };
   for (const char* text : cases) {
     const ScenarioSpec spec = ScenarioSpec::parse(text);
@@ -148,10 +138,10 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(ScenarioSpec::parse("validate=maybe"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("timings=sometimes"),
                std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::parse("engine=quantum"), std::invalid_argument);
-  // The burst width and lane placement are not configurable: batch= and
-  // pin= are unknown keys like any other.
-  for (const char* text : {"batch=16", "pin=on", "pin=off"}) {
+  // The burst width, lane placement and SP queue are not configurable:
+  // batch=, pin=, engine= and bucket_max= are unknown keys like any other.
+  for (const char* text : {"batch=16", "pin=on", "pin=off", "engine=heap",
+                           "engine=auto", "bucket_max=8192"}) {
     try {
       ScenarioSpec::parse(text);
       FAIL() << "expected std::invalid_argument for \"" << text << "\"";
@@ -172,7 +162,6 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
     EXPECT_NE(std::string(e.what()).find("chaos"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("reload_every"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("max_weight"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bucket_max"), std::string::npos);
   }
 }
 
@@ -188,11 +177,8 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
       "conns=0",      "duration=-1", "duration=nan", "duration=inf",
       "chaos=1.5",    "chaos=-0.1",  "chaos=nan",    "chaos=inf",
       "reload_every=-1",
-      // ISSUE 10 knobs: max_weight must be a whole number >= 1 (or the
-      // 0 default); bucket_max is range-checked against kBucketMaxCeiling.
+      // max_weight must be a whole number >= 1 (or the 0 default).
       "max_weight=-1", "max_weight=0.5", "max_weight=nan", "max_weight=inf",
-      "bucket_max=-1", "bucket_max=0.5", "bucket_max=nan", "bucket_max=inf",
-      "bucket_max=1048577",
   };
   for (const char* text : bad) {
     const std::string key(text, std::strchr(text, '=') - text);
@@ -217,9 +203,6 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
   EXPECT_EQ(ScenarioSpec::parse("reload_every=0").reload_every, 0u);
   EXPECT_EQ(ScenarioSpec::parse("max_weight=0").max_weight, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("max_weight=1").max_weight, 1.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=0").bucket_max, 0.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=1").bucket_max, 1.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=1048576").bucket_max, 1048576.0);
 }
 
 TEST(ScenarioSpecTest, RejectsWhitespaceInPath) {
@@ -370,6 +353,51 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
       cells_at_1 = cells;
     else
       EXPECT_EQ(cells, cells_at_1) << "threads=" << threads;
+  }
+}
+
+// Three tracked cells with committed outputs: the edge set, the SP queue the
+// base graph resolves to, and the oracle's verdict must keep these exact
+// values at any thread count. The conversion cell is unit-weight ft_vertex;
+// the validation cells certify the greedy 3-spanner of the same gnp with
+// unit weights (Dial's queue) and with integer weights up to 1e5 (the
+// delta queue), 12 sampled fault sets each.
+TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
+  struct Tracked {
+    const char* spec;
+    std::size_t edges;
+    std::uint64_t edges_hash;
+    const char* engine_resolved;
+    double worst_stretch;  ///< checked when the spec validates
+    std::size_t fault_sets;
+  };
+  const Tracked tracked[] = {
+      {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
+       "seed=4242 threads=1,4 reps=1 validate=none timings=off",
+       4040, 0xbd7fe50e059fd5b3ull, "bucket", 0, 0},
+      {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
+       "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
+       "timings=off",
+       1855, 0xb29ca75cb40a6c08ull, "bucket", 4, 12},
+      {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
+       "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
+       "adversarial=0 vseed=1 timings=off",
+       539, 0x2128757e36bbaf0aull, "delta", kInfiniteWeight, 12},
+  };
+  for (const Tracked& want : tracked) {
+    const ScenarioSpec spec = ScenarioSpec::parse(want.spec);
+    const ScenarioReport report = runner::run_scenario(spec);
+    ASSERT_EQ(report.cells.size(), 2u) << want.spec;
+    for (const runner::ScenarioCell& cell : report.cells) {
+      const std::string where =
+          std::string(want.spec) + " @ threads=" + std::to_string(cell.threads);
+      EXPECT_EQ(cell.edges, want.edges) << where;
+      EXPECT_EQ(cell.edges_hash, want.edges_hash) << where;
+      EXPECT_EQ(cell.engine_resolved, want.engine_resolved) << where;
+      if (spec.validate == "none") continue;
+      EXPECT_EQ(cell.worst_stretch, want.worst_stretch) << where;
+      EXPECT_EQ(cell.fault_sets, want.fault_sets) << where;
+    }
   }
 }
 

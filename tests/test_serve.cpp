@@ -448,9 +448,9 @@ TEST(QueryEngine, WorkerCountNeverChangesAnswers) {
   }
 }
 
-// ISSUE 10: on a mid-range integer-weight graph — where engine=auto
-// resolves to delta-stepping — served answers must be bit-identical under
-// every engine policy and worker count.
+// On a mid-range integer-weight graph, where the engines resolve to the
+// delta queue, served answers must equal a textbook Dijkstra on the
+// materialized H \ F and G \ F bit for bit, at every worker count.
 TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
   const Graph base = gnp_connected(24, 0.25, 5, 3.0);
   std::vector<Edge> reweighted;
@@ -460,9 +460,14 @@ TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
     reweighted.push_back(e);
   }
   const Graph g = Graph::from_edges(base.num_vertices(), reweighted);
+  const WeightProfile wp = Csr(g).weights();
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums(),
+                            wp.max_weight),
+            SpQueue::kDelta);
   std::vector<EdgeId> kept;
   for (EdgeId id = 0; id < g.num_edges(); ++id)
     if (id % 3 != 0) kept.push_back(id);
+  const Graph h = g.edge_subgraph(kept);
 
   std::vector<ServeQuery> queries;
   Rng rng(29);
@@ -482,26 +487,32 @@ TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
     queries.push_back(std::move(q));
   }
 
-  std::vector<std::vector<ServeAnswer>> results;
-  for (const SpEnginePolicy engine :
-       {SpEnginePolicy::kHeap, SpEnginePolicy::kDelta, SpEnginePolicy::kAuto})
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-      serve::QueryEngine::Options opt;
-      opt.workers = workers;
-      opt.cache_capacity = 0;
-      opt.engine = engine;
-      serve::QueryEngine engine_obj(g, kept, 3.0, opt);
-      std::vector<ServeAnswer> answers;
-      engine_obj.answer_batch(queries, answers);
-      results.push_back(std::move(answers));
-    }
-  for (std::size_t run = 1; run < results.size(); ++run) {
-    ASSERT_EQ(results[run].size(), queries.size());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    serve::QueryEngine::Options opt;
+    opt.workers = workers;
+    opt.cache_capacity = 0;
+    serve::QueryEngine engine(g, kept, 3.0, opt);
+    std::vector<ServeAnswer> answers;
+    engine.answer_batch(queries, answers);
+    ASSERT_EQ(answers.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(results[0][i].dh, results[run][i].dh)
-          << "run " << run << " query " << i;
-      EXPECT_EQ(results[0][i].dg, results[run][i].dg)
-          << "run " << run << " query " << i;
+      const ServeQuery& q = queries[i];
+      const bool endpoint_dead =
+          std::binary_search(q.avoid_vertices.begin(), q.avoid_vertices.end(),
+                             q.s) ||
+          std::binary_search(q.avoid_vertices.begin(), q.avoid_vertices.end(),
+                             q.t);
+      const Graph gf = minus_faults(g, q.avoid_vertices, q.avoid_edges);
+      const Graph hf = minus_faults(h, q.avoid_vertices, q.avoid_edges);
+      const Weight dh = endpoint_dead
+                            ? kInfiniteWeight
+                            : test::reference_dijkstra(hf, q.s).dist[q.t];
+      EXPECT_EQ(answers[i].dh, dh) << "workers " << workers << " query " << i;
+      if (!q.want_base) continue;
+      const Weight dg = endpoint_dead
+                            ? kInfiniteWeight
+                            : test::reference_dijkstra(gf, q.s).dist[q.t];
+      EXPECT_EQ(answers[i].dg, dg) << "workers " << workers << " query " << i;
     }
   }
 }

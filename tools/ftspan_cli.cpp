@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -65,6 +66,34 @@ std::string flag_name(const std::string& name) {
   return (name.size() == 1 ? "-" : "--") + name;
 }
 
+/// `text` given for `what` (a flag like "-r", or a positional like "N") is
+/// not `expected`.
+UsageError invalid_value(const std::string& text, const std::string& what,
+                         const char* expected) {
+  return UsageError("invalid value '" + text + "' for " + what +
+                    " (expected " + expected + ")");
+}
+
+/// The whole of `text` as a number; throws invalid_value otherwise.
+double parse_number(const std::string& text, const std::string& what,
+                    const char* expected = "a number") {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0') throw invalid_value(text, what, expected);
+  return v;
+}
+
+/// The whole of `text` as a non-negative integer; throws invalid_value
+/// otherwise.
+std::size_t parse_count(const std::string& text, const std::string& what) {
+  constexpr const char* kExpected = "a non-negative integer";
+  const double v = parse_number(text, what, kExpected);
+  if (!(v >= 0 && v < 0x1p64) || v != std::floor(v))
+    throw invalid_value(text, what, kExpected);
+  return static_cast<std::size_t>(v);
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --key value / -k value
@@ -76,32 +105,12 @@ struct Args {
   /// Numeric flag value, `dflt` when absent; throws UsageError unless the
   /// whole value parses as a number.
   double num(const std::string& name, double dflt) const {
-    return parse_number(name, dflt, "a number");
+    return flag(name) ? parse_number(get(name), flag_name(name)) : dflt;
   }
   /// Count flag (-r, --threads, --trials, --seed, ...): like num(), but the
   /// value must be a non-negative integer.
   std::size_t count(const std::string& name, std::size_t dflt) const {
-    constexpr const char* kExpected = "a non-negative integer";
-    const double v = parse_number(name, static_cast<double>(dflt), kExpected);
-    if (!(v >= 0 && v < 0x1p64) || v != std::floor(v))
-      throw bad_value(name, kExpected);
-    return static_cast<std::size_t>(v);
-  }
-
- private:
-  UsageError bad_value(const std::string& name, const char* expected) const {
-    return UsageError("invalid value '" + get(name) + "' for " +
-                      flag_name(name) + " (expected " + expected + ")");
-  }
-  double parse_number(const std::string& name, double dflt,
-                      const char* expected) const {
-    const auto it = options.find(name);
-    if (it == options.end()) return dflt;
-    const char* text = it->second.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') throw bad_value(name, expected);
-    return v;
+    return flag(name) ? parse_count(get(name), flag_name(name)) : dflt;
   }
 };
 
@@ -278,18 +287,32 @@ int cmd_gen(const Args& a) {
   if (a.positional.empty()) return usage();
   const std::string kind = a.positional[0];
   const std::uint64_t seed = a.count("seed", 1);
+  // Positional i as a count / a number in [lo, hi], named `what` in errors.
+  const auto count = [&a](std::size_t i, const char* what) {
+    return parse_count(a.positional[i], what);
+  };
+  const auto number = [&a](std::size_t i, const char* what, double lo,
+                           double hi, const char* expected) {
+    const double v = parse_number(a.positional[i], what, expected);
+    if (!(v >= lo && v <= hi))
+      throw invalid_value(a.positional[i], what, expected);
+    return v;
+  };
   Graph g;
   if (kind == "gnp" && a.positional.size() >= 3) {
-    g = gnp(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-            std::strtod(a.positional[2].c_str(), nullptr), seed);
+    const std::size_t n = count(1, "N");
+    g = gnp(n, number(2, "P", 0, 1, "a probability in [0, 1]"), seed);
   } else if (kind == "grid" && a.positional.size() >= 3) {
-    g = grid(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-             std::strtoul(a.positional[2].c_str(), nullptr, 10));
+    const std::size_t rows = count(1, "ROWS");
+    g = grid(rows, count(2, "COLS"));
   } else if (kind == "geometric" && a.positional.size() >= 3) {
-    g = random_geometric(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-                         std::strtod(a.positional[2].c_str(), nullptr), seed);
+    const std::size_t n = count(1, "N");
+    g = random_geometric(n,
+                         number(2, "R", 0, std::numeric_limits<double>::max(),
+                                "a finite number >= 0"),
+                         seed);
   } else if (kind == "complete" && a.positional.size() >= 2) {
-    g = complete(std::strtoul(a.positional[1].c_str(), nullptr, 10));
+    g = complete(count(1, "N"));
   } else {
     return usage();
   }
@@ -333,6 +356,7 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
   const Graph g = load_graph_any(in);
   const double k = a.num("k", 3.0);
   const std::size_t r = a.count("r", 1);
+  if (r == 0) throw invalid_value(a.get("r"), "-r", "an integer >= 1");
   const double c = a.num("c", 1.0);
   const std::size_t threads = a.count("threads", 1);
   const std::uint64_t seed = a.count("seed", 1);
