@@ -43,16 +43,18 @@ int main() {
   // Link-failure scenarios: fail r random backbone links, compare detours.
   Rng rng(23);
   Table t({"scenario", "failed links", "routes", "mean detour", "max detour"});
+  DijkstraEngine on_net, on_bb;
   for (int scenario = 1; scenario <= 5; ++scenario) {
-    std::vector<char> dead_net(net.num_edges(), 0);
-    std::vector<char> dead_bb(backbone.num_edges(), 0);
+    // Failed links as edge-id bitsets of each graph.
+    VertexSet dead_net(net.num_edges());
+    VertexSet dead_bb(backbone.num_edges());
     std::size_t failed = 0;
     while (failed < r) {
       const EdgeId bb = static_cast<EdgeId>(rng.uniform_index(backbone.num_edges()));
-      if (dead_bb[bb]) continue;
-      dead_bb[bb] = 1;
+      if (dead_bb.contains(bb)) continue;
+      dead_bb.insert(bb);
       const Edge& e = backbone.edge(bb);
-      dead_net[*net.edge_id(e.u, e.v)] = 1;
+      dead_net.insert(*net.edge_id(e.u, e.v));
       ++failed;
     }
 
@@ -62,14 +64,16 @@ int main() {
       const Vertex a = static_cast<Vertex>(rng.uniform_index(n));
       const Vertex b = static_cast<Vertex>(rng.uniform_index(n));
       if (a == b) continue;
-      const auto dn = distances_avoiding_edges(net, a, dead_net);
-      const auto db = distances_avoiding_edges(backbone, a, dead_bb);
-      if (dn[b] >= kInfiniteWeight || dn[b] <= 0) continue;
-      if (db[b] >= kInfiniteWeight) {
+      const Vertex target[1] = {b};
+      on_net.run_avoiding_edges(net, a, dead_net, target);
+      on_bb.run_avoiding_edges(backbone, a, dead_bb, target);
+      const Weight dn = on_net.dist(b), db = on_bb.dist(b);
+      if (dn >= kInfiniteWeight || dn <= 0) continue;
+      if (db >= kInfiniteWeight) {
         std::printf("  !! backbone lost a route (should not happen)\n");
         continue;
       }
-      detour.add(db[b] / dn[b]);
+      detour.add(db / dn);
       ++routes;
     }
     t.row()

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 
@@ -48,25 +49,13 @@ EdgeFtResult ft_edge_greedy_spanner(const Graph& g, double k, std::size_t r,
                                     std::uint64_t seed,
                                     const EdgeFtOptions& options = {});
 
-/// Dijkstra avoiding a set of failed edges (by edge id into g).
-std::vector<Weight> distances_avoiding_edges(const Graph& g, Vertex source,
-                                             const std::vector<char>& dead);
+// Edge-fault tolerance is checked by StretchOracle::check_exact_edges and
+// check_sampled_edges (validate/stretch_oracle.hpp). The two names below are
+// kept only because the frozen perfbench/src/compute.cpp calls them; new
+// code uses the oracle.
+using EdgeFtCheckResult = FtCheckResult;
 
-struct EdgeFtCheckResult {
-  bool valid = true;
-  double worst_stretch = 1.0;
-  std::vector<EdgeId> witness_faults;
-  std::size_t fault_sets_checked = 0;
-};
-
-/// Exact check over all edge-fault sets of size <= r (small graphs only;
-/// throws if there are more than max_fault_sets sets).
-EdgeFtCheckResult check_edge_ft_spanner_exact(
-    const Graph& g, const Graph& h, double k, std::size_t r,
-    std::size_t max_fault_sets = 2'000'000);
-
-/// Random + adversarial sampled check (the adversary repeatedly fails an
-/// edge on H's current shortest path between a probed edge's endpoints).
+/// Forwards to StretchOracle(g, h, k).check_sampled_edges(...) on one thread.
 EdgeFtCheckResult check_edge_ft_spanner_sampled(const Graph& g, const Graph& h,
                                                 double k, std::size_t r,
                                                 std::size_t random_trials,

@@ -1,9 +1,8 @@
 // DijkstraEngine — the one shortest-path implementation in this repository.
 //
 // Every shortest-path computation in src/ (greedy spanner, Thorup–Zwick,
-// distance oracle, edge-fault checks, the StretchOracle, and the serve
-// query engine) runs through run_visit() below. The
-// engine is a *pooled workspace*: it owns epoch-stamped dist/parent/via
+// distance oracle, the StretchOracle's vertex- and edge-fault checks, and
+// the serve query engine) runs through run_visit() below. The engine is a *pooled workspace*: it owns epoch-stamped dist/parent/via
 // arrays, a reusable priority structure, and the settle-order log, so that
 // after the first run at a given graph size a run performs zero heap
 // allocations — invalidation of the previous run's state is an O(1) epoch
@@ -40,7 +39,8 @@
 //   - `prune_at`: optional per-vertex ceiling; a relaxation with
 //                nd >= prune_at[to] is skipped (the Thorup–Zwick cluster
 //                truncation d(w, v) < d(v, A_{i+1})).
-//   - faulted vertices are never relaxed and never used as sources.
+//   - faulted vertices are never relaxed and never used as sources; the
+//     one edge-masked entry point, run_avoiding_edges, skips dead edges.
 #pragma once
 
 #include <algorithm>
@@ -136,17 +136,20 @@ class DijkstraEngine {
               prune_at, arc_visitor(g));
   }
 
-  /// Single-source run on G minus a set of dead *edges* (the edge-fault
-  /// model): arcs whose edge id is marked dead are never relaxed.
+  /// The one edge-masked run: run() on G minus a set of dead *edges* (the
+  /// edge-fault model). `dead_edges` is a bitset over g's edge ids; arcs
+  /// whose edge is in it are never relaxed. `targets` and `bound` are run()'s.
   template <class G>
   void run_avoiding_edges(const G& g, Vertex source,
-                          const std::vector<char>& dead_edges) {
+                          const VertexSet& dead_edges,
+                          std::span<const Vertex> targets = {},
+                          Weight bound = kInfiniteWeight) {
     const Vertex src[1] = {source};
     const auto inner = arc_visitor(g);
-    run_visit(g.num_vertices(), {src, 1}, nullptr, kInfiniteWeight, {},
-              nullptr, [&](Vertex v, auto&& relax) {
+    run_visit(g.num_vertices(), {src, 1}, nullptr, bound, targets, nullptr,
+              [&](Vertex v, auto&& relax) {
                 inner(v, [&](Vertex to, Weight w, EdgeId edge) {
-                  if (!dead_edges[edge]) relax(to, w, edge);
+                  if (!dead_edges.contains(edge)) relax(to, w, edge);
                 });
               });
   }

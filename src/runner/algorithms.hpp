@@ -25,8 +25,8 @@
 namespace ftspan::runner {
 
 /// The fault regime an algorithm's advertised guarantee refers to. It
-/// selects the validator family: the vertex-fault StretchOracle for kNone
-/// and kVertex, the edge-fault checker for kEdge.
+/// selects the StretchOracle check: the vertex-fault methods for kNone and
+/// kVertex, the edge-fault (_edges) methods for kEdge.
 enum class FaultModel { kNone, kVertex, kEdge };
 
 struct AlgoParams {

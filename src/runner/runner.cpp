@@ -4,7 +4,6 @@
 #include <ostream>
 #include <thread>
 
-#include "ftspanner/edge_faults.hpp"
 #include "graph/csr.hpp"
 #include "graph/engine_policy.hpp"
 #include "runner/workloads.hpp"
@@ -35,51 +34,42 @@ std::uint64_t edge_set_hash(const std::vector<EdgeId>& edges) {
 namespace {
 
 /// Runs the spec's validation mode on (g, h) and stores the outcome in
-/// `cell`. Vertex-fault guarantees (and plain stretch, r = 0) go through
-/// the StretchOracle; edge-fault guarantees through the edge checker.
+/// `cell`. Every fault model goes through the StretchOracle: plain stretch
+/// (r = 0) and vertex faults through check_exact / check_sampled, edge
+/// faults through their _edges counterparts.
 void validate_cell(const ScenarioSpec& spec, const Graph& g, const Graph& h,
                    FaultModel model, ScenarioCell& cell) {
   cell.validate = spec.validate;
   if (spec.validate == "none") return;
   const bool exact = spec.validate == "exact";
+  FtCheckOptions opt;
+  opt.threads = cell.threads;
   // Like construction: metrics come from repetition 0, later repetitions
   // redo identical work purely to take the best wall clock. The oracle (and
   // its CSR snapshots) is built once and pooled across repetitions, so the
   // timed region is the validation hot path only.
-  if (model == FaultModel::kEdge) {
-    for (std::size_t rep = 0; rep < spec.reps; ++rep) {
-      Timer timer;
-      const EdgeFtCheckResult res =
-          exact ? check_edge_ft_spanner_exact(g, h, cell.k, cell.r)
-                : check_edge_ft_spanner_sampled(g, h, cell.k, cell.r,
-                                                spec.trials, spec.adversarial,
-                                                spec.vseed);
-      const double sec = timer.seconds();
-      if (rep == 0 || sec < cell.val_seconds) cell.val_seconds = sec;
-      if (rep > 0) continue;
-      cell.valid = res.valid;
-      cell.worst_stretch = res.worst_stretch;
-      cell.fault_sets = res.fault_sets_checked;
-    }
-  } else {
-    FtCheckOptions opt;
-    opt.threads = cell.threads;
-    const StretchOracle oracle(g, h, cell.k);
-    for (std::size_t rep = 0; rep < spec.reps; ++rep) {
-      Timer timer;
-      const FtCheckResult res =
-          exact ? oracle.check_exact(cell.r, opt)
-                : oracle.check_sampled(cell.r, spec.trials, spec.adversarial,
-                                       spec.vseed, opt);
-      const double sec = timer.seconds();
-      if (rep == 0 || sec < cell.val_seconds) cell.val_seconds = sec;
-      if (rep > 0) continue;
-      cell.valid = res.valid;
-      cell.worst_stretch = res.worst_stretch;
-      cell.fault_sets = res.fault_sets_checked;
-      cell.witness_u = res.witness_u;
-      cell.witness_v = res.witness_v;
-    }
+  const StretchOracle oracle(g, h, cell.k);
+  const auto check = [&] {
+    if (model == FaultModel::kEdge)
+      return exact ? oracle.check_exact_edges(cell.r, opt)
+                   : oracle.check_sampled_edges(cell.r, spec.trials,
+                                                spec.adversarial, spec.vseed,
+                                                opt);
+    return exact ? oracle.check_exact(cell.r, opt)
+                 : oracle.check_sampled(cell.r, spec.trials, spec.adversarial,
+                                        spec.vseed, opt);
+  };
+  for (std::size_t rep = 0; rep < spec.reps; ++rep) {
+    Timer timer;
+    const FtCheckResult res = check();
+    const double sec = timer.seconds();
+    if (rep == 0 || sec < cell.val_seconds) cell.val_seconds = sec;
+    if (rep > 0) continue;
+    cell.valid = res.valid;
+    cell.worst_stretch = res.worst_stretch;
+    cell.fault_sets = res.fault_sets_checked;
+    cell.witness_u = res.witness_u;
+    cell.witness_v = res.witness_v;
   }
 }
 

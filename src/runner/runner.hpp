@@ -1,7 +1,8 @@
 // The scenario driver: expands ScenarioSpecs into cells, executes each cell
 // through the workload and algorithm registries, validates the result
-// through the StretchOracle (or the edge-fault checker), and emits the
-// report as a util/table.hpp text table, CSV, or versioned JSON.
+// through the StretchOracle (vertex- or edge-fault checks, by the
+// algorithm's fault model), and emits the report as a util/table.hpp text
+// table, CSV, or versioned JSON.
 //
 // Determinism contract: every metric in a cell — sizes, stats, validity,
 // worst stretch, witnesses, edge-set hash — is bit-identical for the same

@@ -55,7 +55,7 @@ struct ScenarioSpec {
   // --- driver ---
   std::size_t reps = 1;  ///< timing repetitions; metrics use rep 0, time is best-of
 
-  // --- validation (via the StretchOracle / edge-fault checker) ---
+  // --- validation (via the StretchOracle, in the algorithm's fault model) ---
   std::string validate = "sampled";  ///< none | sampled | exact
   std::size_t trials = 40;           ///< sampled: random fault sets
   std::size_t adversarial = 60;      ///< sampled: adversary probes

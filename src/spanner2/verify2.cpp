@@ -55,7 +55,8 @@ bool is_ft_2spanner_by_definition(const Digraph& g,
   const std::size_t n = g.num_vertices();
   const std::size_t count = count_fault_sets(n, r);
   if (count > options.max_fault_sets)
-    throw_fault_set_overflow("is_ft_2spanner_by_definition", n, r, count,
+    throw_fault_set_overflow("is_ft_2spanner_by_definition",
+                             /*edge_faults=*/false, n, r, count,
                              options.max_fault_sets);
 
   // The 2-spanner condition on G \ F demands, for each surviving edge

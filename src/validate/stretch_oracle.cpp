@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 
@@ -40,13 +41,17 @@ std::size_t count_fault_sets(std::size_t n, std::size_t r) {
   return total;
 }
 
-void throw_fault_set_overflow(const char* where, std::size_t n, std::size_t r,
+void throw_fault_set_overflow(const char* where, bool edge_faults,
+                              std::size_t universe, std::size_t r,
                               std::size_t count, std::size_t max_fault_sets) {
-  char msg[224];
+  char msg[256];
   std::snprintf(msg, sizeof msg,
-                "%s: too many fault sets to enumerate: n=%zu, r=%zu gives "
-                "%zu fault sets > max_fault_sets=%zu; use the sampled check",
-                where, n, r, count, max_fault_sets);
+                "%s: too many %s-fault sets to enumerate: %s=%zu %s, r=%zu "
+                "gives %zu fault sets > max_fault_sets=%zu; use the sampled "
+                "check",
+                where, edge_faults ? "edge" : "vertex", edge_faults ? "m" : "n",
+                universe, edge_faults ? "edges" : "vertices", r, count,
+                max_fault_sets);
   throw std::runtime_error(msg);
 }
 
@@ -90,6 +95,110 @@ void for_each_combination(std::size_t n, std::size_t size, Fn&& fn) {
   }
 }
 
+/// Every subset of {0..universe-1} of size <= r, by size then
+/// lexicographically, materialized once (flat id array + offsets); the
+/// per-set Dijkstra work dwarfs this walk. Throws via
+/// throw_fault_set_overflow beyond max_fault_sets.
+struct FaultSetList {
+  std::vector<Vertex> flat;
+  std::vector<std::size_t> offsets{0};
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const Vertex> operator[](std::size_t i) const {
+    return {flat.data() + offsets[i], flat.data() + offsets[i + 1]};
+  }
+};
+
+FaultSetList enumerate_fault_sets(const char* where, bool edge_faults,
+                                  std::size_t universe, std::size_t r,
+                                  std::size_t max_fault_sets) {
+  const std::size_t total = count_fault_sets(universe, r);
+  if (total > max_fault_sets)
+    throw_fault_set_overflow(where, edge_faults, universe, r, total,
+                             max_fault_sets);
+  FaultSetList out;
+  out.offsets.reserve(total + 1);
+  for (std::size_t size = 0; size <= std::min(r, universe); ++size)
+    for_each_combination(universe, size, [&](const std::vector<Vertex>& comb) {
+      out.flat.insert(out.flat.end(), comb.begin(), comb.end());
+      out.offsets.push_back(out.flat.size());
+    });
+  return out;
+}
+
+/// The oracle's loop: one bounded G-run and one targeted H-run per source
+/// with a surviving incident edge. A surviving edge (u, v) has
+/// d_{G\F}(u, v) <= w(u, v) <= bound, so the bounded G-run is still exact
+/// for every target; the H-run stops once all targets are settled. The
+/// witness pair is the first strict maximum in (source ascending, adjacency
+/// order). With kEdges, F is a set of edge ids (`fg` over G's, `fh` over
+/// H's); otherwise `fg` is the set of failed vertices and `fh` is unused.
+template <class G, bool kEdges>
+typename BasicStretchOracle<G>::Witness sweep(
+    const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
+    typename BasicStretchOracle<G>::Scratch& s) {
+  constexpr bool kUndirected = std::is_same_v<G, Graph>;
+  const std::size_t n = cg.num_vertices();
+  typename BasicStretchOracle<G>::Witness w;
+  for (Vertex u = 0; u < n; ++u) {
+    if (!kEdges && fg.contains(u)) continue;
+    s.targets.clear();
+    Weight bound = 0;
+    for (const CsrArc& a : cg.out(u)) {
+      if constexpr (kUndirected)
+        if (a.to < u) continue;  // each edge once
+      if (fg.contains(kEdges ? a.edge : a.to)) continue;
+      s.targets.push_back(a.to);
+      bound = std::max(bound, a.w);
+    }
+    if (s.targets.empty()) continue;
+    if constexpr (kEdges) {
+      s.dg.run_avoiding_edges(cg, u, fg, s.targets, bound);
+      s.dh.run_avoiding_edges(ch, u, fh, s.targets);
+    } else {
+      s.dg.run(cg, u, &fg, s.targets, bound);
+      s.dh.run(ch, u, &fg, s.targets);
+    }
+    for (const Vertex v : s.targets) {
+      const Weight dg = s.dg.dist(v);
+      if (!(dg < kInfiniteWeight) || dg <= 0) continue;
+      const Weight dh = s.dh.dist(v);
+      const double stretch =
+          dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+      if (stretch > w.stretch) w = {stretch, u, v};
+    }
+  }
+  return w;
+}
+
+/// G's edge id -> H's id for the same endpoints (kInvalidEdge where H lacks
+/// the edge). Built per edge check, never by the oracle's constructor.
+std::vector<EdgeId> g_to_h_edges(const Graph& g, const Graph& h) {
+  std::vector<EdgeId> map(g.num_edges(), kInvalidEdge);
+  for (EdgeId id = 0; id < h.num_edges(); ++id) {
+    const Edge& e = h.edge(id);
+    if (const auto gid = g.edge_id(e.u, e.v)) map[*gid] = id;
+  }
+  return map;
+}
+
+/// Empties the edge-fault masks, sizing them over G's and H's edge ids on
+/// first use.
+void clear_edge_faults(StretchOracle::Scratch& s, std::size_t m,
+                       std::size_t mh) {
+  if (s.edge_faults.universe_size() != m) s.edge_faults = VertexSet(m);
+  if (s.h_edge_faults.universe_size() != mh) s.h_edge_faults = VertexSet(mh);
+  s.edge_faults.clear();
+  s.h_edge_faults.clear();
+}
+
+/// Fails G-edge `id`: adds it to F, and its copy in H (if any) to H's mask.
+void fail_edge(StretchOracle::Scratch& s, EdgeId id,
+               const std::vector<EdgeId>& g_to_h) {
+  s.edge_faults.insert(id);
+  if (g_to_h[id] != kInvalidEdge) s.h_edge_faults.insert(g_to_h[id]);
+}
+
 }  // namespace
 
 template <class G>
@@ -124,36 +233,7 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
 template <class G>
 typename BasicStretchOracle<G>::Witness BasicStretchOracle<G>::evaluate(
     const VertexSet& faults, Scratch& s) const {
-  constexpr bool kUndirected = std::is_same_v<G, Graph>;
-  const std::size_t n = g_->num_vertices();
-  Witness w;
-  for (Vertex u = 0; u < n; ++u) {
-    if (faults.contains(u)) continue;
-    s.targets.clear();
-    Weight bound = 0;
-    for (const CsrArc& a : cg_.out(u)) {
-      if constexpr (kUndirected)
-        if (a.to < u) continue;  // each edge once
-      if (faults.contains(a.to)) continue;
-      s.targets.push_back(a.to);
-      bound = std::max(bound, a.w);
-    }
-    if (s.targets.empty()) continue;
-    // A surviving edge (u, v) has d_{G\F}(u, v) <= w(u, v) <= bound, so the
-    // bounded G-run is still exact for every target; the H-run stops once
-    // all targets are settled.
-    s.dg.run(cg_, u, &faults, s.targets, bound);
-    s.dh.run(ch_, u, &faults, s.targets);
-    for (const Vertex v : s.targets) {
-      const Weight dg = s.dg.dist(v);
-      if (!(dg < kInfiniteWeight) || dg <= 0) continue;
-      const Weight dh = s.dh.dist(v);
-      const double stretch =
-          dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
-      if (stretch > w.stretch) w = {stretch, u, v};
-    }
-  }
-  return w;
+  return sweep<G, false>(cg_, ch_, faults, faults, s);
 }
 
 template <class G>
@@ -163,12 +243,12 @@ double BasicStretchOracle<G>::max_stretch(const VertexSet* faults) const {
 }
 
 template <class G>
-template <class Eval, class Rebuild>
+template <class Load, class Eval>
 FtCheckResult BasicStretchOracle<G>::run_indexed(
-    std::size_t count, const Eval& eval, const Rebuild& rebuild,
-    const FtCheckOptions& options) const {
+    std::size_t count, std::size_t universe, const Load& load,
+    const Eval& eval, const FtCheckOptions& options) const {
   FtCheckResult out;
-  out.witness_faults = VertexSet(g_->num_vertices());
+  out.witness_faults = VertexSet(universe);
   out.fault_sets_checked = count;
   if (count == 0) return out;
 
@@ -200,7 +280,7 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
     out.witness_u = witnesses[best].u;
     out.witness_v = witnesses[best].v;
     Scratch scratch = make_scratch();
-    rebuild(best, scratch, out.witness_faults);
+    out.witness_faults = load(best, scratch);
   }
   return out;
 }
@@ -210,9 +290,11 @@ FtCheckResult BasicStretchOracle<G>::evaluate_sets(
     const std::vector<VertexSet>& fault_sets,
     const FtCheckOptions& options) const {
   return run_indexed(
-      fault_sets.size(),
+      fault_sets.size(), g_->num_vertices(),
+      [&](std::size_t i, Scratch&) -> const VertexSet& {
+        return fault_sets[i];
+      },
       [&](std::size_t i, Scratch& s) { return evaluate(fault_sets[i], s); },
-      [&](std::size_t i, Scratch&, VertexSet& out) { out = fault_sets[i]; },
       options);
 }
 
@@ -220,34 +302,17 @@ template <class G>
 FtCheckResult BasicStretchOracle<G>::check_exact(
     std::size_t r, const FtCheckOptions& options) const {
   const std::size_t n = g_->num_vertices();
-  const std::size_t total = count_fault_sets(n, r);
-  if (total > options.max_fault_sets)
-    throw_fault_set_overflow("StretchOracle::check_exact", n, r, total,
-                             options.max_fault_sets);
-
-  // Materialize the combinations once (flat vertex array + offsets); the
-  // per-set Dijkstra work dwarfs this walk.
-  std::vector<Vertex> flat;
-  std::vector<std::size_t> offsets{0};
-  offsets.reserve(total + 1);
-  for (std::size_t size = 0; size <= std::min(r, n); ++size)
-    for_each_combination(n, size, [&](const std::vector<Vertex>& comb) {
-      flat.insert(flat.end(), comb.begin(), comb.end());
-      offsets.push_back(flat.size());
-    });
-
-  const auto load = [&](std::size_t i, VertexSet& faults) {
-    faults.clear();
-    for (std::size_t j = offsets[i]; j < offsets[i + 1]; ++j)
-      faults.insert(flat[j]);
+  const FaultSetList sets = enumerate_fault_sets(
+      "StretchOracle::check_exact", /*edge_faults=*/false, n, r,
+      options.max_fault_sets);
+  const auto load = [&](std::size_t i, Scratch& s) -> const VertexSet& {
+    s.faults.clear();
+    for (const Vertex v : sets[i]) s.faults.insert(v);
+    return s.faults;
   };
   return run_indexed(
-      total,
-      [&](std::size_t i, Scratch& s) {
-        load(i, s.faults);
-        return evaluate(s.faults, s);
-      },
-      [&](std::size_t i, Scratch&, VertexSet& out) { load(i, out); },
+      sets.size(), n, load,
+      [&](std::size_t i, Scratch& s) { return evaluate(load(i, s), s); },
       options);
 }
 
@@ -311,10 +376,91 @@ FtCheckResult BasicStretchOracle<G>::check_sampled(
   };
 
   return run_indexed(
-      count, eval,
-      [&](std::size_t i, Scratch& s, VertexSet& out) {
+      count, n,
+      [&](std::size_t i, Scratch& s) -> const VertexSet& {
         build_faults(i, s);
-        out = s.faults;
+        return s.faults;
+      },
+      eval, options);
+}
+
+template <class G>
+FtCheckResult BasicStretchOracle<G>::check_exact_edges(
+    std::size_t r, const FtCheckOptions& options) const
+  requires std::is_same_v<G, Graph>
+{
+  const std::size_t m = g_->num_edges();
+  const FaultSetList sets = enumerate_fault_sets(
+      "StretchOracle::check_exact_edges", /*edge_faults=*/true, m, r,
+      options.max_fault_sets);
+  const std::vector<EdgeId> g_to_h = g_to_h_edges(*g_, *h_);
+  const auto load = [&](std::size_t i, Scratch& s) -> const VertexSet& {
+    clear_edge_faults(s, m, h_->num_edges());
+    for (const EdgeId id : sets[i]) fail_edge(s, id, g_to_h);
+    return s.edge_faults;
+  };
+  return run_indexed(
+      sets.size(), m, load,
+      [&](std::size_t i, Scratch& s) {
+        load(i, s);
+        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, s);
+      },
+      options);
+}
+
+template <class G>
+FtCheckResult BasicStretchOracle<G>::check_sampled_edges(
+    std::size_t r, std::size_t random_trials, std::size_t adversarial_edges,
+    std::uint64_t seed, const FtCheckOptions& options) const
+  requires std::is_same_v<G, Graph>
+{
+  const std::size_t m = g_->num_edges();
+  const std::size_t count = m > 0 ? random_trials + adversarial_edges : 0;
+  const std::size_t fault_size = std::min(r, m);
+  const std::vector<EdgeId> g_to_h = g_to_h_edges(*g_, *h_);
+
+  // Rebuilds trial i's edge-fault set into the scratch masks from the
+  // trial's own RNG stream, exactly as check_sampled does for vertices.
+  const auto load = [&](std::size_t i, Scratch& s) -> const VertexSet& {
+    clear_edge_faults(s, m, h_->num_edges());
+    Rng rng(hash_combine(seed, i));
+    if (i < random_trials) {
+      sample_fault_set(rng, fault_size, s.pool, s.edge_faults);
+      for (std::size_t j = 0; j < fault_size; ++j)
+        fail_edge(s, s.pool[j], g_to_h);
+      return s.edge_faults;
+    }
+    // Targeted adversary: repeatedly fail a random edge of H's current
+    // shortest path between a random G-edge's endpoints. A step whose victim
+    // is the probed edge itself (or has no copy in G) is spent without a
+    // fault.
+    const EdgeId probe = static_cast<EdgeId>(rng.uniform_index(m));
+    const Edge& e = g_->edge(probe);
+    const Vertex target[1] = {e.v};
+    for (std::size_t step = 0; step < r; ++step) {
+      s.dh.run_avoiding_edges(ch_, e.u, s.h_edge_faults,
+                              std::span<const Vertex>(target, 1));
+      if (!s.dh.reachable(e.v)) break;  // already disconnected in H \ F
+      s.interior.clear();  // the path's H-edge ids
+      for (Vertex x = e.v; s.dh.via(x) != kInvalidEdge;
+           x = h_->edge(s.dh.via(x)).other(x))
+        s.interior.push_back(s.dh.via(x));
+      if (s.interior.empty()) break;
+      const Edge& victim =
+          h_->edge(s.interior[rng.uniform_index(s.interior.size())]);
+      const auto id = g_->edge_id(victim.u, victim.v);
+      if (!id || *id == probe) continue;
+      fail_edge(s, *id, g_to_h);
+    }
+    return s.edge_faults;
+  };
+
+  // Every trial — adversarial ones too — evaluates every surviving edge.
+  return run_indexed(
+      count, m, load,
+      [&](std::size_t i, Scratch& s) {
+        load(i, s);
+        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, s);
       },
       options);
 }

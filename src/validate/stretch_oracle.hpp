@@ -16,17 +16,21 @@
 //      invalidation — running over immutable CSR snapshots of both graphs
 //      taken once at oracle construction.
 //   3. Independent fault sets fanned across the burst pipeline's worker
-//      lanes (pipeline/burst_pipeline.hpp), each with private scratch. Per-set witnesses land in an index-ordered
-//      array and are folded sequentially, so the worst witness — and the
-//      whole FtCheckResult — is bit-identical for every thread count.
+//      lanes (pipeline/burst_pipeline.hpp), each with private scratch.
+//      Per-set witnesses land in an index-ordered array and are folded
+//      sequentially, so the worst witness — and the whole FtCheckResult —
+//      is bit-identical for every thread count.
 //
 // This is the one validation entry point: plain stretch is max_stretch() or
-// check_exact(0), fault tolerance is check_exact / check_sampled, and the
-// definition-level 2-spanner check (spanner2/verify2.hpp) runs a
-// DiStretchOracle over unit-cost copies.
+// check_exact(0), vertex-fault tolerance is check_exact / check_sampled,
+// edge-fault tolerance (undirected only) is check_exact_edges /
+// check_sampled_edges — same loop, fan-out, fold and per-trial RNG streams,
+// with F a set of G's edge ids — and the definition-level 2-spanner check
+// (spanner2/verify2.hpp) runs a DiStretchOracle over unit-cost copies.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -39,7 +43,8 @@ namespace ftspan {
 struct FtCheckResult {
   bool valid = true;
   double worst_stretch = 1.0;          ///< max observed d_H\F / d_G\F
-  VertexSet witness_faults;            ///< fault set achieving worst_stretch
+  /// The fault set achieving worst_stretch (G's edge ids for edge checks).
+  VertexSet witness_faults;
   Vertex witness_u = kInvalidVertex;   ///< violated / worst pair
   Vertex witness_v = kInvalidVertex;
   std::size_t fault_sets_checked = 0;
@@ -73,16 +78,19 @@ struct FtCheckOptions {
 std::size_t count_fault_sets(std::size_t n, std::size_t r);
 
 /// Shared throw path for exact enumerations: reports where the overflow
-/// happened plus n, r, the computed fault-set count, and the cap.
-[[noreturn]] void throw_fault_set_overflow(const char* where, std::size_t n,
-                                           std::size_t r, std::size_t count,
+/// happened, the fault model, n vertices or m edges, r, the computed
+/// fault-set count, and the cap.
+[[noreturn]] void throw_fault_set_overflow(const char* where, bool edge_faults,
+                                           std::size_t universe, std::size_t r,
+                                           std::size_t count,
                                            std::size_t max_fault_sets);
 
-/// The fault set drawn by check_sampled's random trial i: a partial
-/// Fisher-Yates draw of `fault_size` distinct vertices from the identity
-/// pool over out.universe_size() vertices, consuming `rng` (which trial i
-/// seeds as Rng(hash_combine(seed, i))). Exposed so benches and tests can
-/// replay the oracle's trial stream exactly.
+/// The fault set drawn by check_sampled's (or check_sampled_edges') random
+/// trial i: a partial Fisher-Yates draw of `fault_size` distinct ids, left
+/// in pool[0, fault_size), from the identity pool over out.universe_size()
+/// vertices (or edges), consuming `rng` (which trial i seeds as
+/// Rng(hash_combine(seed, i))). Exposed so benches and tests can replay the
+/// oracle's trial stream exactly.
 void sample_fault_set(Rng& rng, std::size_t fault_size,
                       std::vector<Vertex>& pool, VertexSet& out);
 
@@ -110,8 +118,10 @@ class BasicStretchOracle {
     DijkstraEngine dg, dh;
     std::vector<Vertex> targets;
     std::vector<Vertex> pool;
-    std::vector<Vertex> interior;
+    std::vector<Vertex> interior;  ///< adversary's path (edge ids for edges)
     VertexSet faults;
+    /// Edge checks only: F over G's edge ids, and over H's (sized lazily).
+    VertexSet edge_faults, h_edge_faults;
   };
   Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,
                        Weight bucket_max = kMaxBucketWeight) const;
@@ -149,10 +159,27 @@ class BasicStretchOracle {
                               std::uint64_t seed,
                               const FtCheckOptions& options = {}) const;
 
+  /// check_exact under edge faults: every set of <= r edges of G.
+  FtCheckResult check_exact_edges(std::size_t r,
+                                  const FtCheckOptions& options = {}) const
+    requires std::is_same_v<G, Graph>;
+
+  /// check_sampled under edge faults: random sets of min(r, m) edges, plus
+  /// an adversary that fails edges of H's current shortest path between a
+  /// random G-edge's endpoints (up to r). Unlike the vertex adversary, every
+  /// trial evaluates every surviving edge.
+  FtCheckResult check_sampled_edges(std::size_t r, std::size_t random_trials,
+                                    std::size_t adversarial_edges,
+                                    std::uint64_t seed,
+                                    const FtCheckOptions& options = {}) const
+    requires std::is_same_v<G, Graph>;
+
  private:
-  template <class Eval, class Rebuild>
-  FtCheckResult run_indexed(std::size_t count, const Eval& eval,
-                            const Rebuild& rebuild,
+  /// Fault set i is load(i, scratch) (which may fill the scratch's masks)
+  /// and scores eval(i, scratch); `universe` sizes an empty witness set.
+  template <class Load, class Eval>
+  FtCheckResult run_indexed(std::size_t count, std::size_t universe,
+                            const Load& load, const Eval& eval,
                             const FtCheckOptions& options) const;
 
   const G* g_;

@@ -10,9 +10,9 @@
 //   FaultModel::kVertex  r-vertex-fault tolerance — exact enumeration when
 //                        count_fault_sets(n, r) fits the budget, the
 //                        oracle's sampled + adversarial check otherwise
-//   FaultModel::kEdge    r-edge-fault tolerance — the sampled edge-fault
-//                        checker (edge masks are outside the vertex-fault
-//                        oracle's domain)
+//   FaultModel::kEdge    r-edge-fault tolerance — exact enumeration when
+//                        count_fault_sets(m, r) fits the budget, the
+//                        oracle's sampled + adversarial edge check otherwise
 //
 // On failure the harness *shrinks*: the generator is re-run at geometrically
 // smaller scales with the same seed and the smallest still-failing instance
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "runner/algorithms.hpp"
 #include "runner/workloads.hpp"
@@ -125,9 +124,13 @@ inline std::optional<double> failing_stretch(const Generator& gen,
       return std::nullopt;
     }
     case FaultModel::kEdge: {
-      const EdgeFtCheckResult res = check_edge_ft_spanner_sampled(
-          gc.g, h, algo.k, algo.r, opt.trials, opt.adversarial,
-          hash_combine(seed, 0xedfa));
+      const StretchOracle oracle(gc.g, h, algo.k);
+      const FtCheckResult res =
+          count_fault_sets(gc.g.num_edges(), algo.r) <= opt.exact_budget
+              ? oracle.check_exact_edges(algo.r, copt)
+              : oracle.check_sampled_edges(algo.r, opt.trials,
+                                           opt.adversarial,
+                                           hash_combine(seed, 0xedfa), copt);
       if (!res.valid) return res.worst_stretch;
       return std::nullopt;
     }

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "graph/sp_engine.hpp"
@@ -102,7 +101,7 @@ TEST(Crosscutting, VertexFtSpannerSurvivesSingleEdgeFaultsEmpirically) {
   const Graph g = complete(12);
   const auto res = ft_greedy_spanner(g, 3.0, 2, 13);
   const Graph h = g.edge_subgraph(res.edges);
-  const auto check = check_edge_ft_spanner_exact(g, h, 3.0, 1);
+  const auto check = StretchOracle(g, h, 3.0).check_exact_edges(1);
   EXPECT_TRUE(check.valid) << check.worst_stretch;
 }
 

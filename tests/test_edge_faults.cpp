@@ -7,10 +7,32 @@
 #include <string>
 
 #include "graph/generators.hpp"
+#include "graph/sp_engine.hpp"
 #include "spanner/greedy.hpp"
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
+
+// The checks fan out over four lanes so the thread-sanitizer job sees the
+// edge-fault path concurrently; results do not depend on the lane count.
+FtCheckOptions four_lanes() {
+  FtCheckOptions opt;
+  opt.threads = 4;
+  return opt;
+}
+
+FtCheckResult exact_edges(const Graph& g, const Graph& h, double k,
+                          std::size_t r) {
+  return StretchOracle(g, h, k).check_exact_edges(r, four_lanes());
+}
+
+FtCheckResult sampled_edges(const Graph& g, const Graph& h, double k,
+                            std::size_t r, std::size_t random_trials,
+                            std::size_t adversarial, std::uint64_t seed) {
+  return StretchOracle(g, h, k).check_sampled_edges(
+      r, random_trials, adversarial, seed, four_lanes());
+}
 
 TEST(EdgeConversionIterations, Formula) {
   // r = 1: keep 1/2, q = 1/4 -> ceil(3 ln 100 * 4) = 56.
@@ -76,51 +98,74 @@ TEST(EdgeFt, RejectsKBelowOne) {
                std::invalid_argument);
 }
 
-TEST(DistancesAvoidingEdges, MasksCorrectly) {
+TEST(RunAvoidingEdges, MasksCorrectly) {
   const Graph g = cycle(6);  // two routes between any pair
-  std::vector<char> dead(g.num_edges(), 0);
-  auto d = distances_avoiding_edges(g, 0, dead);
-  EXPECT_DOUBLE_EQ(d[3], 3.0);
-  dead[*g.edge_id(0, 1)] = 1;  // force the long way for vertex 1
-  d = distances_avoiding_edges(g, 0, dead);
-  EXPECT_DOUBLE_EQ(d[1], 5.0);
+  VertexSet dead(g.num_edges());
+  DijkstraEngine eng;
+  eng.run_avoiding_edges(g, 0, dead);
+  EXPECT_DOUBLE_EQ(eng.dist(3), 3.0);
+  dead.insert(*g.edge_id(0, 1));  // force the long way for vertex 1
+  eng.run_avoiding_edges(g, 0, dead);
+  EXPECT_DOUBLE_EQ(eng.dist(1), 5.0);
+}
+
+TEST(RunAvoidingEdges, HonoursTargetsAndBound) {
+  const Graph g = cycle(6);
+  VertexSet dead(g.num_edges());
+  dead.insert(*g.edge_id(0, 1));
+  DijkstraEngine eng;
+  const Vertex target[1] = {1};
+  eng.run_avoiding_edges(g, 0, dead, target);
+  EXPECT_DOUBLE_EQ(eng.dist(1), 5.0);
+  EXPECT_TRUE(eng.settled(1));
+  // The detour to vertex 1 is 5 > bound 4: it stays unreached.
+  eng.run_avoiding_edges(g, 0, dead, {}, /*bound=*/4.0);
+  EXPECT_DOUBLE_EQ(eng.dist(4), 2.0);
+  EXPECT_EQ(eng.dist(1), kInfiniteWeight);
 }
 
 TEST(EdgeFt, OneEdgeFaultOnCompleteGraph) {
   const Graph g = complete(12);
   const auto res = ft_edge_greedy_spanner(g, 3.0, 1, 7);
-  const auto check =
-      check_edge_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 1);
+  const auto check = exact_edges(g, g.edge_subgraph(res.edges), 3.0, 1);
   EXPECT_TRUE(check.valid) << "worst " << check.worst_stretch;
 }
 
 TEST(EdgeFt, PlainGreedyFailsUnderEdgeFaults) {
   const Graph g = complete(12);
   const Graph plain = greedy_spanner_graph(g, 3.0);
-  const auto check = check_edge_ft_spanner_exact(g, plain, 3.0, 1);
+  const auto check = exact_edges(g, plain, 3.0, 1);
   EXPECT_FALSE(check.valid);
+  // The witness is a set of G's edge ids, and the pair it breaks.
+  EXPECT_EQ(check.witness_faults.universe_size(), g.num_edges());
   EXPECT_FALSE(check.witness_faults.empty());
+  EXPECT_TRUE(g.has_edge(check.witness_u, check.witness_v));
 }
 
 TEST(EdgeFt, TwoEdgeFaultsSmallGnp) {
   const Graph g = gnp(10, 0.6, 3);
   const auto res = ft_edge_greedy_spanner(g, 3.0, 2, 11);
-  const auto check =
-      check_edge_ft_spanner_exact(g, g.edge_subgraph(res.edges), 3.0, 2);
+  const auto check = exact_edges(g, g.edge_subgraph(res.edges), 3.0, 2);
   EXPECT_TRUE(check.valid) << "worst " << check.worst_stretch;
 }
 
 TEST(EdgeFt, ExactCheckThrowsOnHugeEnumeration) {
-  // Same report as the vertex-fault enumerations: where, r, the count, and
-  // the cap that was exceeded.
+  // Same report as the vertex-fault enumerations: where, the fault model,
+  // the edge count (as edges, not as n), r, the count, and the cap that was
+  // exceeded.
   const Graph g = complete(40);
+  FtCheckOptions opt;
+  opt.max_fault_sets = 1000;
   try {
-    check_edge_ft_spanner_exact(g, g, 3.0, 6, 1000);
+    StretchOracle(g, g, 3.0).check_exact_edges(6, opt);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("check_edge_ft_spanner_exact"), std::string::npos)
+    EXPECT_NE(msg.find("StretchOracle::check_exact_edges"), std::string::npos)
         << msg;
+    EXPECT_NE(msg.find("edge-fault sets"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("m=780 edges"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("n=780"), std::string::npos) << msg;
     EXPECT_NE(msg.find("r=6"), std::string::npos) << msg;
     EXPECT_NE(msg.find("max_fault_sets=1000"), std::string::npos) << msg;
   }
@@ -131,7 +176,7 @@ TEST(EdgeFt, SampledAdversaryBreaksCutEdgeSpanner) {
   // some pair unreachable in H while G survives.
   const Graph g = complete(20);
   const Graph h = star(20);
-  const auto check = check_edge_ft_spanner_sampled(g, h, 2.0, 1, 0, 60, 5);
+  const auto check = sampled_edges(g, h, 2.0, 1, 0, 60, 5);
   EXPECT_FALSE(check.valid);
 }
 
@@ -139,8 +184,8 @@ TEST(EdgeFt, SampledAgreesOnValidSpanner) {
   const Graph g = complete(12);
   const auto res = ft_edge_greedy_spanner(g, 3.0, 1, 13);
   const Graph h = g.edge_subgraph(res.edges);
-  ASSERT_TRUE(check_edge_ft_spanner_exact(g, h, 3.0, 1).valid);
-  EXPECT_TRUE(check_edge_ft_spanner_sampled(g, h, 3.0, 1, 50, 50, 7).valid);
+  ASSERT_TRUE(exact_edges(g, h, 3.0, 1).valid);
+  EXPECT_TRUE(sampled_edges(g, h, 3.0, 1, 50, 50, 7).valid);
 }
 
 TEST(EdgeFt, IterationOverrideAndDeterminism) {
@@ -160,9 +205,7 @@ TEST(EdgeFt, VertexFaultsHarderThanEdgeFaults) {
   // under edge faults.
   const Graph g = complete(12);
   const auto edge_ft = ft_edge_greedy_spanner(g, 3.0, 1, 17);
-  EXPECT_TRUE(check_edge_ft_spanner_exact(
-                  g, g.edge_subgraph(edge_ft.edges), 3.0, 1)
-                  .valid);
+  EXPECT_TRUE(exact_edges(g, g.edge_subgraph(edge_ft.edges), 3.0, 1).valid);
 }
 
 }  // namespace

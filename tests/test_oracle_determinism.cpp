@@ -1,7 +1,7 @@
 // Determinism regression for the StretchOracle's fault-set fan-out: the
 // worst witness and the whole FtCheckResult must be bit-identical for every
-// thread count (same pattern as tests/test_parallel.cpp for the conversion
-// engine).
+// thread count, under vertex and edge faults alike (same pattern as
+// tests/test_parallel.cpp for the conversion engine).
 #include <gtest/gtest.h>
 
 #include "ftspanner/conversion.hpp"
@@ -24,35 +24,45 @@ void expect_bit_identical(const FtCheckResult& a, const FtCheckResult& b,
       << "threads=" << threads;
 }
 
-TEST(OracleDeterminism, ExactCheckBitIdenticalAcrossThreads) {
-  // An invalid spanner, so the worst witness is nontrivial.
-  const Graph g = complete(12);
-  const Graph h = star(12);
-  const StretchOracle oracle(g, h, 2.0);
+/// Runs `check` on one thread, then at 2, 4 and 8, and expects every run to
+/// match the first bit for bit. Returns the one-thread result.
+template <class Check>
+FtCheckResult expect_thread_invariant(const Check& check) {
   FtCheckOptions seq;
   seq.threads = 1;
-  const FtCheckResult base = oracle.check_exact(2, seq);
-  ASSERT_FALSE(base.valid);
+  const FtCheckResult base = check(seq);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     FtCheckOptions par;
     par.threads = threads;
-    expect_bit_identical(base, oracle.check_exact(2, par), threads);
+    expect_bit_identical(base, check(par), threads);
   }
+  return base;
+}
+
+TEST(OracleDeterminism, ExactCheckBitIdenticalAcrossThreads) {
+  // An invalid spanner, so the worst witness is nontrivial — under vertex
+  // faults and under edge faults (where the witness is a set of edge ids).
+  const Graph g = complete(12);
+  const Graph h = star(12);
+  const StretchOracle oracle(g, h, 2.0);
+  EXPECT_FALSE(expect_thread_invariant([&](const FtCheckOptions& opt) {
+                 return oracle.check_exact(2, opt);
+               }).valid);
+  EXPECT_FALSE(expect_thread_invariant([&](const FtCheckOptions& opt) {
+                 return oracle.check_exact_edges(2, opt);
+               }).valid);
 }
 
 TEST(OracleDeterminism, SampledCheckBitIdenticalAcrossThreads) {
   const Graph g = gnp(60, 0.15, 21, 4.0);
   const Graph h = greedy_spanner_graph(g, 3.0);  // not fault tolerant
   const StretchOracle oracle(g, h, 3.0);
-  FtCheckOptions seq;
-  seq.threads = 1;
-  const FtCheckResult base = oracle.check_sampled(2, 24, 16, 77, seq);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    FtCheckOptions par;
-    par.threads = threads;
-    expect_bit_identical(base, oracle.check_sampled(2, 24, 16, 77, par),
-                         threads);
-  }
+  expect_thread_invariant([&](const FtCheckOptions& opt) {
+    return oracle.check_sampled(2, 24, 16, 77, opt);
+  });
+  expect_thread_invariant([&](const FtCheckOptions& opt) {
+    return oracle.check_sampled_edges(2, 24, 16, 77, opt);
+  });
 }
 
 TEST(OracleDeterminism, ValidConversionOutputBitIdenticalAcrossThreads) {

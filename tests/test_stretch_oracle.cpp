@@ -150,6 +150,57 @@ TEST(StretchOracle, EvaluateSetsAgreesWithPerSetBruteForce) {
   EXPECT_EQ(res.fault_sets_checked, sets.size());
 }
 
+TEST(StretchOracle, ExactEdgeCheckAgreesWithMaterializedBruteForce) {
+  // Every edge-fault set |F| <= 2, in the oracle's enumeration order (by
+  // size, then lexicographically): the reference runs on G \ F and H \ F
+  // built with edge_subgraph, sharing no masking code with the engine.
+  const Graph g = gnp_connected(14, 0.4, 3, 3.0);
+  const Graph h = greedy_spanner_graph(g, 2.0);
+  const std::size_t m = g.num_edges();
+  std::vector<std::vector<EdgeId>> sets{{}};
+  for (EdgeId a = 0; a < m; ++a) sets.push_back({a});
+  for (EdgeId a = 0; a < m; ++a)
+    for (EdgeId b = a + 1; b < m; ++b) sets.push_back({a, b});
+
+  double brute = 1.0;
+  std::size_t brute_set = 0;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    VertexSet dead(m);
+    for (const EdgeId id : sets[i]) dead.insert(id);
+    std::vector<EdgeId> g_kept, h_kept;
+    for (EdgeId id = 0; id < m; ++id)
+      if (!dead.contains(id)) g_kept.push_back(id);
+    for (EdgeId id = 0; id < h.num_edges(); ++id) {
+      const Edge& e = h.edge(id);
+      if (!dead.contains(*g.edge_id(e.u, e.v))) h_kept.push_back(id);
+    }
+    const Graph gf = g.edge_subgraph(g_kept);
+    const Graph hf = h.edge_subgraph(h_kept);
+    double worst = 1.0;
+    for (const Edge& e : gf.edges()) {
+      const auto dg = reference_dijkstra(gf, e.u);
+      const auto dh = reference_dijkstra(hf, e.u);
+      if (!dg.reachable(e.v) || dg.dist[e.v] <= 0) continue;
+      worst = std::max(worst, dh.reachable(e.v) ? dh.dist[e.v] / dg.dist[e.v]
+                                                : kInfiniteWeight);
+    }
+    if (worst > brute) {
+      brute = worst;
+      brute_set = i;
+    }
+  }
+  ASSERT_GT(brute, 1.0);  // the instance is not trivially stretch 1
+
+  const FtCheckResult res =
+      StretchOracle(g, h, 2.0).check_exact_edges(2);
+  EXPECT_EQ(res.worst_stretch, brute);
+  EXPECT_EQ(res.valid, brute <= 2.0 * (1 + kStretchCheckTolerance));
+  EXPECT_EQ(res.fault_sets_checked, sets.size());
+  VertexSet want(m);
+  for (const EdgeId id : sets[brute_set]) want.insert(id);
+  EXPECT_EQ(res.witness_faults, want);
+}
+
 TEST(StretchOracle, WitnessFaultSetReallyAchievesTheWorstStretch) {
   const Graph g = complete(9);
   const Graph h = star(9);

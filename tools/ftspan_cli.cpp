@@ -187,8 +187,8 @@ void print_usage(std::FILE* out) {
       "      -c CONST         iteration constant c in alpha = c(r+2)ln(n)/q,\n"
       "                       default 1 (the proof constant; A1 shows smaller\n"
       "                       values usually suffice)\n"
-      "      --threads T      fan iterations across T workers; 0 = all\n"
-      "                       hardware threads, default 1. Output is\n"
+      "      --threads T      workers for the iterations and the check; 0 =\n"
+      "                       all hardware threads, default 1. Output is\n"
       "                       bit-identical for every T given the same seed.\n"
       "      --seed S         RNG seed, default 1\n"
       "      -o FILE          write the spanner as a graph file\n"
@@ -349,7 +349,7 @@ int cmd_spanner(const Args& a) {
 /// Shared driver for `ft` and `ftedge`: parse the common flags, run the
 /// conversion, sampled-check the result, print the summary line, emit -o,
 /// and map validity to the exit status. `edge_faults` selects the fault
-/// model (and the matching checker).
+/// model (and the oracle's matching check).
 int run_ft_conversion(const Args& a, bool edge_faults) {
   const std::string in = a.get("i");
   if (in.empty()) return usage();
@@ -361,44 +361,42 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
   const std::size_t threads = a.count("threads", 1);
   const std::uint64_t seed = a.count("seed", 1);
 
-  // One branch per fault model: run the conversion and its matching sampled
-  // checker, landing in a model-agnostic summary.
-  struct Summary {
-    Graph h;
-    std::size_t iterations = 0;
-    std::size_t threads_used = 1;
-    bool valid = false;
-    double worst_stretch = 0;
-  };
-  Summary s;
+  // One branch per fault model for the conversion; then the oracle's
+  // matching check (40 random + 60 adversarial sets, seed 99), T threads.
+  std::vector<EdgeId> edges;
+  std::size_t iterations = 0, threads_used = 1;
   if (edge_faults) {
     EdgeFtOptions opt;
     opt.iteration_constant = c;
     opt.threads = threads;
-    const auto res = ft_edge_greedy_spanner(g, k, r, seed, opt);
-    Graph h = g.edge_subgraph(res.edges);
-    const auto check = check_edge_ft_spanner_sampled(g, h, k, r, 40, 60, 99);
-    s = {std::move(h), res.iterations, res.threads_used, check.valid,
-         check.worst_stretch};
+    EdgeFtResult res = ft_edge_greedy_spanner(g, k, r, seed, opt);
+    edges = std::move(res.edges);
+    iterations = res.iterations;
+    threads_used = res.threads_used;
   } else {
     ConversionOptions opt;
     opt.iteration_constant = c;
     opt.threads = threads;
-    const auto res = ft_greedy_spanner(g, k, r, seed, opt);
-    Graph h = g.edge_subgraph(res.edges);
-    const auto check =
-        StretchOracle(g, h, k).check_sampled(r, 40, 60, /*seed=*/99);
-    s = {std::move(h), res.iterations, res.threads_used, check.valid,
-         check.worst_stretch};
+    ConversionResult res = ft_greedy_spanner(g, k, r, seed, opt);
+    edges = std::move(res.edges);
+    iterations = res.iterations;
+    threads_used = res.threads_used;
   }
+  const Graph h = g.edge_subgraph(edges);
+  const StretchOracle oracle(g, h, k);
+  FtCheckOptions check_opt;
+  check_opt.threads = threads;
+  const FtCheckResult check =
+      edge_faults ? oracle.check_sampled_edges(r, 40, 60, 99, check_opt)
+                  : oracle.check_sampled(r, 40, 60, 99, check_opt);
   std::printf("%zu-%sfault-tolerant %g-spanner: %zu -> %zu edges "
               "(%zu iterations, %zu threads); sampled check: %s "
               "(worst stretch %.3f)\n",
-              r, edge_faults ? "edge-" : "", k, g.num_edges(),
-              s.h.num_edges(), s.iterations, s.threads_used,
-              s.valid ? "valid" : "INVALID", s.worst_stretch);
-  emit(s.h, a.get("o"), a.flag("binary"));
-  return s.valid ? 0 : 1;
+              r, edge_faults ? "edge-" : "", k, g.num_edges(), h.num_edges(),
+              iterations, threads_used, check.valid ? "valid" : "INVALID",
+              check.worst_stretch);
+  emit(h, a.get("o"), a.flag("binary"));
+  return check.valid ? 0 : 1;
 }
 
 /// `ft` — the vertex-fault conversion of Theorem 2.1 over the greedy
@@ -406,7 +404,7 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
 int cmd_ft(const Args& a) { return run_ft_conversion(a, /*edge_faults=*/false); }
 
 /// `ftedge` — the edge-fault variant of the conversion, checked with the
-/// sampled + adversarial edge-fault checker.
+/// oracle's sampled + adversarial edge-fault check.
 int cmd_ftedge(const Args& a) {
   return run_ft_conversion(a, /*edge_faults=*/true);
 }
