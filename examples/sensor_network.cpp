@@ -3,14 +3,14 @@
 //
 // Wireless links fail far more often than sensor nodes, so here the fault
 // model is EDGE faults: we build an r-edge-fault-tolerant 3-spanner of a
-// random geometric network (ftspanner/edge_faults.hpp — the Theorem 2.1
-// conversion with edges oversampled instead of vertices), knock out random
-// link sets, and measure detours. A Thorup–Zwick distance oracle built on
-// the backbone answers route-length queries in O(k) time without storing
-// all-pairs tables.
+// random geometric network (ft_edge_greedy_spanner in
+// ftspanner/conversion.hpp — the Theorem 2.1 conversion with edges
+// oversampled instead of vertices), knock out random link sets, and measure
+// detours. A Thorup–Zwick distance oracle built on the backbone answers
+// route-length queries in O(k) time without storing all-pairs tables.
 #include <cstdio>
 
-#include "ftspanner/edge_faults.hpp"
+#include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "graph/sp_engine.hpp"
@@ -31,7 +31,7 @@ int main() {
               net.num_vertices(), net.num_edges(),
               is_connected(net) ? "yes" : "no");
 
-  EdgeFtOptions opt;
+  ConversionOptions opt;
   opt.iteration_constant = 0.5;
   const auto ft = ft_edge_greedy_spanner(net, k, r, /*seed=*/22, opt);
   const Graph backbone = net.edge_subgraph(ft.edges);

@@ -55,28 +55,19 @@ std::vector<EdgeId> union_over_faults_spanner(const Graph& g, std::size_t r,
 
 std::vector<EdgeId> layered_greedy_spanner(const Graph& g, double k,
                                            std::size_t r) {
-  if (k < 1.0)
-    throw std::invalid_argument("layered_greedy_spanner: k must be >= 1");
-
-  // One edge-weight sort for all layers; one pooled workspace whose scratch
-  // spanner is reset O(kept) between layers.
+  // One edge-weight sort for all layers; each layer is one greedy pass of a
+  // pooled workspace over the edges no earlier layer took, in weight order.
   const GreedyContext ctx(g);
   GreedyWorkspace ws;
-  ws.reserve(g.num_vertices(), g.num_edges());
-  ws.configure_scratch(ctx.weights);
-
   std::vector<char> taken(g.num_edges(), 0);
-  std::vector<EdgeId> out;
+  std::vector<EdgeId> order, out;
   for (std::size_t layer = 0; layer <= r; ++layer) {
-    ws.reset(g.num_vertices());
-    for (const GreedyContext::OrderedEdge& e : ctx.sorted) {
-      if (taken[e.id]) continue;
-      const Weight bound = k * e.w * (1 + kStretchSlack);
-      if (ws.bounded_pair(e.u, e.v, nullptr, bound) > k * e.w) {
-        ws.add_edge(e.u, e.v, e.w);
-        taken[e.id] = 1;
-        out.push_back(e.id);
-      }
+    order.clear();
+    for (const GreedyContext::OrderedEdge& e : ctx.sorted)
+      if (!taken[e.id]) order.push_back(e.id);
+    for (const EdgeId id : ws.run(ctx, k, order)) {
+      taken[id] = 1;
+      out.push_back(id);
     }
   }
   std::sort(out.begin(), out.end());

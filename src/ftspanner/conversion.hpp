@@ -9,6 +9,17 @@
 // simultaneously certify the spanner condition for *many* fault sets F of
 // size <= r (all those with F ⊆ J and the relevant edge endpoints alive),
 // which is why polynomially many iterations suffice.
+//
+// The same conversion covers edge faults (ft_edge_greedy_spanner). H is an
+// r-EDGE-fault-tolerant k-spanner if for every F ⊆ E with |F| <= r and all
+// u, v: d_{H∖F}(u,v) <= k · d_{G∖F}(u,v). The oversampling argument carries
+// over verbatim with edges in place of vertices: the ground set the loop
+// samples from is E instead of V, and for a surviving edge e and fault set
+// F the per-iteration success probability is q = keep · (1-keep)^r (only e
+// itself must survive — its endpoints always exist). CLPR09 observe that
+// edge faults are the easy case. Both fault models run one sampling loop
+// (per-iteration RNG streams, one Bernoulli draw per ground-set element in
+// index order) and one greedy loop (GreedyWorkspace::run).
 #pragma once
 
 #include <cstdint>
@@ -48,14 +59,15 @@ using BaseSpannerFactory = std::function<BoundBaseSpanner()>;
 
 struct ConversionOptions {
   /// c in alpha = ceil(c * max(r,1)^3 * ln n). Theorem 2.1 needs c = Θ(1);
-  /// experiment A1 measures how small c can go in practice.
+  /// experiment A1 measures how small c can go in practice. Must be finite
+  /// and > 0.
   double iteration_constant = 1.0;
 
   /// Hard override of the iteration count (ignores iteration_constant).
   std::optional<std::size_t> iterations;
 
-  /// Ablation A2: vertex keep-probability = scale * (1/r), clamped to (0,1].
-  /// The paper's choice is scale = 1.
+  /// Ablation A2: per-element (vertex or edge) keep-probability =
+  /// scale * (1/r), clamped to (0,1]. The paper's choice is scale = 1.
   double keep_probability_scale = 1.0;
 
   /// Worker threads for the iteration fan-out (see ftspanner/parallel.hpp).
@@ -80,16 +92,26 @@ struct ConversionOptions {
 struct ConversionResult {
   std::vector<EdgeId> edges;      ///< spanner edges (ids into the input graph)
   std::size_t iterations = 0;     ///< alpha actually used
-  std::size_t max_survivors = 0;  ///< largest |V \ J| over iterations
-  double keep_probability = 0;    ///< per-vertex survival probability used
+  /// Largest survivor count over iterations: |V \ J| for vertex faults,
+  /// surviving edges for edge faults.
+  std::size_t max_survivors = 0;
+  double keep_probability = 0;    ///< per-element survival probability used
   std::size_t threads_used = 1;   ///< workers the engine actually ran with
 };
 
 /// Number of iterations alpha = ceil(c * max(r,1)^3 * ln n) used by the
-/// conversion (Theorem 2.1's Θ(r³ log n)).
+/// conversion (Theorem 2.1's Θ(r³ log n)). Throws std::invalid_argument
+/// unless c is finite and > 0 and alpha fits in size_t.
 std::size_t conversion_iterations(std::size_t r, std::size_t n, double c = 1.0);
 
-/// The conversion of Theorem 2.1. Requires r >= 1 and k >= 1.
+/// The edge-fault conversion's α = ceil(c (r+2) ln n / (keep (1-keep)^r)),
+/// with the same checks as conversion_iterations.
+std::size_t edge_conversion_iterations(std::size_t r, std::size_t n,
+                                       double c = 1.0);
+
+/// The conversion of Theorem 2.1. Requires r >= 1; throws
+/// std::invalid_argument before any sampling otherwise, or when the
+/// iteration count is invalid (see conversion_iterations).
 ConversionResult fault_tolerant_spanner(const Graph& g, std::size_t r,
                                         const BaseSpanner& base,
                                         std::uint64_t seed,
@@ -103,10 +125,18 @@ ConversionResult fault_tolerant_spanner(const Graph& g, std::size_t r,
                                         std::uint64_t seed,
                                         const ConversionOptions& options = {});
 
-/// Corollary 2.2: the conversion applied to the greedy k-spanner.
+/// Corollary 2.2: the conversion applied to the greedy k-spanner. Also
+/// requires a finite k >= 1.
 ConversionResult ft_greedy_spanner(const Graph& g, double k, std::size_t r,
                                    std::uint64_t seed,
                                    const ConversionOptions& options = {});
+
+/// The edge-fault conversion over the greedy k-spanner: the same loop
+/// sampling edges instead of vertices, with the same checks as
+/// ft_greedy_spanner. max_survivors counts edges.
+ConversionResult ft_edge_greedy_spanner(const Graph& g, double k,
+                                        std::size_t r, std::uint64_t seed,
+                                        const ConversionOptions& options = {});
 
 /// Corollary 2.2's size bound O(r^{2-2/(k+1)} n^{1+2/(k+1)} log n) (constant 1).
 double corollary22_size_bound(std::size_t n, double k, std::size_t r);

@@ -1,7 +1,7 @@
 // The parallel conversion engine.
 //
-// Both fault-tolerance conversions (vertex faults in conversion.cpp, edge
-// faults in edge_faults.cpp) are a union of α independent sampling
+// Both fault-tolerance conversions (vertex and edge faults, one sampling
+// loop in conversion.cpp) are a union of α independent sampling
 // iterations. This engine fans those iterations across the burst pipeline's
 // worker lanes (pipeline/burst_pipeline.hpp) and OR-merges per-worker edge
 // marks, with two rules that make the result *bit-identical* to the

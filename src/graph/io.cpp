@@ -3,6 +3,7 @@
 #include <cctype>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -49,6 +50,37 @@ Header read_header(std::istream& is) {
   return h;
 }
 
+/// The header's kind, then exactly its m edges and nothing after them. The
+/// rules match the importer's (graph/import.cpp): a weight must be finite
+/// and >= 0, and an edge line past the header's m is an error, not ignored.
+template <class G>
+G read_edges(std::istream& is, char kind) {
+  const Header h = read_header(is);
+  if (h.kind != kind)
+    throw std::runtime_error(kind == 'u'
+                                 ? "graph io: expected undirected ('u') header"
+                                 : "graph io: expected directed ('d') header");
+  G g(h.n);
+  std::string line;
+  for (std::size_t i = 0; i < h.m; ++i) {
+    if (!next_content_line(is, line))
+      throw std::runtime_error("graph io: truncated edge list");
+    std::istringstream ls(line);
+    Vertex u, v;
+    Weight w;
+    if (!(ls >> u >> v >> w) || !only_trailing_comment(ls))
+      throw std::runtime_error("graph io: malformed edge: " + line);
+    if (!(w >= 0) || w > std::numeric_limits<Weight>::max())
+      throw std::runtime_error("graph io: weight is negative or not finite: " +
+                               line);
+    g.add_edge(u, v, w);
+  }
+  if (next_content_line(is, line))
+    throw std::runtime_error("graph io: more edge lines than the header's " +
+                             std::to_string(h.m) + ": " + line);
+  return g;
+}
+
 }  // namespace
 
 void write_graph(std::ostream& os, const Graph& g) {
@@ -64,42 +96,10 @@ void write_digraph(std::ostream& os, const Digraph& g) {
     os << e.u << " " << e.v << " " << e.w << "\n";
 }
 
-Graph read_graph(std::istream& is) {
-  const Header h = read_header(is);
-  if (h.kind != 'u')
-    throw std::runtime_error("graph io: expected undirected ('u') header");
-  Graph g(h.n);
-  std::string line;
-  for (std::size_t i = 0; i < h.m; ++i) {
-    if (!next_content_line(is, line))
-      throw std::runtime_error("graph io: truncated edge list");
-    std::istringstream ls(line);
-    Vertex u, v;
-    Weight w;
-    if (!(ls >> u >> v >> w) || !only_trailing_comment(ls))
-      throw std::runtime_error("graph io: malformed edge: " + line);
-    g.add_edge(u, v, w);
-  }
-  return g;
-}
+Graph read_graph(std::istream& is) { return read_edges<Graph>(is, 'u'); }
 
 Digraph read_digraph(std::istream& is) {
-  const Header h = read_header(is);
-  if (h.kind != 'd')
-    throw std::runtime_error("graph io: expected directed ('d') header");
-  Digraph g(h.n);
-  std::string line;
-  for (std::size_t i = 0; i < h.m; ++i) {
-    if (!next_content_line(is, line))
-      throw std::runtime_error("graph io: truncated edge list");
-    std::istringstream ls(line);
-    Vertex u, v;
-    Weight w;
-    if (!(ls >> u >> v >> w) || !only_trailing_comment(ls))
-      throw std::runtime_error("graph io: malformed edge: " + line);
-    g.add_edge(u, v, w);
-  }
-  return g;
+  return read_edges<Digraph>(is, 'd');
 }
 
 void save_graph(const std::string& path, const Graph& g) {

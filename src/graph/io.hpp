@@ -3,10 +3,11 @@
 // Format (both graph kinds):
 //   line 1: "<n> <m> <u|d>"        (u = undirected, d = directed;
 //                                   case-insensitive)
-//   then m lines: "<u> <v> <w>"
+//   then m lines: "<u> <v> <w>", w finite and >= 0
 // '#' starts a comment — a whole line or the tail of one. CRLF line endings
 // and trailing whitespace are accepted; any other trailing garbage on a
-// header or edge line is a parse error.
+// header or edge line, a negative or non-finite weight, and any edge line
+// past the header's m are parse errors (the importer's rules).
 #pragma once
 
 #include <iosfwd>

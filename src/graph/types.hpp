@@ -31,6 +31,13 @@ inline constexpr double kStretchSlack = 1e-12;
 /// from two independent shortest-path sums.
 inline constexpr double kStretchCheckTolerance = 1e-9;
 
+/// True when k can bound a stretch: finite and >= 1 (NaN is neither). The
+/// greedy spanner, both conversions and the StretchOracle reject any other
+/// k before doing work.
+inline constexpr bool valid_stretch(double k) {
+  return k >= 1.0 && k <= std::numeric_limits<double>::max();
+}
+
 /// An undirected edge {u, v} with length w.
 struct Edge {
   Vertex u = kInvalidVertex;

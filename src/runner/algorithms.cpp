@@ -1,11 +1,9 @@
 #include "runner/algorithms.hpp"
 
 #include <memory>
-#include <mutex>
 
 #include "ftspanner/baselines.hpp"
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/edge_faults.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/greedy.hpp"
 #include "spanner/thorup_zwick.hpp"
@@ -32,44 +30,19 @@ AlgoResult from_two_spanner(const Graph& g,
   return out;
 }
 
-/// The conversion over the greedy base with runner-owned pooled state: the
-/// GreedyContext (hoisted edge-weight sort) is built once per bound graph
-/// and the per-worker GreedyWorkspaces — each holding its DijkstraEngines —
-/// persist across calls, so timing repetitions reuse all scratch. Semantics
-/// are identical to ft_greedy_spanner (same factory contract, same seeds),
-/// so the output is bit-identical to the one-shot API at every thread count.
-BoundAlgorithm bind_ft_vertex(const Graph& g) {
-  auto ctx = std::make_shared<GreedyContext>(g);
-  auto pool =
-      std::make_shared<std::vector<std::shared_ptr<GreedyWorkspace>>>();
-  auto mu = std::make_shared<std::mutex>();
+/// A conversion entry point: ft_greedy_spanner or ft_edge_greedy_spanner.
+using Conversion = decltype(&ft_greedy_spanner);
+
+/// Binds either fault model's conversion: each call runs the library entry
+/// point with the cell's parameters and reports its iteration statistics.
+BoundAlgorithm bind_conversion(const Graph& g, Conversion convert) {
   const Graph* gp = &g;
-  return [ctx, pool, mu, gp](const AlgoParams& p) {
+  return [gp, convert](const AlgoParams& p) {
     ConversionOptions opt;
     opt.iteration_constant = p.c;
     if (p.iterations > 0) opt.iterations = p.iterations;
     opt.threads = p.threads;
-    // Hand each worker its own pooled workspace; `handed` restarts at 0 for
-    // every conversion call (bound instances are sequential-use).
-    auto handed = std::make_shared<std::size_t>(0);
-    const double k = p.k;
-    const BaseSpannerFactory factory = [ctx, pool, mu, handed,
-                                        k]() -> BoundBaseSpanner {
-      std::shared_ptr<GreedyWorkspace> ws;
-      {
-        std::lock_guard<std::mutex> lock(*mu);
-        const std::size_t i = (*handed)++;
-        if (i >= pool->size()) pool->resize(i + 1);
-        if (!(*pool)[i]) (*pool)[i] = std::make_shared<GreedyWorkspace>();
-        ws = (*pool)[i];
-      }
-      return [ctx, ws, k](const VertexSet* mask,
-                          std::uint64_t) -> std::span<const EdgeId> {
-        return ws->run(*ctx, k, mask);
-      };
-    };
-    ConversionResult res =
-        fault_tolerant_spanner(*gp, p.r, factory, p.seed, opt);
+    ConversionResult res = convert(*gp, p.k, p.r, p.seed, opt);
     AlgoResult out;
     out.edges = std::move(res.edges);
     out.stats = {{"iterations", static_cast<double>(res.iterations)},
@@ -133,28 +106,15 @@ Registry<SpannerAlgorithm> build_registry() {
   reg.add("ft_vertex",
           {"Theorem 2.1 conversion over greedy: r-VERTEX-fault-tolerant "
            "k-spanner",
-           FaultModel::kVertex, 0, bind_ft_vertex});
+           FaultModel::kVertex, 0, [](const Graph& g) {
+             return bind_conversion(g, ft_greedy_spanner);
+           }});
 
   reg.add("ft_edge",
           {"edge-fault conversion over greedy: r-EDGE-fault-tolerant "
            "k-spanner",
-           FaultModel::kEdge, 0, [](const Graph& g) -> BoundAlgorithm {
-             const Graph* gp = &g;
-             return [gp](const AlgoParams& p) {
-               EdgeFtOptions opt;
-               opt.iteration_constant = p.c;
-               if (p.iterations > 0) opt.iterations = p.iterations;
-               opt.threads = p.threads;
-               EdgeFtResult res =
-                   ft_edge_greedy_spanner(*gp, p.k, p.r, p.seed, opt);
-               AlgoResult out;
-               out.edges = std::move(res.edges);
-               out.stats = {
-                   {"iterations", static_cast<double>(res.iterations)},
-                   {"keep_probability", res.keep_probability},
-                   {"threads_used", static_cast<double>(res.threads_used)}};
-               return out;
-             };
+           FaultModel::kEdge, 0, [](const Graph& g) {
+             return bind_conversion(g, ft_edge_greedy_spanner);
            }});
 
   reg.add("ft2_rounding",

@@ -3,14 +3,14 @@
 //
 // Every construction in src/spanner, src/spanner2, and src/ftspanner is
 // exposed as a SpannerAlgorithm: `bind(graph)` returns a callable that maps
-// AlgoParams to {edge ids, named stats}. Binding follows the same idiom as
-// the conversion engine's BoundBaseSpanner (PR 4): the bound callable may
-// keep pooled scratch — the hoisted GreedyContext edge sort, per-worker
-// GreedyWorkspaces with their DijkstraEngines — and reuse it across calls,
-// so a scenario's timing repetitions pay the hot path only. A bound
-// instance is sequential-use; concurrency happens *inside* a call (the
-// conversions' iteration fan-out honors AlgoParams::threads and stays
-// bit-identical at every width).
+// AlgoParams to {edge ids, named stats}. The bound callable may keep
+// pooled scratch and reuse it across calls (`greedy` keeps its
+// GreedyContext edge sort and GreedyWorkspace), so a scenario's timing
+// repetitions pay the hot path only; the conversions call the library entry
+// points, whose per-worker scratch lives for one call. A bound instance is
+// sequential-use; concurrency happens *inside* a call (the conversions'
+// iteration fan-out honors AlgoParams::threads and stays bit-identical at
+// every width).
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,8 @@
 // exception, and `timings=off` removes them from the emitters entirely).
 //
 // Within one spec the driver binds the algorithm once per workload instance
-// and reuses the bound state — the GreedyContext edge sort and the pooled
-// per-worker DijkstraEngine scratch — across the k/r/threads sweep and all
-// timing repetitions.
+// and reuses the bound state (e.g. greedy's GreedyContext edge sort and
+// workspace) across the k/r/threads sweep and all timing repetitions.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "graph/types.hpp"
+
 namespace ftspan::runner {
 
 std::string format_double(double v) {
@@ -210,15 +212,16 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       // A stretch below 1 is meaningless (and nan poisons the iteration
       // formula); every sweep entry must be a finite k >= 1.
       for (const double k : spec.k)
-        if (!(k >= 1.0) || !std::isfinite(k)) bad_value(key, value);
+        if (!valid_stretch(k)) bad_value(key, value);
     } else if (key == "r") {
       spec.r = parse_size_list(key, value);
       if (spec.r.empty()) bad_value(key, value);
     } else if (key == "c") {
-      // The conversion's correctness argument needs at least the proof
-      // constant's shape: c < 1 silently undershoots the iteration count.
+      // The library's rule (conversion_iterations): finite and > 0. Values
+      // below the proof constant 1 are how experiment A1 probes how few
+      // iterations suffice.
       spec.c = parse_double(key, value);
-      if (!(spec.c >= 1.0) || !std::isfinite(spec.c)) bad_value(key, value);
+      if (!(spec.c > 0.0) || !std::isfinite(spec.c)) bad_value(key, value);
     } else if (key == "iters") {
       spec.iters = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "seed") {

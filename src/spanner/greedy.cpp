@@ -23,29 +23,30 @@ GreedyContext::GreedyContext(const Graph& g) : graph(&g) {
   }
 }
 
-void GreedyWorkspace::configure_scratch(const WeightProfile& wp) {
+void GreedyWorkspace::begin(const GreedyContext& ctx, double k) {
+  if (!valid_stretch(k))
+    throw std::invalid_argument("greedy_spanner: k must be finite and >= 1");
+  const std::size_t n = ctx.graph->num_vertices();
+  const std::size_t m = ctx.graph->num_edges();
+  if (head_.size() < n) head_.resize(n, kNone);
+  pool_.reserve(2 * m);
+  touched_.reserve(n);
+  kept_.reserve(m);
+  // Each directed arc of the scratch spanner causes at most one heap push.
+  eng_.reserve(n, 2 * m + 1);
+  bwd_.reserve(n, 2 * m + 1);
+
+  const WeightProfile& wp = ctx.weights;
   exact_sums_ = wp.exact_sums();
   const SpQueue q =
       select_sp_queue(policy_, wp.exact_sums(), wp.max_weight, bucket_max_);
   eng_.set_queue(q, wp.max_weight, bucket_max_);
   bwd_.set_queue(q, wp.max_weight, bucket_max_);
-}
 
-void GreedyWorkspace::reserve(std::size_t n, std::size_t max_edges) {
-  if (head_.size() < n) head_.resize(n, kNone);
-  pool_.reserve(2 * max_edges);
-  touched_.reserve(n);
-  kept_.reserve(max_edges);
-  // Each directed arc of the scratch spanner causes at most one heap push.
-  eng_.reserve(n, 2 * max_edges + 1);
-  bwd_.reserve(n, 2 * max_edges + 1);
-}
-
-void GreedyWorkspace::reset(std::size_t n) {
   for (const Vertex v : touched_) head_[v] = kNone;
   touched_.clear();
   pool_.clear();
-  if (head_.size() < n) head_.resize(n, kNone);
+  kept_.clear();
 }
 
 void GreedyWorkspace::add_edge(Vertex u, Vertex v, Weight w) {
@@ -93,8 +94,8 @@ Weight GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
   // All-integer weights (the common unweighted case): every path sum is
   // exact in any summation order, so `fast` already equals the historical
   // forward sum bit-for-bit and no tie is ever ambiguous. The flag comes
-  // from the graph's hoisted WeightProfile (configure_scratch) — computed
-  // once per graph instead of per added edge.
+  // from the graph's hoisted WeightProfile (read in begin) — computed once
+  // per graph instead of per added edge.
   if (exact_sums_) return fast;
   if (fast > bound * (1 + kTieWindow) || fast < bound * (1 - kTieWindow))
     return fast;
@@ -107,25 +108,36 @@ Weight GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
   return eng_.dist(t);
 }
 
+void GreedyWorkspace::consider(Vertex u, Vertex v, Weight w, EdgeId id,
+                               double k, const VertexSet* faults) {
+  // Distances above k * w are irrelevant, so bound the search; the slack
+  // keeps floating-point ties ("exactly k*w") counted as reachable.
+  if (bounded_pair(u, v, faults, k * w * (1 + kStretchSlack)) > k * w) {
+    add_edge(u, v, w);
+    kept_.push_back(id);
+  }
+}
+
 std::span<const EdgeId> GreedyWorkspace::run(const GreedyContext& ctx,
                                              double k,
                                              const VertexSet* faults) {
-  if (k < 1.0) throw std::invalid_argument("greedy_spanner: k must be >= 1");
-  const Graph& g = *ctx.graph;
-  reserve(g.num_vertices(), g.num_edges());
-  configure_scratch(ctx.weights);
-  reset(g.num_vertices());
-  kept_.clear();
+  begin(ctx, k);
   for (const GreedyContext::OrderedEdge& e : ctx.sorted) {
     if (faults != nullptr && (faults->contains(e.u) || faults->contains(e.v)))
       continue;
-    // Distances above k * w(e) are irrelevant, so bound the search; the
-    // slack keeps floating-point ties ("exactly k*w") counted as reachable.
-    const Weight bound = k * e.w * (1 + kStretchSlack);
-    if (bounded_pair(e.u, e.v, faults, bound) > k * e.w) {
-      add_edge(e.u, e.v, e.w);
-      kept_.push_back(e.id);
-    }
+    consider(e.u, e.v, e.w, e.id, k, faults);
+  }
+  return kept_;
+}
+
+std::span<const EdgeId> GreedyWorkspace::run(const GreedyContext& ctx,
+                                             double k,
+                                             std::span<const EdgeId> order) {
+  begin(ctx, k);
+  const Graph& g = *ctx.graph;
+  for (const EdgeId id : order) {
+    const Edge& e = g.edge(id);
+    consider(e.u, e.v, e.w, id, k, nullptr);
   }
   return kept_;
 }

@@ -15,6 +15,15 @@
 //                    adjacency, the pooled Dijkstra engine, and the output
 //                    buffer. Reset between runs in O(kept edges); performs
 //                    zero heap allocations after its first run on a context.
+//
+// Every greedy pass in the library is one GreedyWorkspace::run, and both
+// overloads apply the same private decision (keep e iff the scratch
+// spanner's bounded distance between its endpoints exceeds k·w(e)). They
+// differ only in which edges they visit: run(ctx, k, faults) scans the
+// context's weight order minus the edges a fault touches (the vertex
+// conversion); run(ctx, k, order) visits exactly the ids it is given, in
+// that order (the edge conversion's sorted survivors, the layered
+// baseline's untaken edges).
 #pragma once
 
 #include <cstdint>
@@ -49,18 +58,43 @@ struct GreedyContext {
 class GreedyWorkspace {
  public:
   /// The greedy k-spanner of ctx.graph \ faults. The returned span points
-  /// into the workspace and is valid until the next call.
+  /// into the workspace and is valid until the next call. Requires a finite
+  /// k >= 1.
   std::span<const EdgeId> run(const GreedyContext& ctx, double k,
                               const VertexSet* faults = nullptr);
 
-  // Lower-level interface for variants that interleave their own filtering
-  // with the greedy loop (e.g. the layered baseline and the edge-fault
-  // conversion): an incrementally grown scratch graph plus bounded
-  // point-to-point queries against it.
+  /// The greedy k-spanner of the edges `order` lists (ids into ctx.graph),
+  /// visited in exactly that order; the caller supplies the weight order
+  /// and any filtering. Same decision, return value and k as above.
+  std::span<const EdgeId> run(const GreedyContext& ctx, double k,
+                              std::span<const EdgeId> order);
 
-  /// Clears the scratch spanner back to n isolated vertices, in time
-  /// proportional to the number of edges added since the last reset.
-  void reset(std::size_t n);
+  /// Engine policy for this workspace's searches; kAuto picks the bucket
+  /// queue on bounded-integer graphs up to bucket_max and delta-stepping
+  /// above it. Takes effect at the next run, which resolves it against the
+  /// context's weight profile.
+  void set_engine(SpEnginePolicy policy,
+                  Weight bucket_max = kMaxBucketWeight) {
+    policy_ = policy;
+    bucket_max_ = bucket_max;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// Validates k and readies the workspace for one pass over ctx.graph:
+  /// sizes every buffer for the whole graph (so even the first pass
+  /// allocates only here), resolves the engine policy against the hoisted
+  /// weight profile (enabling the exact-sums fast path when every scratch
+  /// path length is exactly representable; scratch edges are a subset of
+  /// the graph's, so its profile bounds them), and clears the scratch
+  /// spanner in O(edges added since the last pass) and the output.
+  void begin(const GreedyContext& ctx, double k);
+  /// The greedy decision for edge `id` = {u, v} of length w: kept (added to
+  /// the scratch spanner and the output) iff the scratch spanner minus
+  /// `faults` does not join u and v within k * w.
+  void consider(Vertex u, Vertex v, Weight w, EdgeId id, double k,
+                const VertexSet* faults);
   /// Adds {u, v} with length w to the scratch spanner.
   void add_edge(Vertex u, Vertex v, Weight w);
   /// d(s, t) on the current scratch spanner minus `faults`, searching no
@@ -72,33 +106,6 @@ class GreedyWorkspace {
   /// thresholds near `bound` are bit-stable (see the .cpp).
   Weight bounded_pair(Vertex s, Vertex t, const VertexSet* faults,
                       Weight bound);
-  /// Pre-sizes every buffer for a graph with n vertices and up to max_edges
-  /// scratch edges, making even the first run allocation-free.
-  void reserve(std::size_t n, std::size_t max_edges);
-
-  /// Engine policy for this workspace's searches; kAuto picks the bucket
-  /// queue on bounded-integer graphs up to bucket_max and delta-stepping
-  /// above it. Takes effect at the next configure_scratch (run() configures
-  /// from its context automatically).
-  void set_engine(SpEnginePolicy policy,
-                  Weight bucket_max = kMaxBucketWeight) {
-    policy_ = policy;
-    bucket_max_ = bucket_max;
-  }
-
-  /// Binds the workspace to a graph's hoisted weight profile: resolves the
-  /// engine policy against it and enables the exact-sums fast path when
-  /// every scratch path length is exactly representable. Scratch edges are
-  /// always a subset of the profiled graph's edges, so the profile is an
-  /// upper bound on anything add_edge will see. Callers driving the
-  /// lower-level reset/add_edge/bounded_pair interface directly must call
-  /// this once per graph; the default (unconfigured) state is the
-  /// conservative heap + tie-window-fallback path, which is correct on any
-  /// weights.
-  void configure_scratch(const WeightProfile& wp);
-
- private:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
 
   struct HalfArc {
     Weight w;
@@ -117,7 +124,8 @@ class GreedyWorkspace {
 };
 
 /// Returns the ids (into g) of the greedy k-spanner's edges, computed on
-/// G \ faults (edges with a failed endpoint are skipped). Requires k >= 1.
+/// G \ faults (edges with a failed endpoint are skipped). Requires a finite
+/// k >= 1.
 /// One-shot convenience over GreedyContext + GreedyWorkspace.
 std::vector<EdgeId> greedy_spanner(const Graph& g, double k,
                                    const VertexSet* faults = nullptr);

@@ -204,6 +204,8 @@ void fail_edge(StretchOracle::Scratch& s, EdgeId id,
 template <class G>
 BasicStretchOracle<G>::BasicStretchOracle(const G& g, const G& h, double k)
     : g_(&g), h_(&h), cg_(g), ch_(h), k_(k) {
+  if (!valid_stretch(k))
+    throw std::invalid_argument("StretchOracle: k must be finite and >= 1");
   if (g.num_vertices() != h.num_vertices())
     throw std::invalid_argument("StretchOracle: vertex count mismatch");
 }

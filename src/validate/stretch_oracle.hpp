@@ -98,7 +98,8 @@ template <class G>
 class BasicStretchOracle {
  public:
   /// g is the base graph, h the candidate spanner (same vertex universe —
-  /// throws std::invalid_argument otherwise), k the stretch to certify.
+  /// throws std::invalid_argument otherwise), k the stretch to certify
+  /// (finite and >= 1; throws std::invalid_argument otherwise).
   /// Both graphs must outlive the oracle; the deleted overloads reject
   /// temporaries at compile time.
   BasicStretchOracle(const G& g, const G& h, double k);

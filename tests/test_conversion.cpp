@@ -34,6 +34,49 @@ TEST(Conversion, RejectsR0) {
   EXPECT_THROW(ft_greedy_spanner(g, 3.0, 0, 1), std::invalid_argument);
 }
 
+// Both fault models' entry points refuse a k that is not finite or is below
+// 1, a c that is not finite or is <= 0, and an iteration count past size_t,
+// before sampling anything (RejectsR0 and EdgeFt.RejectsR0 cover r = 0).
+TEST(Conversion, BothEntryPointsRejectInvalidArguments) {
+  const Graph g = complete(6);
+  using Entry = ConversionResult (*)(const Graph&, double, std::size_t,
+                                     std::uint64_t, const ConversionOptions&);
+  const double nan = std::nan("");
+  for (const Entry convert : {Entry{ft_greedy_spanner},
+                              Entry{ft_edge_greedy_spanner}}) {
+    const ConversionOptions ok;
+    for (const double k : {nan, kInfiniteWeight, 0.5})
+      EXPECT_THROW(convert(g, k, 1, 1, ok), std::invalid_argument) << k;
+    for (const double c : {nan, kInfiniteWeight, 0.0, -1.0}) {
+      ConversionOptions opt;
+      opt.iteration_constant = c;
+      EXPECT_THROW(convert(g, 3.0, 1, 1, opt), std::invalid_argument) << c;
+    }
+    // r = 10^10 asks for ~10^20 edge-fault (and far more vertex-fault)
+    // iterations.
+    EXPECT_THROW(convert(g, 3.0, 10'000'000'000, 1, ok),
+                 std::invalid_argument);
+    ConversionOptions low;
+    low.iteration_constant = 0.05;  // below the proof constant is allowed
+    EXPECT_NO_THROW(convert(g, 3.0, 1, 1, low));
+  }
+  EXPECT_THROW(conversion_iterations(2, 100, nan), std::invalid_argument);
+  EXPECT_THROW(edge_conversion_iterations(2, 100, -1.0), std::invalid_argument);
+
+  // A custom base is never called when the arguments are rejected.
+  std::size_t calls = 0;
+  const BaseSpanner base = [&calls](const Graph& h, const VertexSet* mask,
+                                    std::uint64_t) {
+    ++calls;
+    return greedy_spanner(h, 3.0, mask);
+  };
+  ConversionOptions bad_c;
+  bad_c.iteration_constant = -1.0;
+  EXPECT_THROW(fault_tolerant_spanner(g, 1, base, 1, bad_c),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
+}
+
 TEST(Conversion, KeepProbabilityMatchesPaper) {
   const Graph g = complete(12);
   ConversionOptions opt;

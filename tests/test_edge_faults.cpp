@@ -1,11 +1,12 @@
-#include "ftspanner/edge_faults.hpp"
-
+// The edge-fault conversion (ft_edge_greedy_spanner) and the oracle's
+// edge-fault checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
 #include "graph/sp_engine.hpp"
 #include "spanner/greedy.hpp"
@@ -190,7 +191,7 @@ TEST(EdgeFt, SampledAgreesOnValidSpanner) {
 
 TEST(EdgeFt, IterationOverrideAndDeterminism) {
   const Graph g = gnp(16, 0.5, 5);
-  EdgeFtOptions opt;
+  ConversionOptions opt;
   opt.iterations = 10;
   const auto a = ft_edge_greedy_spanner(g, 3.0, 2, 99, opt);
   const auto b = ft_edge_greedy_spanner(g, 3.0, 2, 99, opt);

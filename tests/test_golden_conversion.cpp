@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/import.hpp"
@@ -93,19 +92,26 @@ constexpr Golden kGoldenEdgeWeighted[] = {
     {9, 781, 0xb856f65238c06602ull},
 };
 
+// The edge conversion shares ConversionOptions, so it honours `engine` too:
+// every policy must reproduce the same goldens.
 void check_edge_goldens(const Graph& g, std::span<const Golden> want) {
-  for (const Golden& row : want) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      EdgeFtOptions opt;
-      opt.threads = threads;
-      opt.iteration_constant = 0.2;
-      const auto res = ft_edge_greedy_spanner(g, 5.0, 2, row.seed, opt);
-      EXPECT_EQ(res.edges.size(), row.edges)
-          << "seed=" << row.seed << " threads=" << threads;
-      EXPECT_EQ(fnv1a(res.edges), row.hash)
-          << "seed=" << row.seed << " threads=" << threads;
-    }
-  }
+  for (const Golden& row : want)
+    for (const SpEnginePolicy engine :
+         {SpEnginePolicy::kAuto, SpEnginePolicy::kHeap,
+          SpEnginePolicy::kBucket, SpEnginePolicy::kDelta})
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        ConversionOptions opt;
+        opt.threads = threads;
+        opt.iteration_constant = 0.2;
+        opt.engine = engine;
+        const auto res = ft_edge_greedy_spanner(g, 5.0, 2, row.seed, opt);
+        EXPECT_EQ(res.edges.size(), row.edges)
+            << "seed=" << row.seed << " threads=" << threads
+            << " engine=" << to_string(engine);
+        EXPECT_EQ(fnv1a(res.edges), row.hash)
+            << "seed=" << row.seed << " threads=" << threads
+            << " engine=" << to_string(engine);
+      }
 }
 
 // ISSUE 10: engine=delta must reproduce engine=heap bit-for-bit — edge set,

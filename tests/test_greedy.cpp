@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "graph/generators.hpp"
@@ -14,6 +15,9 @@ namespace {
 
 TEST(GreedySpanner, RejectsBadStretch) {
   EXPECT_THROW(greedy_spanner(path(3), 0.5), std::invalid_argument);
+  // A NaN or infinite k keeps no edge at all; both are refused instead.
+  EXPECT_THROW(greedy_spanner(path(3), std::nan("")), std::invalid_argument);
+  EXPECT_THROW(greedy_spanner(path(3), kInfiniteWeight), std::invalid_argument);
 }
 
 TEST(GreedySpanner, TreeIsKeptEntirely) {

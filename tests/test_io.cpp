@@ -97,6 +97,27 @@ TEST(GraphIo, TruncatedEdgeListThrows) {
   EXPECT_THROW(read_graph(ss), std::runtime_error);
 }
 
+TEST(GraphIo, NegativeWeightThrows) {
+  // Label-setting Dijkstra is wrong on negative lengths; the importer
+  // already refuses them, and so does every -i path through this reader.
+  std::stringstream ss("3 2 u\n0 1 -4\n1 2 1\n");
+  EXPECT_THROW(read_graph(ss), std::runtime_error);
+  std::stringstream ss2("3 1 d\n0 1 -0.5\n");
+  EXPECT_THROW(read_digraph(ss2), std::runtime_error);
+  std::stringstream zero("3 1 u\n0 1 0\n");  // zero stays a valid length
+  EXPECT_EQ(read_graph(zero).num_edges(), 1u);
+}
+
+TEST(GraphIo, EdgeLinesPastHeaderCountThrow) {
+  std::stringstream ss("3 1 u\n0 1 1\n1 2 1\n");
+  EXPECT_THROW(read_graph(ss), std::runtime_error);
+  std::stringstream ss2("3 1 d\n0 1 1\n1 2 1\n");
+  EXPECT_THROW(read_digraph(ss2), std::runtime_error);
+  // Trailing comments and blank lines are not edge lines.
+  std::stringstream ok("3 1 u\n0 1 1\n\n# end\n");
+  EXPECT_EQ(read_graph(ok).num_edges(), 1u);
+}
+
 TEST(GraphIo, MalformedEdgeThrows) {
   std::stringstream ss("3 1 u\n0 x 1.0\n");
   EXPECT_THROW(read_graph(ss), std::runtime_error);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "pipeline/burst_pipeline.hpp"
 #include "validate/stretch_oracle.hpp"
@@ -84,11 +83,11 @@ TEST(ParallelConversion, VertexFaultBitIdenticalToSequential) {
 TEST(ParallelConversion, EdgeFaultBitIdenticalToSequential) {
   const Graph g = gnp(40, 0.3, 5);
   for (const std::uint64_t seed : {7ULL, 1234ULL}) {
-    EdgeFtOptions seq_opt;
+    ConversionOptions seq_opt;
     seq_opt.threads = 1;
     const auto seq = ft_edge_greedy_spanner(g, 3.0, 2, seed, seq_opt);
     for (const std::size_t threads : {3u, 8u}) {
-      EdgeFtOptions par_opt;
+      ConversionOptions par_opt;
       par_opt.threads = threads;
       const auto par = ft_edge_greedy_spanner(g, 3.0, 2, seed, par_opt);
       EXPECT_EQ(par.edges, seq.edges) << "threads=" << threads;

@@ -108,6 +108,9 @@ TEST(ScenarioSpecTest, ParseToStringRoundTripsByteIdentically) {
       // round-trip form "1e+05" — that IS the canonical spelling.
       "workload=gnp n=64 max_weight=1e+05 wseed=1 algo=greedy k=3 r=0 "
       "seed=1 threads=1 reps=1 validate=none",
+      // c below the proof constant, as experiment A1's sweep prints it.
+      "workload=gnp n=60 p=0.2 wseed=1 algo=ft_vertex k=3 r=2 c=0.05 seed=1 "
+      "threads=1 reps=1 validate=sampled trials=8 adversarial=0 vseed=1",
   };
   for (const char* text : cases) {
     const ScenarioSpec spec = ScenarioSpec::parse(text);
@@ -171,7 +174,7 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
   const char* bad[] = {
       "p=nan",        "p=1.5",       "p=-0.5",       "p=inf",
       "scale=0",      "scale=-2",    "scale=nan",    "scale=inf",
-      "c=0",          "c=0.99",      "c=-1",         "c=nan",
+      "c=0",          "c=inf",       "c=-1",         "c=nan",
       "k=0.5",        "k=0",         "k=nan",        "k=3,0.5",
       "qps=-1",       "qps=nan",     "qps=inf",
       "conns=0",      "duration=-1", "duration=nan", "duration=inf",
@@ -194,6 +197,7 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
   EXPECT_EQ(ScenarioSpec::parse("p=0").p, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("p=1").p, 1.0);
   EXPECT_EQ(ScenarioSpec::parse("c=1").c, 1.0);
+  EXPECT_EQ(ScenarioSpec::parse("c=0.05").c, 0.05);  // the A1 sweep's low end
   EXPECT_EQ(ScenarioSpec::parse("k=1").k, (std::vector<double>{1.0}));
   EXPECT_EQ(ScenarioSpec::parse("qps=0").qps, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("conns=1").conns, 1u);
@@ -356,12 +360,14 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Three tracked cells with committed outputs: the edge set, the SP queue the
-// base graph resolves to, and the oracle's verdict must keep these exact
-// values at any thread count. The conversion cell is unit-weight ft_vertex;
-// the validation cells certify the greedy 3-spanner of the same gnp with
-// unit weights (Dial's queue) and with integer weights up to 1e5 (the
-// delta queue), 12 sampled fault sets each.
+// Tracked cells with committed outputs: the edge set, the SP queue the base
+// graph resolves to, and the oracle's verdict must keep these exact values
+// at any thread count. The conversion cells are unit-weight ft_vertex and
+// ft_edge (24 iterations, so it keeps 8151 of 9092 edges rather than all of
+// them); layered_greedy pins the baseline's r+1 greedy layers; the
+// validation cells certify the greedy 3-spanner of the same gnp with unit
+// weights (Dial's queue) and with integer weights up to 1e5 (the delta
+// queue), 12 sampled fault sets each.
 TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
   struct Tracked {
     const char* spec;
@@ -375,6 +381,12 @@ TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
       {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
        "seed=4242 threads=1,4 reps=1 validate=none timings=off",
        4040, 0xbd7fe50e059fd5b3ull, "bucket", 0, 0},
+      {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
+       "seed=4242 threads=1,4 reps=1 validate=none timings=off",
+       8151, 0x971b580b77fde662ull, "bucket", 0, 0},
+      {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
+       "threads=1,4 reps=1 validate=none timings=off",
+       5842, 0x8baf0239e803acfdull, "bucket", 0, 0},
       {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
        "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
        "timings=off",

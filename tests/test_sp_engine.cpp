@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
@@ -473,29 +475,47 @@ TEST(DijkstraEngine, RunIsAllocationFreeAfterWarmUp) {
   EXPECT_EQ(after - before, 0u);
 }
 
-// The conversion inner loop: sample a fault set, run the greedy base spanner
-// on G \ F through the pooled workspace. After one warm-up iteration the
-// whole loop must perform zero heap allocations.
+// The conversion inner loops: sample a fault set, run the greedy base
+// spanner through the pooled workspace. Vertex faults run it on G \ F;
+// edge faults sort the surviving edge ids by weight and run it over them in
+// that order. After one warm-up iteration either loop must perform zero
+// heap allocations.
 TEST(DijkstraEngine, ConversionInnerLoopIsAllocationFreeAfterWarmUp) {
   const Graph g = gnp(120, 0.08, 6);
   const GreedyContext ctx(g);
   GreedyWorkspace ws;
   VertexSet removed(g.num_vertices());
+  std::vector<EdgeId> survivors;
+  survivors.reserve(g.num_edges());
 
-  const auto iteration = [&](std::uint64_t it) {
+  const auto vertex_iteration = [&](std::uint64_t it) {
     Rng rng(hash_combine(11, it));
     removed.clear();
     for (Vertex v = 0; v < g.num_vertices(); ++v)
       if (!rng.bernoulli(0.8)) removed.insert(v);
     return ws.run(ctx, 3.0, &removed).size();
   };
+  const auto edge_iteration = [&](std::uint64_t it) {
+    Rng rng(hash_combine(11, it));
+    survivors.clear();
+    for (EdgeId id = 0; id < g.num_edges(); ++id)
+      if (rng.bernoulli(0.5)) survivors.push_back(id);
+    std::sort(survivors.begin(), survivors.end(), [&g](EdgeId a, EdgeId b) {
+      return g.edge(a).w < g.edge(b).w;
+    });
+    return ws.run(ctx, 3.0, survivors).size();
+  };
 
-  std::size_t kept = iteration(0);  // warm-up
-  const std::size_t before = test::allocation_count();
-  for (std::uint64_t it = 1; it <= 20; ++it) kept += iteration(it);
-  const std::size_t after = test::allocation_count();
-  EXPECT_GT(kept, 0u);
-  EXPECT_EQ(after - before, 0u);
+  for (const auto& iteration :
+       {std::function<std::size_t(std::uint64_t)>(vertex_iteration),
+        std::function<std::size_t(std::uint64_t)>(edge_iteration)}) {
+    std::size_t kept = iteration(0);  // warm-up
+    const std::size_t before = test::allocation_count();
+    for (std::uint64_t it = 1; it <= 20; ++it) kept += iteration(it);
+    const std::size_t after = test::allocation_count();
+    EXPECT_GT(kept, 0u);
+    EXPECT_EQ(after - before, 0u);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,15 @@ TEST(StretchOracle, ThrowsOnVertexCountMismatch) {
   const Graph g = path(4);
   const Graph h(3);
   EXPECT_THROW(StretchOracle(g, h, 2.0), std::invalid_argument);
+}
+
+TEST(StretchOracle, ThrowsOnNonFiniteOrSubUnitStretch) {
+  // No distance is ever "more than NaN times" another, so a NaN k would
+  // certify every spanner.
+  const Graph g = path(4);
+  for (const double k : {std::nan(""), kInfiniteWeight, 0.5, -1.0})
+    EXPECT_THROW(StretchOracle(g, g, k), std::invalid_argument) << k;
+  EXPECT_NO_THROW(StretchOracle(g, g, 1.0));
 }
 
 TEST(StretchOracle, MaxStretchAgreesWithPerPairBruteForce) {

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
-#include "ftspanner/edge_faults.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/import.hpp"
@@ -112,6 +111,20 @@ struct Args {
   std::size_t count(const std::string& name, std::size_t dflt) const {
     return flag(name) ? parse_count(get(name), flag_name(name)) : dflt;
   }
+  /// -k, default 3: a stretch, finite and >= 1 like the library requires.
+  double stretch() const {
+    const double k = num("k", 3.0);
+    if (!valid_stretch(k))
+      throw invalid_value(get("k"), "-k", "a finite number >= 1");
+    return k;
+  }
+  /// -c, default 1: the conversion's iteration constant, finite and > 0.
+  double iteration_constant() const {
+    const double c = num("c", 1.0);
+    if (!(c > 0) || !std::isfinite(c))
+      throw invalid_value(get("c"), "-c", "a finite number > 0");
+    return c;
+  }
 };
 
 /// A token after a flag is that flag's value unless it is itself a flag;
@@ -184,9 +197,9 @@ void print_usage(std::FILE* out) {
       "      -i FILE          input graph (required)\n"
       "      -k K             stretch, default 3\n"
       "      -r R             fault tolerance, default 1 (R >= 1)\n"
-      "      -c CONST         iteration constant c in alpha = c(r+2)ln(n)/q,\n"
-      "                       default 1 (the proof constant; A1 shows smaller\n"
-      "                       values usually suffice)\n"
+      "      -c CONST         iteration constant c > 0 in alpha =\n"
+      "                       c(r+2)ln(n)/q, default 1 (the proof constant;\n"
+      "                       A1 shows smaller values usually suffice)\n"
       "      --threads T      workers for the iterations and the check; 0 =\n"
       "                       all hardware threads, default 1. Output is\n"
       "                       bit-identical for every T given the same seed.\n"
@@ -322,7 +335,7 @@ int cmd_gen(const Args& a) {
 
 int cmd_spanner(const Args& a) {
   const std::string in = a.get("i");
-  const double k = a.num("k", 3.0);
+  const double k = a.stretch();
   if (in.empty()) return usage();
   const Graph g = load_graph_any(in);
   const std::string algo = a.get("algo", "greedy");
@@ -353,39 +366,23 @@ int cmd_spanner(const Args& a) {
 int run_ft_conversion(const Args& a, bool edge_faults) {
   const std::string in = a.get("i");
   if (in.empty()) return usage();
-  const Graph g = load_graph_any(in);
-  const double k = a.num("k", 3.0);
+  const double k = a.stretch();
   const std::size_t r = a.count("r", 1);
   if (r == 0) throw invalid_value(a.get("r"), "-r", "an integer >= 1");
-  const double c = a.num("c", 1.0);
-  const std::size_t threads = a.count("threads", 1);
+  ConversionOptions opt;
+  opt.iteration_constant = a.iteration_constant();
+  opt.threads = a.count("threads", 1);
   const std::uint64_t seed = a.count("seed", 1);
+  const Graph g = load_graph_any(in);
 
-  // One branch per fault model for the conversion; then the oracle's
-  // matching check (40 random + 60 adversarial sets, seed 99), T threads.
-  std::vector<EdgeId> edges;
-  std::size_t iterations = 0, threads_used = 1;
-  if (edge_faults) {
-    EdgeFtOptions opt;
-    opt.iteration_constant = c;
-    opt.threads = threads;
-    EdgeFtResult res = ft_edge_greedy_spanner(g, k, r, seed, opt);
-    edges = std::move(res.edges);
-    iterations = res.iterations;
-    threads_used = res.threads_used;
-  } else {
-    ConversionOptions opt;
-    opt.iteration_constant = c;
-    opt.threads = threads;
-    ConversionResult res = ft_greedy_spanner(g, k, r, seed, opt);
-    edges = std::move(res.edges);
-    iterations = res.iterations;
-    threads_used = res.threads_used;
-  }
-  const Graph h = g.edge_subgraph(edges);
+  // The fault model picks the conversion and the oracle's matching check
+  // (40 random + 60 adversarial sets, seed 99), both on T threads.
+  const auto convert = edge_faults ? ft_edge_greedy_spanner : ft_greedy_spanner;
+  const ConversionResult res = convert(g, k, r, seed, opt);
+  const Graph h = g.edge_subgraph(res.edges);
   const StretchOracle oracle(g, h, k);
   FtCheckOptions check_opt;
-  check_opt.threads = threads;
+  check_opt.threads = opt.threads;
   const FtCheckResult check =
       edge_faults ? oracle.check_sampled_edges(r, 40, 60, 99, check_opt)
                   : oracle.check_sampled(r, 40, 60, 99, check_opt);
@@ -393,8 +390,8 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
               "(%zu iterations, %zu threads); sampled check: %s "
               "(worst stretch %.3f)\n",
               r, edge_faults ? "edge-" : "", k, g.num_edges(), h.num_edges(),
-              iterations, threads_used, check.valid ? "valid" : "INVALID",
-              check.worst_stretch);
+              res.iterations, res.threads_used,
+              check.valid ? "valid" : "INVALID", check.worst_stretch);
   emit(h, a.get("o"), a.flag("binary"));
   return check.valid ? 0 : 1;
 }
@@ -443,7 +440,7 @@ int cmd_ft2(const Args& a) {
 int cmd_check(const Args& a) {
   const std::string in = a.get("i"), sp = a.get("s");
   if (in.empty() || sp.empty()) return usage();
-  const double k = a.num("k", 3.0);
+  const double k = a.stretch();
   const std::size_t r = a.count("r", 0);
   const bool exact = a.flag("exact") || r == 0;  // r = 0 enumerates only ∅
   FtCheckOptions opt;
@@ -580,13 +577,13 @@ extern "C" void serve_reload_handler(int) {
 int cmd_serve(const Args& a) {
   const std::string in = a.get("i");
   if (in.empty()) return usage();
-  const double k = a.num("k", 3.0);
+  const double k = a.stretch();
   const std::size_t r = a.count("r", 1);
   const std::size_t threads = a.count("threads", 1);
   const std::uint64_t seed = a.count("seed", 1);
 
   ConversionOptions copt;
-  copt.iteration_constant = a.num("c", 1.0);
+  copt.iteration_constant = a.iteration_constant();
   copt.threads = threads;
 
   serve::QueryEngine::Options qo;
