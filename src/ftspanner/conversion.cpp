@@ -154,6 +154,9 @@ ConversionResult ft_greedy_spanner(const Graph& g, double k, std::size_t r,
                                    const ConversionOptions& options) {
   if (!valid_stretch(k))
     throw std::invalid_argument("ft_greedy_spanner: k must be finite and >= 1");
+  if (!valid_bucket_max(options.bucket_max))
+    throw std::invalid_argument(
+        "ft_greedy_spanner: bucket_max must be finite and >= 1");
   // The hoisted per-graph state: one edge-weight sort shared by every
   // iteration and every worker (it is read-only after construction).
   const GreedyContext ctx(g);
@@ -174,6 +177,9 @@ ConversionResult ft_edge_greedy_spanner(const Graph& g, double k,
   if (!valid_stretch(k))
     throw std::invalid_argument(
         "ft_edge_greedy_spanner: k must be finite and >= 1");
+  if (!valid_bucket_max(options.bucket_max))
+    throw std::invalid_argument(
+        "ft_edge_greedy_spanner: bucket_max must be finite and >= 1");
   const GreedyContext ctx(g);
   const auto make_step = [&g, &ctx, k, &options]() -> SampleStep {
     auto ws = std::make_shared<GreedyWorkspace>();

@@ -85,7 +85,8 @@ struct ConversionOptions {
 
   /// Integer-weight ceiling separating the Dial bucket queue from
   /// delta-stepping under engine resolution (see graph/engine_policy.hpp).
-  /// Never affects the output edge set.
+  /// Never affects the output edge set. Must be finite and >= 1: the greedy
+  /// conversions throw std::invalid_argument otherwise.
   Weight bucket_max = kMaxBucketWeight;
 };
 

@@ -9,9 +9,18 @@
 // the open bucket). Callers express a *policy*; the concrete queue is picked
 // per graph from its hoisted weight profile (see WeightProfile in
 // graph/csr.hpp), so `auto` costs one branch per run, not a per-run scan.
+//
+// The engine then picks by query shape: a search in one direction (run(),
+// bounded_pair(), the oracle's and the serve daemon's searches) uses the
+// resolved queue, while a bidirectional pair search (the greedy's
+// DijkstraEngine::bidirectional_bounded_pair) uses Dial's queue or the heap,
+// never delta — its two half-searches are too small to amortize delta-wide
+// buckets. Every queue settles in the same order, so neither choice moves
+// an output bit.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "graph/types.hpp"
 
@@ -37,6 +46,15 @@ enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kBucket, kDelta };
 /// workload in the registry with a bucket array that still fits in L1/L2.
 /// It doubles as the delta queue's bucket-count budget (see tune_delta).
 inline constexpr Weight kMaxBucketWeight = 4096;
+
+/// True when `bucket_max` can bound a bucket array: finite and >= 1 (NaN is
+/// neither). Below 1, tune_delta's doubling never ends (or reaches infinity
+/// at 0), so every seam that takes a bucket_max rejects any other value
+/// before it searches.
+inline constexpr bool valid_bucket_max(Weight bucket_max) {
+  return bucket_max >= 1.0 &&
+         bucket_max <= std::numeric_limits<Weight>::max();
+}
 
 /// Auto-tuned delta-stepping bucket width: the smallest power of two such
 /// that max_weight / delta <= bucket_max, i.e. the delta bucket array has

@@ -20,9 +20,10 @@
 //                keys each. With shift 0 it is Dial's algorithm — one key
 //                per bucket, FIFO within a bucket, O(1) push and amortized
 //                O(1) pop. With wider buckets (delta-stepping, for weights
-//                above the Dial ceiling) a far push is parked in O(1) and
-//                the open bucket is ordered by a HeapQueue, so the heap log
-//                factor is paid only within one bucket. Either way the pops
+//                above the Dial ceiling; searches in one direction only, see
+//                bidirectional_bounded_pair) a far push is parked in O(1)
+//                and the open bucket is ordered by a HeapQueue, so the heap
+//                log factor is paid only within one bucket. Either way the pops
 //                come out in exactly the stable heap's (distance, push
 //                sequence) order, so distances, parents, vias, and the
 //                settle order are bit-identical between the two structures.
@@ -92,8 +93,8 @@ class DijkstraEngine {
   /// delta = tune_delta(max_weight, bucket_max) keys per bucket; either way
   /// the circular array holds max_weight / delta + 2 buckets. The caller is
   /// responsible for only routing integer-weight graphs whose path sums are
-  /// exact here — use select_sp_queue with the graph's WeightProfile.
-  /// Defaults to the heap.
+  /// exact here — use select_sp_queue with the graph's WeightProfile — and
+  /// for a bucket_max that passes valid_bucket_max. Defaults to the heap.
   void set_queue(SpQueue q, Weight max_weight = 1,
                  Weight bucket_max = kMaxBucketWeight) {
     queue_ = q;
@@ -217,19 +218,23 @@ class DijkstraEngine {
   /// against a threshold must treat a window around that threshold as
   /// undecided and re-query run() — see GreedyWorkspace::bounded_pair.
   /// Undirected adjacency only: `visit` serves both directions. Both engines
-  /// must be configured with the same queue kind (they are dispatched on
-  /// fwd's).
+  /// must be configured with the same queue kind. The queue is picked by
+  /// query shape, dispatched on fwd's: Dial's queue when the engines are set
+  /// to kBucket, the heap for kHeap *and* kDelta. These half-searches settle
+  /// a few dozen vertices each, too few for delta-wide buckets to pay for
+  /// opening them (on gnp(400, 0.1) with weights up to 1e5 the heap made the
+  /// whole vertex conversion ~25% faster); one-directional runs keep delta.
   template <class VisitArcs>
   static Weight bidirectional_bounded_pair(DijkstraEngine& fwd,
                                            DijkstraEngine& bwd, std::size_t n,
                                            Vertex s, Vertex t,
                                            const VertexSet* faults,
                                            Weight bound, VisitArcs&& visit) {
-    if (fwd.queue_ == SpQueue::kHeap)
-      return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t,
+    if (fwd.queue_ == SpQueue::kBucket)
+      return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
                                 faults, bound, visit);
-    return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
-                              faults, bound, visit);
+    return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t, faults,
+                              bound, visit);
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------

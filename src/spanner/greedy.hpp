@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/engine_policy.hpp"
@@ -72,9 +73,13 @@ class GreedyWorkspace {
   /// Engine policy for this workspace's searches; kAuto picks the bucket
   /// queue on bounded-integer graphs up to bucket_max and delta-stepping
   /// above it. Takes effect at the next run, which resolves it against the
-  /// context's weight profile.
+  /// context's weight profile. Throws std::invalid_argument unless
+  /// valid_bucket_max(bucket_max).
   void set_engine(SpEnginePolicy policy,
                   Weight bucket_max = kMaxBucketWeight) {
+    if (!valid_bucket_max(bucket_max))
+      throw std::invalid_argument(
+          "GreedyWorkspace: bucket_max must be finite and >= 1");
     policy_ = policy;
     bucket_max_ = bucket_max;
   }

@@ -213,6 +213,9 @@ BasicStretchOracle<G>::BasicStretchOracle(const G& g, const G& h, double k)
 template <class G>
 typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
     SpEnginePolicy policy, Weight bucket_max) const {
+  if (!valid_bucket_max(bucket_max))
+    throw std::invalid_argument(
+        "StretchOracle: bucket_max must be finite and >= 1");
   Scratch s;
   s.faults = VertexSet(g_->num_vertices());
   // Resolve the queue per graph side: G and H can differ (H is a subgraph,
@@ -249,6 +252,11 @@ template <class Load, class Eval>
 FtCheckResult BasicStretchOracle<G>::run_indexed(
     std::size_t count, std::size_t universe, const Load& load,
     const Eval& eval, const FtCheckOptions& options) const {
+  // Rejected here, not by the first worker's make_scratch, so a bad option
+  // fails before any search and even when there is nothing to check.
+  if (!valid_bucket_max(options.bucket_max))
+    throw std::invalid_argument(
+        "StretchOracle: FtCheckOptions::bucket_max must be finite and >= 1");
   FtCheckResult out;
   out.witness_faults = VertexSet(universe);
   out.fault_sets_checked = count;

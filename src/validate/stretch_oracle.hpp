@@ -70,7 +70,8 @@ struct FtCheckOptions {
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
   /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  /// Never changes the FtCheckResult.
+  /// Never changes the FtCheckResult. Must be finite and >= 1: every check
+  /// throws std::invalid_argument otherwise.
   Weight bucket_max = kMaxBucketWeight;
 };
 
@@ -114,7 +115,8 @@ class BasicStretchOracle {
   /// Per-worker scratch: one pooled Dijkstra engine each for G and H plus
   /// the reusable target/pool buffers. One per thread; never shared. The
   /// engines' queue structure is resolved against each graph's weight
-  /// profile (bucket on bounded-integer weights under kAuto).
+  /// profile (bucket on bounded-integer weights under kAuto). Throws
+  /// std::invalid_argument unless valid_bucket_max(bucket_max).
   struct Scratch {
     DijkstraEngine dg, dh;
     std::vector<Vertex> targets;

@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/greedy.hpp"
+#include "util/rng.hpp"
 #include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
@@ -75,6 +76,33 @@ TEST(Conversion, BothEntryPointsRejectInvalidArguments) {
   EXPECT_THROW(fault_tolerant_spanner(g, 1, base, 1, bad_c),
                std::invalid_argument);
   EXPECT_EQ(calls, 0u);
+}
+
+// A bucket_max that is not finite or is below 1 is refused before any
+// search. On integer weights past the Dial ceiling (the delta regime) a
+// negative one used to hang tune_delta's doubling loop, and 0 drove delta
+// to infinity before set_queue cast it to an integer.
+TEST(Conversion, BothEntryPointsRejectInvalidBucketMax) {
+  const Graph base = gnp(60, 0.2, 1);
+  Graph g(base.num_vertices());
+  Rng rng(7);
+  for (const Edge& e : base.edges())
+    g.add_edge(e.u, e.v, static_cast<Weight>(rng.uniform_int(1, 100000)));
+  using Entry = ConversionResult (*)(const Graph&, double, std::size_t,
+                                     std::uint64_t, const ConversionOptions&);
+  for (const Entry convert : {Entry{ft_greedy_spanner},
+                              Entry{ft_edge_greedy_spanner}}) {
+    ConversionOptions ref;
+    ref.iterations = 2;
+    ConversionOptions opt = ref;
+    for (const Weight b : {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight}) {
+      opt.bucket_max = b;
+      EXPECT_THROW(convert(g, 3.0, 2, 1, opt), std::invalid_argument) << b;
+    }
+    opt.bucket_max = 1.0;  // the smallest valid ceiling: delta 2^17
+    EXPECT_EQ(convert(g, 3.0, 2, 1, opt).edges,
+              convert(g, 3.0, 2, 1, ref).edges);
+  }
 }
 
 TEST(Conversion, KeepProbabilityMatchesPaper) {

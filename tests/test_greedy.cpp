@@ -20,6 +20,15 @@ TEST(GreedySpanner, RejectsBadStretch) {
   EXPECT_THROW(greedy_spanner(path(3), kInfiniteWeight), std::invalid_argument);
 }
 
+TEST(GreedyWorkspace, SetEngineRejectsInvalidBucketMax) {
+  GreedyWorkspace ws;
+  for (const Weight b : {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight})
+    EXPECT_THROW(ws.set_engine(SpEnginePolicy::kAuto, b),
+                 std::invalid_argument)
+        << b;
+  EXPECT_NO_THROW(ws.set_engine(SpEnginePolicy::kDelta, 1.0));
+}
+
 TEST(GreedySpanner, TreeIsKeptEntirely) {
   // A tree has no redundant edges; any k-spanner must keep all of them.
   const Graph g = path(20);

@@ -364,7 +364,9 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
 // graph resolves to, and the oracle's verdict must keep these exact values
 // at any thread count. The conversion cells are unit-weight ft_vertex and
 // ft_edge (24 iterations, so it keeps 8151 of 9092 edges rather than all of
-// them); layered_greedy pins the baseline's r+1 greedy layers; the
+// them), and both again on integer weights up to 1e5 (few iterations, the
+// delta regime, whose greedy pair searches run on the heap); layered_greedy
+// pins the baseline's r+1 greedy layers; the
 // validation cells certify the greedy 3-spanner of the same gnp with unit
 // weights (Dial's queue) and with integer weights up to 1e5 (the delta
 // queue), 12 sampled fault sets each.
@@ -384,6 +386,14 @@ TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
       {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
        "seed=4242 threads=1,4 reps=1 validate=none timings=off",
        8151, 0x971b580b77fde662ull, "bucket", 0, 0},
+      {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1234 algo=ft_vertex "
+       "k=3 r=2 iters=48 seed=4242 threads=1,4 reps=1 validate=none "
+       "timings=off",
+       1573, 0x2f1150800357a0a2ull, "delta", 0, 0},
+      {"workload=gnp n=300 p=0.2 max_weight=100000 wseed=1234 algo=ft_edge "
+       "k=3 r=2 iters=24 seed=4242 threads=1,4 reps=1 validate=none "
+       "timings=off",
+       1204, 0xd7957dfa8d8206aeull, "delta", 0, 0},
       {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
        "threads=1,4 reps=1 validate=none timings=off",
        5842, 0x8baf0239e803acfdull, "bucket", 0, 0},

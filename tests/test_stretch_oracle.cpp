@@ -97,6 +97,28 @@ TEST(StretchOracle, ThrowsOnNonFiniteOrSubUnitStretch) {
   EXPECT_NO_THROW(StretchOracle(g, g, 1.0));
 }
 
+// make_scratch and every check that takes FtCheckOptions refuse a
+// bucket_max that is not finite or is below 1 before any search, even
+// with nothing to check.
+TEST(StretchOracle, RejectsInvalidBucketMax) {
+  const Graph g = path(4);
+  const StretchOracle oracle(g, g, 3.0);
+  for (const Weight b : {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight}) {
+    SCOPED_TRACE(b);
+    EXPECT_THROW(oracle.make_scratch(SpEnginePolicy::kAuto, b),
+                 std::invalid_argument);
+    FtCheckOptions opt;
+    opt.bucket_max = b;
+    EXPECT_THROW(oracle.check_exact(1, opt), std::invalid_argument);
+    EXPECT_THROW(oracle.check_sampled(1, 4, 1, 1, opt), std::invalid_argument);
+    EXPECT_THROW(oracle.check_exact_edges(1, opt), std::invalid_argument);
+    EXPECT_THROW(oracle.check_sampled_edges(1, 4, 1, 1, opt),
+                 std::invalid_argument);
+    EXPECT_THROW(oracle.evaluate_sets({}, opt), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(oracle.make_scratch(SpEnginePolicy::kDelta, 1.0));
+}
+
 TEST(StretchOracle, MaxStretchAgreesWithPerPairBruteForce) {
   const Graph g = gnp_connected(24, 0.25, 5, 3.0);
   // Thin the graph to create stretch.
