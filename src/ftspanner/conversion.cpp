@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "ftspanner/parallel.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "spanner/greedy.hpp"
 #include "util/rng.hpp"
 

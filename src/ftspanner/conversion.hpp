@@ -72,7 +72,7 @@ struct ConversionOptions {
 
   /// Worker threads for the iteration fan-out (see ftspanner/parallel.hpp).
   /// 1 = in-thread sequential loop; 0 = all hardware threads (capped at
-  /// kMaxConversionThreads). Every value yields a bit-identical edge set for
+  /// kMaxWorkers). Every value yields a bit-identical edge set for
   /// the same seed — iterations draw from per-iteration RNG streams, not a
   /// shared sequential stream. With threads != 1 the BaseSpanner callback
   /// must be safe to invoke concurrently.

@@ -1,16 +1,8 @@
 #include "ftspanner/parallel.hpp"
 
-#include <algorithm>
-
 #include "pipeline/burst_pipeline.hpp"
 
 namespace ftspan {
-
-std::size_t resolve_threads(std::size_t requested, std::size_t iterations) {
-  std::size_t t = requested == 0 ? hardware_threads() : requested;
-  t = std::min(t, std::max<std::size_t>(iterations, 1));
-  return std::clamp<std::size_t>(t, 1, kMaxConversionThreads);
-}
 
 std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
                                    std::size_t num_edges,

@@ -43,20 +43,9 @@ using IterationBody =
 /// only, never on which worker runs it or in what order.
 using IterationBodyFactory = std::function<IterationBody(std::size_t worker)>;
 
-/// Sanity ceiling on worker count, not a tuning knob: far above any
-/// speedup-bearing thread count, low enough that a bogus request (e.g.
-/// size_t(-1)) cannot exhaust OS threads — each worker also owns an m-byte
-/// mark buffer.
-inline constexpr std::size_t kMaxConversionThreads = 256;
-
-/// Worker count actually used for a request: 0 means "all hardware threads";
-/// the result is clamped to [1, min(iterations, kMaxConversionThreads)] so
-/// oversubscription never spawns idle workers.
-std::size_t resolve_threads(std::size_t requested, std::size_t iterations);
-
 /// Runs `iterations` bodies across resolve_threads(threads, iterations)
-/// workers and returns the OR-union of their marks — a buffer of `num_edges`
-/// chars. Each worker builds its body once via `factory` and then drains
+/// workers (pipeline/burst_pipeline.hpp) and returns the OR-union of their
+/// marks — a buffer of `num_edges` chars. Each worker builds its body once via `factory` and then drains
 /// iterations through it. Iterations are fed to the workers in bursts through
 /// per-worker SPSC rings (pipeline/burst_pipeline.hpp; inline on the caller's
 /// thread when that resolves to 1 worker), so the shared-line hand-off cost

@@ -35,6 +35,12 @@ std::size_t hardware_threads() {
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
 }
 
+std::size_t resolve_threads(std::size_t requested, std::size_t count) {
+  std::size_t t = requested == 0 ? hardware_threads() : requested;
+  t = std::min(t, std::max<std::size_t>(count, 1));
+  return std::clamp<std::size_t>(t, 1, kMaxWorkers);
+}
+
 /// Everything one worker owns. Rings are per-worker (SPSC: coordinator
 /// produces, the worker consumes). The mutex/cv pair only matters while the
 /// lane is idle: a worker with a non-empty ring never touches it, so the

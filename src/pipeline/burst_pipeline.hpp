@@ -49,6 +49,19 @@ inline constexpr std::size_t kRingCapacity = 64;
 /// The machine's hardware concurrency, never reported as 0.
 std::size_t hardware_threads();
 
+/// Sanity ceiling on every worker and client-thread count (conversion and
+/// oracle fan-outs, QueryEngine lanes, load-test connections), not a tuning
+/// knob: far above any speedup-bearing thread count, low enough that a
+/// bogus request (e.g. size_t(-1)) cannot exhaust OS threads — each worker
+/// also owns scratch sized to the graph.
+inline constexpr std::size_t kMaxWorkers = 256;
+
+/// Worker count actually used for a fan-out of `count` indices: 0 means
+/// "all hardware threads"; the result is clamped to
+/// [1, min(count, kMaxWorkers)] so oversubscription never spawns idle
+/// workers.
+std::size_t resolve_threads(std::size_t requested, std::size_t count);
+
 /// Runs one index of the fan-out. Invoked on the owning worker's thread.
 using BurstTask = std::function<void(std::size_t)>;
 

@@ -7,7 +7,6 @@
 #include "graph/csr.hpp"
 #include "graph/engine_policy.hpp"
 #include "runner/workloads.hpp"
-#include "serve/loadtest.hpp"
 #include "util/mem.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -166,7 +165,6 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
               lo.seed = spec.seed;
               lo.chaos = spec.chaos;
               lo.reload_every = spec.reload_every;
-              serve::LoadTestResult lt;
               if (spec.reload_every > 0) {
                 // Reload storms need a rebuildable epoch: the builder
                 // reconstructs the engine from a captured copy of the
@@ -179,29 +177,11 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
                 };
                 auto epochs = std::make_shared<serve::EpochManager>(
                     rebuild(""), rebuild);
-                lt = run_load_test(epochs, lo);
+                cell.load = run_load_test(epochs, lo);
               } else {
                 serve::QueryEngine engine(g, result.edges, cell.k, qo);
-                lt = run_load_test(engine, lo);
+                cell.load = run_load_test(engine, lo);
               }
-              cell.load.ran = true;
-              cell.load.requests = lt.requests;
-              cell.load.errors = lt.errors;
-              cell.load.seconds = lt.seconds;
-              cell.load.qps = lt.achieved_qps;
-              cell.load.p50_ms = lt.p50_ms;
-              cell.load.p99_ms = lt.p99_ms;
-              cell.load.cache_hits = lt.cache_hits;
-              cell.load.cache_misses = lt.cache_misses;
-              cell.load.cache_hit_rate = lt.cache_hit_rate;
-              cell.load.shed = lt.shed;
-              cell.load.deadline_hits = lt.deadline_hits;
-              cell.load.rejected = lt.rejected;
-              cell.load.chaos_events = lt.chaos_events;
-              cell.load.reloads_sent = lt.reloads_sent;
-              cell.load.reloads_ok = lt.reloads_ok;
-              cell.load.reloads_failed = lt.reloads_failed;
-              cell.load.final_epoch = lt.final_epoch;
             }
 
             cell.peak_rss = peak_rss_bytes();
@@ -353,30 +333,31 @@ void json_cell(const ScenarioCell& c, bool timings, std::ostream& os,
     // timings=off keeps the JSON bit-identical across hosts.
     os << ",\n" << in << "\"peak_rss_bytes\": " << c.peak_rss;
     os << ",\n" << in << "\"hardware_concurrency\": " << c.hw_concurrency;
-    if (c.load.ran) {
+    if (c.load) {
+      const serve::LoadTestResult& load = *c.load;
       os << ",\n" << in << "\"load\": {";
-      os << "\"requests\": " << c.load.requests;
-      os << ", \"errors\": " << c.load.errors;
+      os << "\"requests\": " << load.requests;
+      os << ", \"errors\": " << load.errors;
       os << ", \"seconds\": ";
-      json_number(c.load.seconds, os);
+      json_number(load.seconds, os);
       os << ", \"qps\": ";
-      json_number(c.load.qps, os);
+      json_number(load.achieved_qps, os);
       os << ", \"p50_ms\": ";
-      json_number(c.load.p50_ms, os);
+      json_number(load.p50_ms, os);
       os << ", \"p99_ms\": ";
-      json_number(c.load.p99_ms, os);
-      os << ", \"cache_hits\": " << c.load.cache_hits;
-      os << ", \"cache_misses\": " << c.load.cache_misses;
+      json_number(load.p99_ms, os);
+      os << ", \"cache_hits\": " << load.cache_hits;
+      os << ", \"cache_misses\": " << load.cache_misses;
       os << ", \"cache_hit_rate\": ";
-      json_number(c.load.cache_hit_rate, os);
-      os << ", \"shed\": " << c.load.shed;
-      os << ", \"deadline_hits\": " << c.load.deadline_hits;
-      os << ", \"rejected\": " << c.load.rejected;
-      os << ", \"chaos_events\": " << c.load.chaos_events;
-      os << ", \"reloads_sent\": " << c.load.reloads_sent;
-      os << ", \"reloads_ok\": " << c.load.reloads_ok;
-      os << ", \"reloads_failed\": " << c.load.reloads_failed;
-      os << ", \"final_epoch\": " << c.load.final_epoch;
+      json_number(load.cache_hit_rate, os);
+      os << ", \"shed\": " << load.shed;
+      os << ", \"deadline_hits\": " << load.deadline_hits;
+      os << ", \"rejected\": " << load.rejected;
+      os << ", \"chaos_events\": " << load.chaos_events;
+      os << ", \"reloads_sent\": " << load.reloads_sent;
+      os << ", \"reloads_ok\": " << load.reloads_ok;
+      os << ", \"reloads_failed\": " << load.reloads_failed;
+      os << ", \"final_epoch\": " << load.final_epoch;
       os << "}";
     }
   }
@@ -422,7 +403,7 @@ Registry<ScenarioPreset> build_presets() {
   Registry<ScenarioPreset> reg("scenario preset");
 
   // One tiny smoke scenario per registered algorithm, in registry order —
-  // the CI scenario-smoke job runs exactly these. The 2-spanner LP
+  // ctest pins each one's outputs and validity. The 2-spanner LP
   // algorithms get a smaller instance (they solve LPs); the plain bases
   // validate r = 0 (their guarantee is plain stretch), the fault-tolerant
   // constructions validate r = 1 exactly.
@@ -440,12 +421,12 @@ Registry<ScenarioPreset> build_presets() {
              " k=3 r=1 seed=3 reps=1 validate=exact";
     }
     reg.add("smoke_" + name,
-            {"CI smoke: tiny " + name + " scenario, exact validation", spec});
+            {"smoke: tiny " + name + " scenario, exact validation", spec});
   }
 
-  // Deliberately NOT named smoke_<algo>: the CI scenario-smoke job globs
-  // that prefix and compares goldens, which a wall-clock load test can
-  // never satisfy. The serve-smoke CI job runs this preset explicitly.
+  // Deliberately NOT named smoke_<algo>: every smoke_ preset has committed
+  // outputs, which a wall-clock load test can never have. ctest checks
+  // this preset's load block for internal consistency instead.
   reg.add("serve_smoke",
           {"serve daemon load test: ft_vertex spanner of a tiny gnp, "
            "0.3 s closed loop over 2 connections",
@@ -454,8 +435,8 @@ Registry<ScenarioPreset> build_presets() {
 
   // Same shape as serve_smoke plus the robustness machinery: 40% of client
   // slots inject seeded faults (resets, slow-loris, malformed, oversized)
-  // and every 25th request per client fires an admin reload. The CI
-  // chaos-smoke job asserts errors == 0 on this preset's load block.
+  // and every 25th request per client fires an admin reload (the shape of
+  // LoadTest.ChaosAndReloadStormKeepTheProtocolClean).
   reg.add("serve_chaos",
           {"serve daemon chaos run: seeded client faults + reload storm "
            "over 3 connections, 0.4 s",

@@ -16,12 +16,14 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/types.hpp"
 #include "runner/algorithms.hpp"
 #include "runner/scenario.hpp"
+#include "serve/loadtest.hpp"
 
 namespace ftspan::runner {
 
@@ -68,34 +70,11 @@ struct ScenarioCell {
   /// an upper bound on the cell's footprint, monotone across cells.
   std::size_t peak_rss = 0;
 
-  /// workload=serve load-test metrics (serve/loadtest.hpp). Machine-
-  /// dependent like the clocks, so the emitters put them inside the
-  /// timings-gated block; `ran` is false when no load phase ran (duration=0
-  /// or timings=off).
-  struct LoadStats {
-    bool ran = false;
-    std::uint64_t requests = 0;
-    std::uint64_t errors = 0;
-    double seconds = 0;
-    double qps = 0;
-    double p50_ms = 0;
-    double p99_ms = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    double cache_hit_rate = 0;
-    // Failure-mode counters (chaos= / reload_every= keys): client-observed
-    // shed and rejection totals, injected-fault counts, and the reload
-    // storm's outcome. All zero when neither key is set.
-    std::uint64_t shed = 0;
-    std::uint64_t deadline_hits = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t chaos_events = 0;
-    std::uint64_t reloads_sent = 0;
-    std::uint64_t reloads_ok = 0;
-    std::uint64_t reloads_failed = 0;
-    std::uint64_t final_epoch = 0;
-  };
-  LoadStats load;
+  /// workload=serve load-test result (serve/loadtest.hpp). Machine-
+  /// dependent like the clocks, so the emitters put it inside the
+  /// timings-gated block; empty when no load phase ran (duration=0 or
+  /// timings=off).
+  std::optional<serve::LoadTestResult> load;
 
   /// Value of a named stat, or `dflt` when the algorithm did not emit it.
   double stat(const std::string& name, double dflt = 0) const;
@@ -132,9 +111,9 @@ struct ScenarioPreset {
   std::string spec;  ///< parseable ScenarioSpec text
 };
 
-/// Presets: one `smoke_<algo>` per registered algorithm (tiny instances,
-/// used by the CI scenario-smoke job), the serve load tests, and a `quick`
-/// demo sweep.
+/// Presets: one `smoke_<algo>` per registered algorithm (tiny instances
+/// whose outputs tests/test_runner.cpp pins), the serve load tests, and a
+/// `quick` demo sweep.
 const Registry<ScenarioPreset>& preset_registry();
 
 }  // namespace ftspan::runner

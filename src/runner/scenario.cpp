@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "graph/types.hpp"
+#include "pipeline/burst_pipeline.hpp"
 
 namespace ftspan::runner {
 
@@ -191,7 +192,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         bad_value(key, value);
     } else if (key == "conns") {
       spec.conns = static_cast<std::size_t>(parse_u64(key, value));
-      if (spec.conns == 0) bad_value(key, value);
+      if (spec.conns == 0 || spec.conns > kMaxWorkers) bad_value(key, value);
     } else if (key == "duration") {
       spec.duration = parse_double(key, value);
       if (!(spec.duration >= 0.0) || !std::isfinite(spec.duration))
@@ -229,6 +230,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "threads") {
       spec.threads = parse_size_list(key, value);
       if (spec.threads.empty()) bad_value(key, value);
+      for (const std::size_t t : spec.threads)
+        if (t > kMaxWorkers) bad_value(key, value);
     } else if (key == "reps") {
       spec.reps = static_cast<std::size_t>(parse_u64(key, value));
       if (spec.reps == 0) bad_value(key, value);

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "pipeline/burst_pipeline.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
@@ -344,6 +345,10 @@ double quantile(const std::vector<double>& sorted, double q) {
 LoadTestResult run_load_test(std::shared_ptr<EpochManager> epochs,
                              const LoadTestOptions& options) {
   const std::size_t conns = options.conns == 0 ? 1 : options.conns;
+  if (conns > kMaxWorkers)
+    throw std::invalid_argument("load test: " + std::to_string(conns) +
+                                " connections exceeds the ceiling of " +
+                                std::to_string(kMaxWorkers));
   const std::size_t n = epochs->current()->engine->num_vertices();
 
   ServeOptions so;

@@ -1,6 +1,8 @@
 #include "serve/query.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "graph/engine_policy.hpp"
 #include "pipeline/burst_pipeline.hpp"
@@ -115,6 +117,11 @@ QueryEngine::QueryEngine(const Graph& g, const std::vector<EdgeId>& spanner_edge
       k_(k),
       options_(options) {
   if (options_.workers == 0) options_.workers = 1;
+  if (options_.workers > kMaxWorkers)
+    throw std::invalid_argument("QueryEngine: " +
+                                std::to_string(options_.workers) +
+                                " workers exceeds the ceiling of " +
+                                std::to_string(kMaxWorkers));
   scratch_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w)
     scratch_.push_back(std::make_unique<Scratch>(cg_, ch_));

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "ftspanner/parallel.hpp"
 #include "pipeline/burst_pipeline.hpp"
 
 namespace ftspan {

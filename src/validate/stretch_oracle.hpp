@@ -57,7 +57,7 @@ struct FtCheckResult {
 /// Options shared by all oracle-backed validators.
 struct FtCheckOptions {
   /// Worker threads for the fault-set fan-out; 0 = all hardware threads
-  /// (capped at kMaxConversionThreads). Every value yields a bit-identical
+  /// (capped at kMaxWorkers). Every value yields a bit-identical
   /// FtCheckResult for the same inputs and seed.
   std::size_t threads = 1;
 

@@ -16,7 +16,7 @@ namespace {
 
 TEST(ResolveThreads, ZeroMeansHardware) {
   EXPECT_EQ(resolve_threads(0, 100000),
-            std::min(hardware_threads(), kMaxConversionThreads));
+            std::min(hardware_threads(), kMaxWorkers));
 }
 
 TEST(ResolveThreads, ClampedToIterations) {
@@ -27,7 +27,7 @@ TEST(ResolveThreads, ClampedToIterations) {
 
 TEST(ResolveThreads, BogusRequestHitsTheCeiling) {
   EXPECT_EQ(resolve_threads(static_cast<std::size_t>(-1), 1u << 20),
-            kMaxConversionThreads);
+            kMaxWorkers);
 }
 
 /// A factory that hands every worker the same stateless body.

@@ -2,7 +2,9 @@
 // determinism, and parity with the direct library APIs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -178,6 +180,8 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
       "k=0.5",        "k=0",         "k=nan",        "k=3,0.5",
       "qps=-1",       "qps=nan",     "qps=inf",
       "conns=0",      "duration=-1", "duration=nan", "duration=inf",
+      // Thread and connection counts stop at the worker ceiling.
+      "conns=257",    "threads=257", "threads=1,257",
       "chaos=1.5",    "chaos=-0.1",  "chaos=nan",    "chaos=inf",
       "reload_every=-1",
       // max_weight must be a whole number >= 1 (or the 0 default).
@@ -201,6 +205,9 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
   EXPECT_EQ(ScenarioSpec::parse("k=1").k, (std::vector<double>{1.0}));
   EXPECT_EQ(ScenarioSpec::parse("qps=0").qps, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("conns=1").conns, 1u);
+  EXPECT_EQ(ScenarioSpec::parse("conns=256").conns, 256u);
+  EXPECT_EQ(ScenarioSpec::parse("threads=0,256").threads,
+            (std::vector<std::size_t>{0, 256}));
   EXPECT_EQ(ScenarioSpec::parse("duration=0").duration, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("chaos=0").chaos, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("chaos=1").chaos, 1.0);
@@ -369,57 +376,109 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
 // pins the baseline's r+1 greedy layers; the
 // validation cells certify the greedy 3-spanner of the same gnp with unit
 // weights (Dial's queue) and with integer weights up to 1e5 (the delta
-// queue), 12 sampled fault sets each.
+// queue), 12 sampled fault sets each. Then one row per smoke_<algo> preset:
+// every registered algorithm on a tiny instance, validated exactly.
+struct Tracked {
+  const char* spec;  ///< spec text, or the name of a preset
+  std::size_t edges;
+  std::uint64_t edges_hash;
+  const char* engine_resolved;
+  bool valid;            ///< checked when the spec validates
+  double worst_stretch;  ///< checked when the spec validates
+  std::size_t fault_sets;
+};
+const Tracked kTracked[] = {
+    {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
+     "seed=4242 threads=1,4 reps=1 validate=none timings=off",
+     4040, 0xbd7fe50e059fd5b3ull, "bucket", true, 0, 0},
+    {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
+     "seed=4242 threads=1,4 reps=1 validate=none timings=off",
+     8151, 0x971b580b77fde662ull, "bucket", true, 0, 0},
+    {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1234 algo=ft_vertex "
+     "k=3 r=2 iters=48 seed=4242 threads=1,4 reps=1 validate=none "
+     "timings=off",
+     1573, 0x2f1150800357a0a2ull, "delta", true, 0, 0},
+    {"workload=gnp n=300 p=0.2 max_weight=100000 wseed=1234 algo=ft_edge "
+     "k=3 r=2 iters=24 seed=4242 threads=1,4 reps=1 validate=none "
+     "timings=off",
+     1204, 0xd7957dfa8d8206aeull, "delta", true, 0, 0},
+    {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
+     "threads=1,4 reps=1 validate=none timings=off",
+     5842, 0x8baf0239e803acfdull, "bucket", true, 0, 0},
+    {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
+     "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
+     "timings=off",
+     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12},
+    {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
+     "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
+     "adversarial=0 vseed=1 timings=off",
+     539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12},
+    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1},
+    {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "bucket", true, 3, 1},
+    {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "bucket", true, 3, 1},
+    {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "bucket", true, 3, 25},
+    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25},
+    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77},
+    {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15},
+    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15},
+    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15},
+};
+
 TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
-  struct Tracked {
-    const char* spec;
-    std::size_t edges;
-    std::uint64_t edges_hash;
-    const char* engine_resolved;
-    double worst_stretch;  ///< checked when the spec validates
-    std::size_t fault_sets;
-  };
-  const Tracked tracked[] = {
-      {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
-       "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-       4040, 0xbd7fe50e059fd5b3ull, "bucket", 0, 0},
-      {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
-       "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-       8151, 0x971b580b77fde662ull, "bucket", 0, 0},
-      {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1234 algo=ft_vertex "
-       "k=3 r=2 iters=48 seed=4242 threads=1,4 reps=1 validate=none "
-       "timings=off",
-       1573, 0x2f1150800357a0a2ull, "delta", 0, 0},
-      {"workload=gnp n=300 p=0.2 max_weight=100000 wseed=1234 algo=ft_edge "
-       "k=3 r=2 iters=24 seed=4242 threads=1,4 reps=1 validate=none "
-       "timings=off",
-       1204, 0xd7957dfa8d8206aeull, "delta", 0, 0},
-      {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
-       "threads=1,4 reps=1 validate=none timings=off",
-       5842, 0x8baf0239e803acfdull, "bucket", 0, 0},
-      {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
-       "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
-       "timings=off",
-       1855, 0xb29ca75cb40a6c08ull, "bucket", 4, 12},
-      {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
-       "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
-       "adversarial=0 vseed=1 timings=off",
-       539, 0x2128757e36bbaf0aull, "delta", kInfiniteWeight, 12},
-  };
-  for (const Tracked& want : tracked) {
-    const ScenarioSpec spec = ScenarioSpec::parse(want.spec);
+  for (const Tracked& want : kTracked) {
+    // A preset runs as committed, at threads 1 and 4 with timings off.
+    const std::string text =
+        runner::preset_registry().contains(want.spec)
+            ? runner::preset_registry().get(want.spec).spec +
+                  " threads=1,4 timings=off"
+            : want.spec;
+    const ScenarioSpec spec = ScenarioSpec::parse(text);
     const ScenarioReport report = runner::run_scenario(spec);
-    ASSERT_EQ(report.cells.size(), 2u) << want.spec;
+    ASSERT_EQ(report.cells.size(), 2u) << text;
     for (const runner::ScenarioCell& cell : report.cells) {
       const std::string where =
-          std::string(want.spec) + " @ threads=" + std::to_string(cell.threads);
+          text + " @ threads=" + std::to_string(cell.threads);
       EXPECT_EQ(cell.edges, want.edges) << where;
       EXPECT_EQ(cell.edges_hash, want.edges_hash) << where;
       EXPECT_EQ(cell.engine_resolved, want.engine_resolved) << where;
       if (spec.validate == "none") continue;
+      EXPECT_EQ(cell.valid, want.valid) << where;
       EXPECT_EQ(cell.worst_stretch, want.worst_stretch) << where;
       EXPECT_EQ(cell.fault_sets, want.fault_sets) << where;
     }
+  }
+}
+
+// The serve presets measure wall clock, so they have no committed outputs;
+// their load blocks must be internally consistent instead, and the chaos
+// preset's faults and reload storm must actually happen.
+TEST(ScenarioRunner, ServePresetsReportConsistentLoadBlocks) {
+  for (const char* name : {"serve_smoke", "serve_chaos"}) {
+    const ScenarioReport report = runner::run_scenario(
+        ScenarioSpec::parse(runner::preset_registry().get(name).spec));
+    ASSERT_EQ(report.cells.size(), 1u) << name;
+    ASSERT_TRUE(report.cells[0].load.has_value()) << name;
+    const serve::LoadTestResult& load = *report.cells[0].load;
+    EXPECT_GT(load.requests, 0u) << name;
+    EXPECT_EQ(load.errors, 0u) << name;
+    EXPECT_GT(load.seconds, 0.0) << name;
+    EXPECT_GT(load.achieved_qps, 0.0) << name;
+    EXPECT_LE(0.0, load.p50_ms) << name;
+    EXPECT_LE(load.p50_ms, load.p99_ms) << name;
+    EXPECT_GT(load.cache_hits + load.cache_misses, 0u) << name;
+    EXPECT_GE(load.cache_hit_rate, 0.0) << name;
+    EXPECT_LE(load.cache_hit_rate, 1.0) << name;
+    std::ostringstream json;
+    runner::print_json(report, json);
+    EXPECT_NE(json.str().find("\"load\": {\"requests\": " +
+                              std::to_string(load.requests) + ", "),
+              std::string::npos)
+        << name;
+    if (std::string(name) != "serve_chaos") continue;
+    EXPECT_GT(load.chaos_events, 0u);
+    EXPECT_GT(load.reloads_sent, 0u);
+    EXPECT_GE(load.reloads_ok, 1u);
+    EXPECT_GE(load.final_epoch, 2u);  // the storm landed at least one swap
   }
 }
 
@@ -454,8 +513,16 @@ TEST(ScenarioRunner, PresetsParseAndCoverEveryAlgorithm) {
     EXPECT_TRUE(runner::workload_registry().contains(spec.workload)) << name;
     EXPECT_TRUE(runner::algorithm_registry().contains(spec.algo)) << name;
   }
-  for (const std::string& algo : runner::algorithm_registry().names())
-    EXPECT_TRUE(runner::preset_registry().contains("smoke_" + algo)) << algo;
+  // Every algorithm has a smoke preset, and every smoke preset a tracked
+  // row with committed outputs.
+  for (const std::string& algo : runner::algorithm_registry().names()) {
+    const std::string preset = "smoke_" + algo;
+    EXPECT_TRUE(runner::preset_registry().contains(preset)) << algo;
+    EXPECT_TRUE(std::any_of(
+        std::begin(kTracked), std::end(kTracked),
+        [&preset](const Tracked& t) { return preset == t.spec; }))
+        << preset;
+  }
 }
 
 }  // namespace

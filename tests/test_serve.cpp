@@ -29,6 +29,7 @@
 
 #include "graph/generators.hpp"
 #include "ftspanner/conversion.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "serve/epoch.hpp"
 #include "serve/http.hpp"
 #include "serve/loadtest.hpp"
@@ -545,8 +546,9 @@ struct TestServer {
   }
 };
 
-/// The CI smoke graph: a 5-vertex path with weights 1, 2, 3, 4, so
-/// d(0, 4) = 10 and cutting vertex 2 disconnects the ends.
+/// The daemon tests' graph (and tests/cli_serve.py's): a 5-vertex path with
+/// weights 1, 2, 3, 4, so d(0, 4) = 10 and cutting vertex 2 disconnects the
+/// ends.
 Graph weighted_path5() {
   Graph g(5);
   g.add_edge(0, 1, 1.0);
@@ -651,6 +653,8 @@ TEST(ServeDaemon, AnswersDistanceQueriesOverRealSockets) {
   // The spanner is the whole graph here, so stretch is exactly 1.
   const std::string st = http_get(port, "/stretch?s=0&t=4");
   EXPECT_EQ(json_number(st, "stretch"), 1.0) << st;
+  EXPECT_EQ(json_number(st, "spanner_distance"), 10.0) << st;
+  EXPECT_EQ(json_number(st, "base_distance"), 10.0) << st;
 
   const std::string health = http_get(port, "/healthz");
   EXPECT_NE(health.find("200 OK"), std::string::npos);
@@ -1194,7 +1198,9 @@ TEST(LoadTest, PacedLatencyChargesTheBacklogToQueuedRequests) {
 // malformed floods, oversized requests) plus a reload storm, against a
 // rebuildable epoch manager. `errors` counts only protocol violations — a
 // dropped well-formed request or an unknown status — so errors == 0 is the
-// "zero dropped connections, every response well-formed" invariant.
+// "zero dropped connections, every response well-formed" invariant. With
+// the server-side chaos seam armed (FTSPAN_CHAOS, see serve/net.hpp) the
+// same invariant must hold, and the seam must have fired.
 TEST(LoadTest, ChaosAndReloadStormKeepTheProtocolClean) {
   const Graph g = gnp_connected(32, 0.25, 9, 3.0);
   std::vector<EdgeId> ids(g.num_edges());
@@ -1223,6 +1229,31 @@ TEST(LoadTest, ChaosAndReloadStormKeepTheProtocolClean) {
   EXPECT_GE(r.reload_acks, 1u);
   EXPECT_GE(r.reloads_ok, 1u);
   EXPECT_GE(r.final_epoch, 2u);  // the storm landed at least one swap
+  if (serve::net::chaos_enabled()) {
+    EXPECT_GT(serve::net::chaos_faults_injected(), 0u);
+  }
+}
+
+// Lane and connection counts above the worker ceiling are refused before any
+// thread starts.
+TEST(QueryEngine, RejectsWorkersAboveTheCeiling) {
+  const Graph g = weighted_path5();
+  const std::vector<EdgeId> ids = {0, 1, 2, 3};
+  serve::QueryEngine::Options options;
+  options.workers = kMaxWorkers + 1;
+  EXPECT_THROW(serve::QueryEngine(g, ids, 3.0, options),
+               std::invalid_argument);
+  options.workers = static_cast<std::size_t>(-1);
+  EXPECT_THROW(serve::QueryEngine(g, ids, 3.0, options),
+               std::invalid_argument);
+}
+
+TEST(LoadTest, RejectsConnectionsAboveTheCeiling) {
+  const Graph g = weighted_path5();
+  serve::QueryEngine engine(g, {0, 1, 2, 3}, 3.0);
+  serve::LoadTestOptions options;
+  options.conns = kMaxWorkers + 1;
+  EXPECT_THROW(run_load_test(engine, options), std::invalid_argument);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "graph/import.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/workloads.hpp"
@@ -180,7 +182,7 @@ void print_usage(std::FILE* out) {
       "      -i FILE          ftspan.graph.v1 file (required)\n"
       "\n"
       "  corpus               write one small binary graph per generated\n"
-      "                       workload family (the CI format-smoke corpus)\n"
+      "                       workload family (ctest's cli_formats input)\n"
       "      -o DIR           output directory (required; must exist)\n"
       "      --scale S        workload scale factor, default 0.25\n"
       "      --seed S         workload seed, default 1\n"
@@ -256,7 +258,7 @@ void print_usage(std::FILE* out) {
       "      --host H         bind address, default 127.0.0.1\n"
       "      --port P         port; 0 picks an ephemeral one (printed),\n"
       "                       default 8080\n"
-      "      --threads T      query worker lanes, default 1\n"
+      "      --threads T      query worker lanes (at most 256), default 1\n"
       "      --cache N        answer-cache entries (0 disables), default 1024\n"
       "      --seed S         RNG seed for the conversion, default 1\n"
       "      --max-pipeline N requests parsed per connection per poll round,\n"
@@ -534,7 +536,8 @@ int cmd_info(const Args& a) {
 }
 
 /// `corpus` — one tiny binary graph per generated workload family, written
-/// to a directory: the committed-seed corpus CI's format-smoke job runs on.
+/// to a directory: the committed-seed corpus ctest's cli_formats entry
+/// round-trips.
 int cmd_corpus(const Args& a) {
   const std::string dir = a.get("o");
   if (dir.empty()) return usage();
@@ -580,7 +583,23 @@ int cmd_serve(const Args& a) {
   const double k = a.stretch();
   const std::size_t r = a.count("r", 1);
   const std::size_t threads = a.count("threads", 1);
+  if (threads > kMaxWorkers)
+    throw invalid_value(a.get("threads"), "--threads", "an integer in [0, 256]");
   const std::uint64_t seed = a.count("seed", 1);
+
+  serve::ServeOptions so;
+  so.host = a.get("host", "127.0.0.1");
+  const std::size_t port = a.count("port", 8080);
+  if (port > 65535)
+    throw invalid_value(a.get("port"), "--port", "an integer in [0, 65535]");
+  so.port = static_cast<std::uint16_t>(port);
+  so.max_pipeline = a.count("max-pipeline", 16);
+  so.max_pending = a.count("max-pending", 512);
+  const std::size_t deadline_ms = a.count("deadline-ms", 0);
+  if (deadline_ms > static_cast<std::size_t>(std::numeric_limits<int>::max()))
+    throw invalid_value(a.get("deadline-ms"), "--deadline-ms",
+                        "an integer in [0, 2147483647]");
+  so.deadline_ms = static_cast<int>(deadline_ms);
 
   ConversionOptions copt;
   copt.iteration_constant = a.iteration_constant();
@@ -606,12 +625,6 @@ int cmd_serve(const Args& a) {
         return build_epoch(path);
       });
 
-  serve::ServeOptions so;
-  so.host = a.get("host", "127.0.0.1");
-  so.port = static_cast<std::uint16_t>(a.count("port", 8080));
-  so.max_pipeline = a.count("max-pipeline", 16);
-  so.max_pending = a.count("max-pending", 512);
-  so.deadline_ms = static_cast<int>(a.count("deadline-ms", 0));
   serve::ServeDaemon daemon(epochs, so);
   daemon.listen();
 
@@ -678,21 +691,32 @@ int cmd_bench(const Args& a) {
   }
   if (a.positional.empty()) return usage();
 
+  const std::string format = a.get("format", "table");
+  if (format != "table" && format != "csv" && format != "json")
+    throw invalid_value(format, "--format", "table, csv or json");
+
   // A first positional without '=' names a preset; everything else (and
   // every later positional) is appended as key=value overrides — the spec
-  // parser lets later keys win.
-  std::string spec_text;
-  std::size_t first = 0;
-  if (a.positional[0].find('=') == std::string::npos) {
-    spec_text = runner::preset_registry().get(a.positional[0]).spec;
-    first = 1;
+  // parser lets later keys win. An unknown preset, workload or algorithm
+  // and a malformed spec are usage errors, caught before any work runs.
+  runner::ScenarioSpec spec;
+  try {
+    std::string spec_text;
+    std::size_t first = 0;
+    if (a.positional[0].find('=') == std::string::npos) {
+      spec_text = runner::preset_registry().get(a.positional[0]).spec;
+      first = 1;
+    }
+    for (std::size_t i = first; i < a.positional.size(); ++i)
+      spec_text += " " + a.positional[i];
+    spec = runner::ScenarioSpec::parse(spec_text);
+    runner::workload_registry().get(spec.workload);
+    runner::algorithm_registry().get(spec.algo);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
   }
-  for (std::size_t i = first; i < a.positional.size(); ++i)
-    spec_text += " " + a.positional[i];
-  const runner::ScenarioSpec spec = runner::ScenarioSpec::parse(spec_text);
   const runner::ScenarioReport report = runner::run_scenario(spec);
 
-  const std::string format = a.get("format", "table");
   const std::string out = a.get("o");
   std::ofstream file;
   if (!out.empty()) {
@@ -708,25 +732,20 @@ int cmd_bench(const Args& a) {
     runner::print_table(report, os);
   } else if (format == "csv") {
     runner::print_csv(report, os);
-  } else if (format == "json") {
-    runner::print_json(report, os);
   } else {
-    std::fprintf(stderr, "unknown --format '%s' (table | csv | json)\n",
-                 format.c_str());
-    return 2;
+    runner::print_json(report, os);
   }
   if (!out.empty()) std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
 int cmd_selftest() {
-  // gen → ft → verify round trip through temp files; exercised by ctest.
-  const std::string dir = "/tmp";
-  const std::string gpath = dir + "/ftspan_cli_g.txt";
+  // gen → text-format round trip → ft → exact verify; exercised by ctest.
+  // The round trip stays in memory, so concurrent runs share no file.
   const Graph g = gnp(24, 0.4, 5);
-  save_graph(gpath, g);
-
-  const Graph g2 = load_graph(gpath);
+  std::stringstream text;
+  write_graph(text, g);
+  const Graph g2 = read_graph(text);
   if (g2.num_edges() != g.num_edges()) {
     std::fprintf(stderr, "selftest: io round trip failed\n");
     return 1;
