@@ -76,18 +76,23 @@ class VertexSet {
     return *this;
   }
 
+  /// Calls fn(v) for every member v, in increasing order.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      std::uint64_t b = blocks_[i];
+      while (b) {
+        fn(static_cast<Vertex>(i * 64 + std::countr_zero(b)));
+        b &= b - 1;
+      }
+    }
+  }
+
   /// The members, in increasing order.
   std::vector<Vertex> to_vector() const {
     std::vector<Vertex> out;
     out.reserve(count());
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      std::uint64_t b = blocks_[i];
-      while (b) {
-        const int bit = std::countr_zero(b);
-        out.push_back(static_cast<Vertex>(i * 64 + bit));
-        b &= b - 1;
-      }
-    }
+    for_each([&out](Vertex v) { out.push_back(v); });
     return out;
   }
 

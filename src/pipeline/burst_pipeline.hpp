@@ -79,10 +79,11 @@ void run_bursts(std::size_t count, std::size_t workers,
 /// BurstPool — the persistent form of run_bursts.
 ///
 /// run_bursts spawns and joins its workers on every call, which is fine for
-/// one-shot fan-outs (a conversion, an oracle check) but wrong for a server
-/// answering query batches at a steady cadence: thread creation would
-/// dominate small batches. A BurstPool keeps the worker lanes alive across
-/// run() calls — workers block on a per-lane condition variable while idle
+/// one-shot fan-outs (a conversion) but wrong for a server answering query
+/// batches at a steady cadence, where thread creation would dominate small
+/// batches, and for a StretchOracle check, whose fault-set fan-out reuses
+/// the lanes' scratch from its baseline sweep. A BurstPool keeps the worker
+/// lanes alive across run() calls — workers block on a per-lane condition variable while idle
 /// (no spinning between batches) and drain their SPSC ring exactly like the
 /// one-shot path while a run is in flight.
 ///

@@ -67,6 +67,7 @@ void validate_cell(const ScenarioSpec& spec, const Graph& g, const Graph& h,
     cell.valid = res.valid;
     cell.worst_stretch = res.worst_stretch;
     cell.fault_sets = res.fault_sets_checked;
+    cell.searches = res.searches;
     cell.witness_u = res.witness_u;
     cell.witness_v = res.witness_v;
   }
@@ -301,6 +302,7 @@ void json_cell(const ScenarioCell& c, bool timings, std::ostream& os,
     os << ",\n" << in << "\"worst_stretch\": ";
     json_number(c.worst_stretch, os);
     os << ",\n" << in << "\"fault_sets\": " << c.fault_sets;
+    os << ",\n" << in << "\"searches\": " << c.searches;
     os << ",\n"
        << in << "\"witness_u\": "
        << (c.witness_u == kInvalidVertex

@@ -54,6 +54,9 @@ struct ScenarioCell {
   bool valid = true;
   double worst_stretch = 1.0;
   std::size_t fault_sets = 0;
+  /// The oracle's source searches (FtCheckResult::searches): a work count,
+  /// deterministic at any thread count, so outside the timings gate.
+  std::size_t searches = 0;
   Vertex witness_u = kInvalidVertex;
   Vertex witness_v = kInvalidVertex;
 

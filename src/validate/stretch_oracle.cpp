@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -125,58 +126,192 @@ FaultSetList enumerate_fault_sets(const char* where, bool edge_faults,
   return out;
 }
 
-/// The oracle's loop: one bounded G-run and one targeted H-run per source
-/// with a surviving incident edge. A surviving edge (u, v) has
-/// d_{G\F}(u, v) <= w(u, v) <= bound, so the bounded G-run is still exact
-/// for every target; the H-run stops once all targets are settled. The
-/// witness pair is the first strict maximum in (source ascending, adjacency
-/// order). With kEdges, F is a set of edge ids (`fg` over G's, `fh` over
-/// H's); otherwise `fg` is the set of failed vertices and `fh` is unused.
+/// True for the out-arcs that are source u's targets: all of them, or on
+/// undirected graphs each edge once (from its lower endpoint).
+template <class G>
+bool is_slot(Vertex u, const CsrArc& a) {
+  return !std::is_same_v<G, Graph> || a.to >= u;
+}
+
+/// The stretch of a target whose G-distance is 0 or infinite (none is
+/// defined). Never a witness: witnesses start at 1.
+constexpr double kNoStretch = -1.0;
+
+}  // namespace
+
+/// Per source, the fault-free stretch of every target slot; per element
+/// (vertex, or G's edge id under edge faults), the sources whose recorded
+/// G- or H-tree paths to their targets contain it.
+struct OracleBaseline {
+  /// Source u's slots are stretch[slot_begin[u], slot_begin[u + 1]), in
+  /// adjacency order (is_slot), kNoStretch where d_G(u, v) is 0.
+  std::vector<std::size_t> slot_begin;
+  std::vector<double> stretch;
+  /// Element e's sources are sources[source_begin[e], source_begin[e + 1]),
+  /// ascending.
+  std::vector<std::size_t> source_begin;
+  std::vector<Vertex> sources;
+  std::size_t searches = 0;  ///< sources the baseline sweep searched
+
+  std::span<const Vertex> affected(Vertex e) const {
+    return {sources.data() + source_begin[e],
+            sources.data() + source_begin[e + 1]};
+  }
+};
+
+namespace {
+
+/// Source u's search: collects its surviving targets into s.targets and,
+/// if there are any, runs one bounded G-run and one targeted H-run. A
+/// surviving edge (u, v) has d_{G\F}(u, v) <= w(u, v) <= bound, so the
+/// bounded G-run is still exact for every target; the H-run stops once all
+/// targets are settled. With kEdges, F is a set of edge ids (`fg` over G's,
+/// `fh` over H's); otherwise `fg` is the set of failed vertices (nullptr:
+/// none) and `fh` is unused. Returns whether it searched.
+template <class G, bool kEdges>
+bool search_source(const Csr& cg, const Csr& ch, Vertex u,
+                   const VertexSet* fg, const VertexSet* fh,
+                   typename BasicStretchOracle<G>::Scratch& s) {
+  s.targets.clear();
+  Weight bound = 0;
+  for (const CsrArc& a : cg.out(u)) {
+    if (!is_slot<G>(u, a)) continue;
+    if (fg != nullptr && fg->contains(kEdges ? a.edge : a.to)) continue;
+    s.targets.push_back(a.to);
+    bound = std::max(bound, a.w);
+  }
+  if (s.targets.empty()) return false;
+  if constexpr (kEdges) {
+    s.dg.run_avoiding_edges(cg, u, *fg, s.targets, bound);
+    s.dh.run_avoiding_edges(ch, u, *fh, s.targets);
+  } else {
+    s.dg.run(cg, u, fg, s.targets, bound);
+    s.dh.run(ch, u, fg, s.targets);
+  }
+  return true;
+}
+
+/// Target v's stretch after its source's search, or kNoStretch.
+template <class Scratch>
+double stretch_of(const Scratch& s, Vertex v) {
+  const Weight dg = s.dg.dist(v);
+  if (!(dg < kInfiniteWeight) || dg <= 0) return kNoStretch;
+  const Weight dh = s.dh.dist(v);
+  return dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+}
+
+/// The oracle's loop: search_source for every source, skipping failed
+/// vertices. The witness pair is the first strict maximum in (source
+/// ascending, adjacency order). With a baseline, only the sources listed
+/// under some f in F are searched; every other source replays its baseline
+/// stretches minus the targets F removed, which is exactly what its search
+/// would produce (see the header's mechanism 4).
 template <class G, bool kEdges>
 typename BasicStretchOracle<G>::Witness sweep(
     const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
-    typename BasicStretchOracle<G>::Scratch& s) {
-  constexpr bool kUndirected = std::is_same_v<G, Graph>;
-  const std::size_t n = cg.num_vertices();
+    const OracleBaseline* base, typename BasicStretchOracle<G>::Scratch& s) {
   typename BasicStretchOracle<G>::Witness w;
-  for (Vertex u = 0; u < n; ++u) {
+  const auto consider = [&w](double stretch, Vertex u, Vertex v) {
+    if (stretch > w.stretch) {
+      w.stretch = stretch;
+      w.u = u;
+      w.v = v;
+    }
+  };
+  if (base != nullptr) {
+    s.dirty.clear();
+    fg.for_each([&](Vertex f) {
+      const std::span<const Vertex> src = base->affected(f);
+      s.dirty.insert(s.dirty.end(), src.begin(), src.end());
+    });
+    std::sort(s.dirty.begin(), s.dirty.end());
+    s.dirty.erase(std::unique(s.dirty.begin(), s.dirty.end()), s.dirty.end());
+  }
+  std::size_t next_dirty = 0;  // first entry of s.dirty not below u
+  for (Vertex u = 0; u < cg.num_vertices(); ++u) {
     if (!kEdges && fg.contains(u)) continue;
-    s.targets.clear();
-    Weight bound = 0;
-    for (const CsrArc& a : cg.out(u)) {
-      if constexpr (kUndirected)
-        if (a.to < u) continue;  // each edge once
-      if (fg.contains(kEdges ? a.edge : a.to)) continue;
-      s.targets.push_back(a.to);
-      bound = std::max(bound, a.w);
+    if (base != nullptr) {
+      while (next_dirty < s.dirty.size() && s.dirty[next_dirty] < u)
+        ++next_dirty;
+      if (next_dirty == s.dirty.size() || s.dirty[next_dirty] != u) {
+        const double* stretch = base->stretch.data() + base->slot_begin[u];
+        for (const CsrArc& a : cg.out(u)) {
+          if (!is_slot<G>(u, a)) continue;
+          const double st = *stretch++;
+          if (!fg.contains(kEdges ? a.edge : a.to)) consider(st, u, a.to);
+        }
+        continue;
+      }
     }
-    if (s.targets.empty()) continue;
-    if constexpr (kEdges) {
-      s.dg.run_avoiding_edges(cg, u, fg, s.targets, bound);
-      s.dh.run_avoiding_edges(ch, u, fh, s.targets);
-    } else {
-      s.dg.run(cg, u, &fg, s.targets, bound);
-      s.dh.run(ch, u, &fg, s.targets);
-    }
-    for (const Vertex v : s.targets) {
-      const Weight dg = s.dg.dist(v);
-      if (!(dg < kInfiniteWeight) || dg <= 0) continue;
-      const Weight dh = s.dh.dist(v);
-      const double stretch =
-          dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
-      if (stretch > w.stretch) w = {stretch, u, v};
-    }
+    if (!search_source<G, kEdges>(cg, ch, u, &fg, &fh, s)) continue;
+    ++w.searches;
+    for (const Vertex v : s.targets) consider(stretch_of(s, v), u, v);
   }
   return w;
 }
 
-/// G's edge id -> H's id for the same endpoints (kInvalidEdge where H lacks
-/// the edge). Built per edge check, never by the oracle's constructor.
-std::vector<EdgeId> g_to_h_edges(const Graph& g, const Graph& h) {
-  std::vector<EdgeId> map(g.num_edges(), kInvalidEdge);
-  for (EdgeId id = 0; id < h.num_edges(); ++id) {
-    const Edge& e = h.edge(id);
-    if (const auto gid = g.edge_id(e.u, e.v)) map[*gid] = id;
+/// Appends to `out` the elements on the engine's recorded path from its
+/// source u to v: the interior vertices, or with kEdges the path's edge ids
+/// mapped through `to_g` (nullptr: already G's), dropping kInvalidEdge.
+template <bool kEdges>
+void record_path(const DijkstraEngine& e, Vertex u, Vertex v,
+                 const std::vector<EdgeId>* to_g, std::vector<Vertex>& out) {
+  if constexpr (kEdges) {
+    for (Vertex x = v; e.via(x) != kInvalidEdge; x = e.parent(x)) {
+      const EdgeId id = to_g != nullptr ? (*to_g)[e.via(x)] : e.via(x);
+      if (id != kInvalidEdge) out.push_back(id);
+    }
+  } else {
+    for (Vertex x = e.parent(v); x != u && x != kInvalidVertex;
+         x = e.parent(x))
+      out.push_back(x);
+  }
+}
+
+/// A check's worker lanes: run(count, job) calls job(i, scratch) for every
+/// i < count, in bursts over the lanes. Each lane makes its scratch once, on
+/// its own thread, and keeps it for the check's next run, so a check with a
+/// baseline sweep allocates no more scratch than one without. One lane runs
+/// inline on the caller's thread.
+template <class Scratch>
+class CheckLanes {
+ public:
+  using Job = std::function<void(std::size_t, Scratch&)>;
+
+  CheckLanes(std::size_t workers, std::function<Scratch()> make)
+      : make_(std::move(make)) {
+    if (workers > 1)
+      pool_.emplace(workers, [this](std::size_t) -> BurstTask {
+        auto scratch = std::make_shared<Scratch>(make_());
+        return [this, scratch](std::size_t i) { (*job_)(i, *scratch); };
+      });
+  }
+
+  void run(std::size_t count, const Job& job) {
+    job_ = &job;  // published to the lanes by the burst hand-off
+    if (pool_) {
+      pool_->run(count);
+      return;
+    }
+    if (!inline_) inline_.emplace(make_());
+    for (std::size_t i = 0; i < count; ++i) job(i, *inline_);
+  }
+
+ private:
+  std::function<Scratch()> make_;
+  const Job* job_ = nullptr;
+  std::optional<Scratch> inline_;
+  std::optional<BurstPool> pool_;  ///< last: joined before the rest goes
+};
+
+/// `from`'s edge id -> `to`'s id for the same endpoints (kInvalidEdge where
+/// `to` lacks the edge). Built per edge check, never by the oracle's
+/// constructor.
+std::vector<EdgeId> edge_ids_in(const Graph& from, const Graph& to) {
+  std::vector<EdgeId> map(from.num_edges(), kInvalidEdge);
+  for (EdgeId id = 0; id < from.num_edges(); ++id) {
+    const Edge& e = from.edge(id);
+    if (const auto other = to.edge_id(e.u, e.v)) map[id] = *other;
   }
   return map;
 }
@@ -237,7 +372,7 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
 template <class G>
 typename BasicStretchOracle<G>::Witness BasicStretchOracle<G>::evaluate(
     const VertexSet& faults, Scratch& s) const {
-  return sweep<G, false>(cg_, ch_, faults, faults, s);
+  return sweep<G, false>(cg_, ch_, faults, faults, nullptr, s);
 }
 
 template <class G>
@@ -247,10 +382,72 @@ double BasicStretchOracle<G>::max_stretch(const VertexSet* faults) const {
 }
 
 template <class G>
-template <class Load, class Eval>
+template <bool kEdges, class Lanes>
+OracleBaseline BasicStretchOracle<G>::build_baseline(Lanes& lanes) const {
+  // With no faults every source with a slot is searched.
+  const std::size_t n = cg_.num_vertices();
+  OracleBaseline b;
+  b.slot_begin.assign(n + 1, 0);
+  for (Vertex u = 0; u < n; ++u) {
+    std::size_t slots = 0;
+    for (const CsrArc& a : cg_.out(u)) slots += is_slot<G>(u, a) ? 1 : 0;
+    b.slot_begin[u + 1] = b.slot_begin[u] + slots;
+    b.searches += slots > 0 ? 1 : 0;
+  }
+  b.stretch.resize(b.slot_begin[n]);
+  // H's edge id -> G's: an H edge G lacks never fails.
+  std::vector<EdgeId> h_to_g;
+  if constexpr (kEdges) h_to_g = edge_ids_in(*h_, *g_);
+
+  // One source per task: a lane writes the source's slots, and appends its
+  // elements, sorted and deduplicated, to the lane's own buffer (one
+  // growing buffer per lane, not one per source).
+  struct Elements {
+    const std::vector<Vertex>* buffer = nullptr;
+    std::size_t begin = 0, end = 0;
+    std::span<const Vertex> get() const {
+      if (buffer == nullptr) return {};
+      return {buffer->data() + begin, buffer->data() + end};
+    }
+  };
+  std::vector<Elements> elements(n);
+  lanes.run(n, [&](std::size_t i, Scratch& s) {
+    const Vertex u = static_cast<Vertex>(i);
+    if (!search_source<G, false>(cg_, ch_, u, nullptr, nullptr, s)) return;
+    double* stretch = b.stretch.data() + b.slot_begin[u];
+    const std::size_t begin = s.elements.size();
+    for (const Vertex v : s.targets) {
+      *stretch++ = stretch_of(s, v);
+      record_path<kEdges>(s.dg, u, v, nullptr, s.elements);
+      record_path<kEdges>(s.dh, u, v, &h_to_g, s.elements);
+    }
+    std::sort(s.elements.begin() + begin, s.elements.end());
+    s.elements.erase(std::unique(s.elements.begin() + begin, s.elements.end()),
+                     s.elements.end());
+    elements[u] = {&s.elements, begin, s.elements.size()};
+  });
+
+  // Invert source -> elements into element -> sources (a counting sort, so
+  // each element's sources come out ascending).
+  const std::size_t universe = kEdges ? g_->num_edges() : n;
+  b.source_begin.assign(universe + 1, 0);
+  for (const Elements& es : elements)
+    for (const Vertex e : es.get()) ++b.source_begin[e + 1];
+  for (std::size_t e = 0; e < universe; ++e)
+    b.source_begin[e + 1] += b.source_begin[e];
+  b.sources.resize(b.source_begin[universe]);
+  std::vector<std::size_t> fill(b.source_begin.begin(),
+                                b.source_begin.end() - 1);
+  for (Vertex u = 0; u < n; ++u)
+    for (const Vertex e : elements[u].get()) b.sources[fill[e]++] = u;
+  return b;
+}
+
+template <class G>
+template <bool kEdges, class Load, class Eval>
 FtCheckResult BasicStretchOracle<G>::run_indexed(
-    std::size_t count, std::size_t universe, const Load& load,
-    const Eval& eval, const FtCheckOptions& options) const {
+    std::size_t count, std::size_t sweeps, std::size_t universe,
+    const Load& load, const Eval& eval, const FtCheckOptions& options) const {
   // Rejected here, not by the first worker's make_scratch, so a bad option
   // fails before any search and even when there is nothing to check.
   if (!valid_bucket_max(options.bucket_max))
@@ -261,29 +458,43 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   out.fault_sets_checked = count;
   if (count == 0) return out;
 
-  std::vector<Witness> witnesses(count);
-  // Burst pipeline: fault-set indices travel to per-worker scratch in
-  // bursts (pipeline/burst_pipeline.hpp) — one ring hand-off per burst
-  // instead of one shared-counter bounce per fault set. Witnesses land in
+  // The baseline costs one fault-free sweep, so it pays from the second
+  // sweeping fault set on.
+  const bool with_baseline = sweeps >= 2;
+  // Burst pipeline: source and fault-set indices travel to per-lane scratch
+  // in bursts (pipeline/burst_pipeline.hpp) — one ring hand-off per burst
+  // instead of one shared-counter bounce per index. Results land in
   // index-keyed slots, so scheduling stays invisible.
-  run_bursts(count, resolve_threads(options.threads, count),
-             [this, &witnesses, &eval, &options](std::size_t) -> BurstTask {
-               auto scratch = std::make_shared<Scratch>(
-                   make_scratch(options.engine, options.bucket_max));
-               return [&witnesses, &eval, scratch](std::size_t i) {
-                 witnesses[i] = eval(i, *scratch);
-               };
-             });
+  CheckLanes<Scratch> lanes(
+      resolve_threads(options.threads,
+                      with_baseline ? std::max(count, g_->num_vertices())
+                                    : count),
+      [this, &options] {
+        return make_scratch(options.engine, options.bucket_max);
+      });
+  std::optional<OracleBaseline> baseline;
+  if (with_baseline) {
+    baseline = build_baseline<kEdges>(lanes);
+    out.searches = baseline->searches;
+  }
+  const OracleBaseline* base = baseline ? &*baseline : nullptr;
+
+  std::vector<Witness> witnesses(count);
+  lanes.run(count, [&](std::size_t i, Scratch& s) {
+    witnesses[i] = eval(i, s, base);
+  });
 
   // Deterministic fold in fault-set index order — identical to what a
   // sequential consider() chain over the same stream produces, regardless
   // of which worker evaluated which set.
   std::size_t best = count;
-  for (std::size_t i = 0; i < count; ++i)
+  for (std::size_t i = 0; i < count; ++i) {
+    out.searches += witnesses[i].searches;
     if (witnesses[i].stretch > out.worst_stretch) {
       out.worst_stretch = witnesses[i].stretch;
       best = i;
     }
+  }
   if (out.worst_stretch > k_ * (1 + kStretchCheckTolerance)) out.valid = false;
   if (best != count) {
     out.witness_u = witnesses[best].u;
@@ -298,12 +509,15 @@ template <class G>
 FtCheckResult BasicStretchOracle<G>::evaluate_sets(
     const std::vector<VertexSet>& fault_sets,
     const FtCheckOptions& options) const {
-  return run_indexed(
-      fault_sets.size(), g_->num_vertices(),
+  return run_indexed<false>(
+      fault_sets.size(), fault_sets.size(), g_->num_vertices(),
       [&](std::size_t i, Scratch&) -> const VertexSet& {
         return fault_sets[i];
       },
-      [&](std::size_t i, Scratch& s) { return evaluate(fault_sets[i], s); },
+      [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
+        return sweep<G, false>(cg_, ch_, fault_sets[i], fault_sets[i], base,
+                               s);
+      },
       options);
 }
 
@@ -319,9 +533,12 @@ FtCheckResult BasicStretchOracle<G>::check_exact(
     for (const Vertex v : sets[i]) s.faults.insert(v);
     return s.faults;
   };
-  return run_indexed(
-      sets.size(), n, load,
-      [&](std::size_t i, Scratch& s) { return evaluate(load(i, s), s); },
+  return run_indexed<false>(
+      sets.size(), sets.size(), n, load,
+      [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
+        const VertexSet& faults = load(i, s);
+        return sweep<G, false>(cg_, ch_, faults, faults, base, s);
+      },
       options);
 }
 
@@ -367,25 +584,31 @@ FtCheckResult BasicStretchOracle<G>::check_sampled(
     return id;
   };
 
-  const auto eval = [&](std::size_t i, Scratch& s) -> Witness {
+  const auto eval = [&](std::size_t i, Scratch& s,
+                        const OracleBaseline* base) -> Witness {
     const auto probed = build_faults(i, s);
-    if (!probed) return evaluate(s.faults, s);
+    if (!probed) return sweep<G, false>(cg_, ch_, s.faults, s.faults, base, s);
     // Adversarial trials evaluate only the probed pair (the faults were
     // chosen against it); the random trials cover the broad sweep.
     const auto& e = g_->edge(*probed);
-    if (s.faults.contains(e.u) || s.faults.contains(e.v)) return {};
+    Witness w;
+    if (s.faults.contains(e.u) || s.faults.contains(e.v)) return w;
+    w.searches = 1;
     const Vertex target[1] = {e.v};
     s.dg.run(cg_, e.u, &s.faults, std::span<const Vertex>(target, 1), e.w);
     const Weight dg = s.dg.dist(e.v);
-    if (!(dg < kInfiniteWeight) || dg <= 0) return {};
+    if (!(dg < kInfiniteWeight) || dg <= 0) return w;
     s.dh.run(ch_, e.u, &s.faults, std::span<const Vertex>(target, 1));
     const Weight dh = s.dh.dist(e.v);
-    const double stretch = dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
-    return {stretch, e.u, e.v};
+    w.stretch = dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+    w.u = e.u;
+    w.v = e.v;
+    return w;
   };
 
-  return run_indexed(
-      count, n,
+  // Only the random trials (indices below random_trials) sweep.
+  return run_indexed<false>(
+      count, random_trials, n,
       [&](std::size_t i, Scratch& s) -> const VertexSet& {
         build_faults(i, s);
         return s.faults;
@@ -402,17 +625,18 @@ FtCheckResult BasicStretchOracle<G>::check_exact_edges(
   const FaultSetList sets = enumerate_fault_sets(
       "StretchOracle::check_exact_edges", /*edge_faults=*/true, m, r,
       options.max_fault_sets);
-  const std::vector<EdgeId> g_to_h = g_to_h_edges(*g_, *h_);
+  const std::vector<EdgeId> g_to_h = edge_ids_in(*g_, *h_);
   const auto load = [&](std::size_t i, Scratch& s) -> const VertexSet& {
     clear_edge_faults(s, m, h_->num_edges());
     for (const EdgeId id : sets[i]) fail_edge(s, id, g_to_h);
     return s.edge_faults;
   };
-  return run_indexed(
-      sets.size(), m, load,
-      [&](std::size_t i, Scratch& s) {
+  return run_indexed<true>(
+      sets.size(), sets.size(), m, load,
+      [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
         load(i, s);
-        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, s);
+        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
+                              s);
       },
       options);
 }
@@ -426,7 +650,7 @@ FtCheckResult BasicStretchOracle<G>::check_sampled_edges(
   const std::size_t m = g_->num_edges();
   const std::size_t count = m > 0 ? random_trials + adversarial_edges : 0;
   const std::size_t fault_size = std::min(r, m);
-  const std::vector<EdgeId> g_to_h = g_to_h_edges(*g_, *h_);
+  const std::vector<EdgeId> g_to_h = edge_ids_in(*g_, *h_);
 
   // Rebuilds trial i's edge-fault set into the scratch masks from the
   // trial's own RNG stream, exactly as check_sampled does for vertices.
@@ -465,11 +689,12 @@ FtCheckResult BasicStretchOracle<G>::check_sampled_edges(
   };
 
   // Every trial — adversarial ones too — evaluates every surviving edge.
-  return run_indexed(
-      count, m, load,
-      [&](std::size_t i, Scratch& s) {
+  return run_indexed<true>(
+      count, count, m, load,
+      [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
         load(i, s);
-        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, s);
+        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
+                              s);
       },
       options);
 }

@@ -20,6 +20,21 @@
 //      Per-set witnesses land in an index-ordered array and are folded
 //      sequentially, so the worst witness — and the whole FtCheckResult —
 //      is bit-identical for every thread count.
+//   4. A fault-free baseline and an affected-source index, built once per
+//      check that sweeps two or more fault sets (the baseline sweep runs
+//      by source on the check's lanes, whose scratch the fault sets then
+//      reuse). The baseline stores every source's per-target stretches and
+//      the elements — interior vertices, or G's edge ids under edge faults
+//      — on its recorded G and H shortest-path trees to its targets; the
+//      index inverts that into element -> sources. A fault set then
+//      re-searches only the sources listed under its faults; every other
+//      source replays its stored stretches, minus the targets F removed.
+//      Exact, not approximate: weights are non-negative and IEEE addition
+//      is monotone, so a Dijkstra label is the minimum over paths of the
+//      forward-summed length; when F misses the recorded path that minimum
+//      is unchanged bit for bit (F only removes paths), and the G-run's
+//      bound, at least w(u,v) >= d(u,v), prunes nothing on it. evaluate()
+//      and max_stretch() are the same loop with every source re-searched.
 //
 // This is the one validation entry point: plain stretch is max_stretch() or
 // check_exact(0), vertex-fault tolerance is check_exact / check_sampled,
@@ -48,6 +63,11 @@ struct FtCheckResult {
   Vertex witness_u = kInvalidVertex;   ///< violated / worst pair
   Vertex witness_v = kInvalidVertex;
   std::size_t fault_sets_checked = 0;
+  /// Source searches run — one G-run and its H-run from one source — over
+  /// the whole check, the baseline sweep's included (the adversaries' path
+  /// probes are not). A deterministic work counter: the same at any thread
+  /// count.
+  std::size_t searches = 0;
 
   /// Records (F, u, v, stretch) if it is worse than the current worst.
   void consider(double stretch, const VertexSet& faults, Vertex u, Vertex v,
@@ -95,6 +115,10 @@ std::size_t count_fault_sets(std::size_t n, std::size_t r);
 void sample_fault_set(Rng& rng, std::size_t fault_size,
                       std::vector<Vertex>& pool, VertexSet& out);
 
+/// The fault-free baseline a check builds before its fan-out (mechanism 4
+/// above); defined in stretch_oracle.cpp.
+struct OracleBaseline;
+
 template <class G>
 class BasicStretchOracle {
  public:
@@ -125,6 +149,9 @@ class BasicStretchOracle {
     VertexSet faults;
     /// Edge checks only: F over G's edge ids, and over H's (sized lazily).
     VertexSet edge_faults, h_edge_faults;
+    std::vector<Vertex> dirty;  ///< sources the current F can touch
+    /// Baseline sweep: this lane's sources' path elements, one after another.
+    std::vector<Vertex> elements;
   };
   Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,
                        Weight bucket_max = kMaxBucketWeight) const;
@@ -136,6 +163,7 @@ class BasicStretchOracle {
     double stretch = 1.0;
     Vertex u = kInvalidVertex;
     Vertex v = kInvalidVertex;
+    std::size_t searches = 0;  ///< source searches this evaluation ran
   };
   Witness evaluate(const VertexSet& faults, Scratch& scratch) const;
 
@@ -178,11 +206,20 @@ class BasicStretchOracle {
     requires std::is_same_v<G, Graph>;
 
  private:
+  /// Sweeps every source fault-free on the check's lanes and indexes the
+  /// elements (vertices, or G's edge ids when kEdges) of its trees.
+  template <bool kEdges, class Lanes>
+  OracleBaseline build_baseline(Lanes& lanes) const;
+
   /// Fault set i is load(i, scratch) (which may fill the scratch's masks)
-  /// and scores eval(i, scratch); `universe` sizes an empty witness set.
-  template <class Load, class Eval>
-  FtCheckResult run_indexed(std::size_t count, std::size_t universe,
-                            const Load& load, const Eval& eval,
+  /// and scores eval(i, scratch, baseline); `universe` sizes an empty
+  /// witness set. The first `sweeps` sets sweep every source; when there
+  /// are two or more, a baseline over kEdges' elements is built first and
+  /// passed on (nullptr otherwise).
+  template <bool kEdges, class Load, class Eval>
+  FtCheckResult run_indexed(std::size_t count, std::size_t sweeps,
+                            std::size_t universe, const Load& load,
+                            const Eval& eval,
                             const FtCheckOptions& options) const;
 
   const G* g_;

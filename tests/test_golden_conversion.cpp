@@ -19,6 +19,7 @@
 #include "graph/import.hpp"
 #include "runner/runner.hpp"
 #include "runner/workloads.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 #include "validate/stretch_oracle.hpp"
 
@@ -188,7 +189,7 @@ TEST(GoldenConversion, DeltaMatchesHeapOnDimacsImportedInstance) {
     gr << "a " << e.u + 1 << " " << e.v + 1 << " " << w << "\n";
     gr << "a " << e.v + 1 << " " << e.u + 1 << " " << w << "\n";
   }
-  const std::string path = ::testing::TempDir() + "/golden_dimacs.fgb";
+  const std::string path = test::temp_path("golden_dimacs.fgb");
   std::istringstream in(gr.str());
   const ImportResult imp = import_graph(in, path, ImportFormat::kDimacs);
   ASSERT_EQ(imp.n, base.num_vertices());

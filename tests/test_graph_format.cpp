@@ -21,13 +21,12 @@
 #include "graph/io.hpp"
 #include "graph/sp_engine.hpp"
 #include "runner/workloads.hpp"
+#include "support/temp_path.hpp"
 
 namespace ftspan {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using test::temp_path;
 
 std::vector<std::byte> read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);

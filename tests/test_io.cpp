@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
+#include "support/temp_path.hpp"
 
 namespace ftspan {
 namespace {
@@ -125,7 +126,7 @@ TEST(GraphIo, MalformedEdgeThrows) {
 
 TEST(GraphIo, SaveLoadFile) {
   const Graph g = grid(3, 3);
-  const std::string path = ::testing::TempDir() + "/ftspan_io_test.txt";
+  const std::string path = test::temp_path("io_test.txt");
   save_graph(path, g);
   const Graph h = load_graph(path);
   EXPECT_EQ(h.num_edges(), g.num_edges());

@@ -22,6 +22,7 @@ void expect_bit_identical(const FtCheckResult& a, const FtCheckResult& b,
   EXPECT_EQ(a.witness_v, b.witness_v) << "threads=" << threads;
   EXPECT_EQ(a.fault_sets_checked, b.fault_sets_checked)
       << "threads=" << threads;
+  EXPECT_EQ(a.searches, b.searches) << "threads=" << threads;
 }
 
 /// Runs `check` on one thread, then at 2, 4 and 8, and expects every run to

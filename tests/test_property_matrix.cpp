@@ -11,6 +11,7 @@
 #include "graph/graph_file.hpp"
 #include "graph/sp_engine.hpp"
 #include "runner/runner.hpp"
+#include "support/temp_path.hpp"
 
 namespace ftspan {
 namespace {
@@ -167,8 +168,7 @@ TEST(PropertyMatrix, BinaryRoundTripKeepsEdgesHashBitIdentical) {
     wp.scale = kScale;
     wp.seed = kMatrixSeed;
     const runner::WorkloadInstance inst = runner::make_workload(name, wp);
-    const std::string path =
-        ::testing::TempDir() + "/roundtrip_" + name + ".fgb";
+    const std::string path = test::temp_path("roundtrip_" + name + ".fgb");
     save_graph_binary(path, inst.g);
 
     for (const bool ft : {false, true}) {

@@ -16,6 +16,7 @@
 #include "runner/scenario.hpp"
 #include "runner/workloads.hpp"
 #include "spanner/greedy.hpp"
+#include "support/temp_path.hpp"
 
 namespace ftspan {
 namespace {
@@ -70,7 +71,7 @@ TEST(Registries, CatalogCoverage) {
 TEST(Registries, WorkloadsAreSeedDeterministic) {
   // The `file` workload has no generator seed — its instance is the file.
   // Point it at a saved graph so two make_workload calls load it twice.
-  const std::string fgb = ::testing::TempDir() + "/runner_registry.fgb";
+  const std::string fgb = test::temp_path("runner_registry.fgb");
   save_graph_binary(fgb, gnp(30, 0.2, 7, 4.0));
   for (const std::string& name : runner::workload_registry().names()) {
     WorkloadParams wp;
@@ -377,7 +378,11 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
 // validation cells certify the greedy 3-spanner of the same gnp with unit
 // weights (Dial's queue) and with integer weights up to 1e5 (the delta
 // queue), 12 sampled fault sets each. Then one row per smoke_<algo> preset:
-// every registered algorithm on a tiny instance, validated exactly.
+// every registered algorithm on a tiny instance, validated exactly. The
+// last rows validate conversions exactly where the spanner drops edges
+// (|H| < m), so their verdicts could fail: unit, integer and fractional
+// (sensor) weights, under vertex and edge faults. `searches` is the
+// oracle's work count, pinned like an output.
 struct Tracked {
   const char* spec;  ///< spec text, or the name of a preset
   std::size_t edges;
@@ -386,42 +391,64 @@ struct Tracked {
   bool valid;            ///< checked when the spec validates
   double worst_stretch;  ///< checked when the spec validates
   std::size_t fault_sets;
+  std::size_t searches;  ///< checked when the spec validates
 };
 const Tracked kTracked[] = {
     {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
      "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-     4040, 0xbd7fe50e059fd5b3ull, "bucket", true, 0, 0},
+     4040, 0xbd7fe50e059fd5b3ull, "bucket", true, 0, 0, 0},
     {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
      "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-     8151, 0x971b580b77fde662ull, "bucket", true, 0, 0},
+     8151, 0x971b580b77fde662ull, "bucket", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1234 algo=ft_vertex "
      "k=3 r=2 iters=48 seed=4242 threads=1,4 reps=1 validate=none "
      "timings=off",
-     1573, 0x2f1150800357a0a2ull, "delta", true, 0, 0},
+     1573, 0x2f1150800357a0a2ull, "delta", true, 0, 0, 0},
     {"workload=gnp n=300 p=0.2 max_weight=100000 wseed=1234 algo=ft_edge "
      "k=3 r=2 iters=24 seed=4242 threads=1,4 reps=1 validate=none "
      "timings=off",
-     1204, 0xd7957dfa8d8206aeull, "delta", true, 0, 0},
+     1204, 0xd7957dfa8d8206aeull, "delta", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
      "threads=1,4 reps=1 validate=none timings=off",
-     5842, 0x8baf0239e803acfdull, "bucket", true, 0, 0},
+     5842, 0x8baf0239e803acfdull, "bucket", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
      "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
      "timings=off",
-     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12},
+     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12, 524},
     {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
      "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
      "adversarial=0 vseed=1 timings=off",
-     539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12},
-    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1},
-    {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "bucket", true, 3, 1},
-    {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "bucket", true, 3, 1},
-    {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "bucket", true, 3, 25},
-    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25},
-    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77},
-    {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15},
-    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15},
-    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15},
+     539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12, 1018},
+    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1, 22},
+    {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "bucket", true, 3, 1,
+     22},
+    {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "bucket", true, 3, 1,
+     22},
+    {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "bucket", true, 3, 25,
+     31},
+    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25, 22},
+    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77, 93},
+    {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15,
+     14},
+    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15, 11},
+    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15, 14},
+    {"workload=gnp n=40 p=0.5 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
+     "threads=1,4 reps=1 validate=exact timings=off",
+     340, 0x46aaa617dbf45348ull, "bucket", true, 2, 41, 81},
+    {"workload=gnp n=40 p=0.3 max_weight=100 wseed=5 algo=ft_vertex k=3 r=2 "
+     "seed=3 threads=1,4 reps=1 validate=exact timings=off",
+     177, 0xc563330c4967aceeull, "bucket", true, 1.1666666666666667, 821,
+     8696},
+    {"workload=gnp n=30 p=0.4 max_weight=100 wseed=5 algo=ft_edge k=3 r=1 "
+     "seed=3 threads=1,4 reps=1 validate=exact timings=off",
+     111, 0x626cd937e94c112eull, "bucket", true, 1.1636363636363636, 189,
+     328},
+    {"workload=sensor n=40 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
+     "threads=1,4 reps=1 validate=exact timings=off",
+     150, 0x2609403189033bdeull, "heap", true, 1.3797412741873816, 41, 60},
+    {"workload=sensor n=60 wseed=5 algo=ft_edge k=3 r=1 seed=3 "
+     "threads=1,4 reps=1 validate=exact timings=off",
+     228, 0x434a53410bffb415ull, "heap", true, 1.325408979834829, 248, 317},
 };
 
 TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
@@ -445,6 +472,7 @@ TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
       EXPECT_EQ(cell.valid, want.valid) << where;
       EXPECT_EQ(cell.worst_stretch, want.worst_stretch) << where;
       EXPECT_EQ(cell.fault_sets, want.fault_sets) << where;
+      EXPECT_EQ(cell.searches, want.searches) << where;
     }
   }
 }
