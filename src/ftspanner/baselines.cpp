@@ -1,11 +1,10 @@
 #include "ftspanner/baselines.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "spanner/greedy.hpp"
 #include "util/rng.hpp"
-#include "validate/stretch_oracle.hpp"  // count_fault_sets
+#include "validate/stretch_oracle.hpp"  // for_each_fault_set
 
 namespace ftspan {
 
@@ -14,38 +13,16 @@ std::vector<EdgeId> union_over_faults_spanner(const Graph& g, std::size_t r,
                                               std::uint64_t seed,
                                               std::size_t max_fault_sets) {
   const std::size_t n = g.num_vertices();
-  if (count_fault_sets(n, r) > max_fault_sets)
-    throw std::runtime_error(
-        "union_over_faults_spanner: too many fault sets for the exact union");
-
   Rng rng(seed);
   std::vector<char> in_spanner(g.num_edges(), 0);
-
-  // Enumerate fault sets of size exactly 0..r.
-  for (std::size_t size = 0; size <= std::min(r, n); ++size) {
-    std::vector<Vertex> comb(size);
-    for (std::size_t i = 0; i < size; ++i) comb[i] = static_cast<Vertex>(i);
-    while (true) {
-      VertexSet faults(n);
-      for (Vertex v : comb) faults.insert(v);
-      for (EdgeId id : base(g, &faults, rng())) in_spanner[id] = 1;
-
-      if (size == 0) break;
-      std::size_t i = size;
-      while (i > 0) {
-        --i;
-        if (comb[i] != static_cast<Vertex>(n - size + i)) break;
-        if (i == 0) {
-          i = size;
-          break;
-        }
-      }
-      if (i == size) break;
-      ++comb[i];
-      for (std::size_t j = i + 1; j < size; ++j)
-        comb[j] = static_cast<Vertex>(comb[j - 1] + 1);
-    }
-  }
+  VertexSet faults(n);
+  for_each_fault_set("union_over_faults_spanner", /*edge_faults=*/false, n, r,
+                     max_fault_sets, [&](std::span<const Vertex> f) {
+                       faults.clear();
+                       for (const Vertex v : f) faults.insert(v);
+                       for (EdgeId id : base(g, &faults, rng()))
+                         in_spanner[id] = 1;
+                     });
 
   std::vector<EdgeId> out;
   for (EdgeId id = 0; id < g.num_edges(); ++id)

@@ -58,7 +58,9 @@ using BoundBaseSpanner =
 using BaseSpannerFactory = std::function<BoundBaseSpanner()>;
 
 struct ConversionOptions {
-  /// c in alpha = ceil(c * max(r,1)^3 * ln n). Theorem 2.1 needs c = Θ(1);
+  /// c in alpha = ceil(c (r+2) ln n / q), with q = keep² (1-keep)^r for
+  /// vertex faults and keep (1-keep)^r for edge faults (keep = 1/r, 1/2 when
+  /// r = 1; see conversion_iterations). Theorem 2.1 needs c = Θ(1);
   /// experiment A1 measures how small c can go in practice. Must be finite
   /// and > 0.
   double iteration_constant = 1.0;
@@ -70,12 +72,13 @@ struct ConversionOptions {
   /// scale * (1/r), clamped to (0,1]. The paper's choice is scale = 1.
   double keep_probability_scale = 1.0;
 
-  /// Worker threads for the iteration fan-out (see ftspanner/parallel.hpp).
-  /// 1 = in-thread sequential loop; 0 = all hardware threads (capped at
-  /// kMaxWorkers). Every value yields a bit-identical edge set for
-  /// the same seed — iterations draw from per-iteration RNG streams, not a
-  /// shared sequential stream. With threads != 1 the BaseSpanner callback
-  /// must be safe to invoke concurrently.
+  /// Worker threads for the iteration fan-out (a BurstPool, see
+  /// pipeline/burst_pipeline.hpp). 1 = in-thread sequential loop; 0 = all
+  /// hardware threads (capped at kMaxWorkers). Every value yields a
+  /// bit-identical edge set for the same seed — iterations draw from
+  /// per-iteration RNG streams, not a shared sequential stream. With
+  /// threads != 1 the BaseSpanner callback must be safe to invoke
+  /// concurrently.
   std::size_t threads = 1;
 
   /// Shortest-path engine policy for the built-in greedy base
@@ -100,8 +103,11 @@ struct ConversionResult {
   std::size_t threads_used = 1;   ///< workers the engine actually ran with
 };
 
-/// Number of iterations alpha = ceil(c * max(r,1)^3 * ln n) used by the
-/// conversion (Theorem 2.1's Θ(r³ log n)). Throws std::invalid_argument
+/// Number of iterations alpha = ceil(c (r+2) ln n / q) used by the vertex
+/// conversion, with q = keep² (1-keep)^r the per-iteration chance that an
+/// edge's endpoints survive while a given r-set is dropped (keep = 1/r, 1/2
+/// when r = 1) — Theorem 2.1's Θ(r³ log n) with its constants spelled out
+/// (384 iterations at n = 400, r = 2, c = 1). Throws std::invalid_argument
 /// unless c is finite and > 0 and alpha fits in size_t.
 std::size_t conversion_iterations(std::size_t r, std::size_t n, double c = 1.0);
 

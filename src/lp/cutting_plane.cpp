@@ -8,6 +8,7 @@ CuttingPlaneResult solve_with_cuts(LpModel& model,
   CuttingPlaneResult out;
   for (out.rounds = 1; out.rounds <= options.max_rounds; ++out.rounds) {
     out.solution = solve_lp(model, options.simplex);
+    out.pivots += out.solution.iterations;
     if (out.solution.status != LpStatus::kOptimal) {
       out.separated_clean = false;
       return out;

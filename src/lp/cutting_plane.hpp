@@ -25,6 +25,9 @@ struct CuttingPlaneResult {
   LpSolution solution;
   std::size_t rounds = 0;      ///< LP re-solves performed
   std::size_t cuts_added = 0;  ///< total separation cuts added
+  /// Simplex pivots summed over every round's solve (solution.iterations
+  /// holds the last round's only).
+  std::size_t pivots = 0;
   bool separated_clean = true; ///< oracle returned empty on the final solution
 };
 

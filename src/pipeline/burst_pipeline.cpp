@@ -15,8 +15,8 @@ namespace ftspan {
 
 namespace {
 
-/// A half-open index range; the unit that travels through a worker's ring.
-struct Burst {
+/// A half-open index range; the unit that travels through a lane's ring.
+struct Range {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
@@ -41,76 +41,86 @@ std::size_t resolve_threads(std::size_t requested, std::size_t count) {
   return std::clamp<std::size_t>(t, 1, kMaxWorkers);
 }
 
-/// Everything one worker owns. Rings are per-worker (SPSC: coordinator
-/// produces, the worker consumes). The mutex/cv pair only matters while the
-/// lane is idle: a worker with a non-empty ring never touches it, so the
+namespace detail {
+
+/// Everything one lane owns. Rings are per-lane (SPSC: coordinator
+/// produces, the lane consumes). The mutex/cv pair only matters while the
+/// lane is idle: a lane with a non-empty ring never touches it, so the
 /// in-flight hand-off cost stays one acquire/release pair per burst.
-struct BurstPool::Lane {
-  SpscRing<Burst> ring{kRingCapacity};
+struct BurstLanes::Lane {
+  SpscRing<Range> ring{kRingCapacity};
   std::mutex m;
   std::condition_variable cv;
   bool stop = false;         ///< guarded by m
-  std::exception_ptr error;  ///< worker-written; read/cleared between runs
-  bool factory_failed = false;  ///< permanent: the lane never got a task
+  std::exception_ptr error;  ///< lane-written; read/cleared between runs
+  bool enter_failed = false;  ///< permanent: the lane never got state
 };
 
-/// Run-completion rendezvous: workers count finished bursts, the
-/// coordinator sleeps until the count reaches the run's burst total.
-struct BurstPool::Completion {
+/// Run-completion rendezvous: lanes count finished bursts, the coordinator
+/// sleeps until the count reaches the run's burst total.
+struct BurstLanes::Completion {
   std::atomic<std::size_t> bursts{0};
   std::mutex m;
   std::condition_variable cv;
 };
 
-BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory) {
-  const std::size_t n = workers == 0 ? 1 : workers;
-  lanes_.reserve(n);
-  for (std::size_t w = 0; w < n; ++w)
+BurstLanes::BurstLanes(std::size_t workers, Hook enter, Hook leave) {
+  lanes_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
     lanes_.push_back(std::make_unique<Lane>());
 
   done_ = std::make_unique<Completion>();
-  threads_.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    Lane* lane = lanes_[w].get();
-    Completion* done = done_.get();
-    threads_.emplace_back([lane, done, factory, w] {
-      BurstTask task;
-      try {
-        task = factory(w);
-      } catch (...) {
-        lane->error = std::current_exception();
-        lane->factory_failed = true;
-      }
-      Burst b;
-      for (;;) {
-        if (lane->ring.try_pop(b)) {
-          // After a failure keep draining without running: the coordinator
-          // may be spinning on this ring being full, so the feed must keep
-          // moving even though its results are abandoned.
-          if (lane->error == nullptr) {
-            try {
-              for (std::size_t i = b.begin; i < b.end; ++i) task(i);
-            } catch (...) {
-              lane->error = std::current_exception();
-            }
-          }
-          done->bursts.fetch_add(1, std::memory_order_release);
-          {
-            std::lock_guard<std::mutex> l(done->m);
-          }
-          done->cv.notify_one();
-          continue;
-        }
-        std::unique_lock<std::mutex> l(lane->m);
-        if (!lane->ring.empty()) continue;  // pushed while we took the lock
-        if (lane->stop) break;
-        lane->cv.wait(l);
-      }
-    });
+  threads_.reserve(workers);
+  // A failed thread start must not leave the started lanes unjoined.
+  try {
+    for (std::size_t w = 0; w < workers; ++w)
+      threads_.emplace_back(&BurstLanes::lane_main, this, w, enter, leave);
+  } catch (...) {
+    stop_and_join();
+    throw;
   }
 }
 
-BurstPool::~BurstPool() {
+void BurstLanes::lane_main(std::size_t w, const Hook& enter,
+                           const Hook& leave) {
+  Lane& lane = *lanes_[w];
+  try {
+    enter(w);
+  } catch (...) {
+    lane.error = std::current_exception();
+    lane.enter_failed = true;
+  }
+  Range b;
+  for (;;) {
+    if (lane.ring.try_pop(b)) {
+      // After a failure keep draining without running: the coordinator may
+      // be spinning on this ring being full, so the feed must keep moving
+      // even though its results are abandoned.
+      if (lane.error == nullptr) {
+        try {
+          (*burst_)(w, b.begin, b.end);
+        } catch (...) {
+          lane.error = std::current_exception();
+        }
+      }
+      done_->bursts.fetch_add(1, std::memory_order_release);
+      {
+        std::lock_guard<std::mutex> l(done_->m);
+      }
+      done_->cv.notify_one();
+      continue;
+    }
+    std::unique_lock<std::mutex> l(lane.m);
+    if (!lane.ring.empty()) continue;  // pushed while we took the lock
+    if (lane.stop) break;
+    lane.cv.wait(l);
+  }
+  leave(w);
+}
+
+BurstLanes::~BurstLanes() { stop_and_join(); }
+
+void BurstLanes::stop_and_join() {
   for (auto& lane : lanes_) {
     {
       std::lock_guard<std::mutex> l(lane->m);
@@ -121,10 +131,10 @@ BurstPool::~BurstPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void BurstPool::feed(Lane& lane, std::size_t begin, std::size_t end) {
-  const Burst b{begin, end};
+void BurstLanes::feed(Lane& lane, std::size_t begin, std::size_t end) {
+  const Range b{begin, end};
   while (!lane.ring.try_push(b)) std::this_thread::yield();
-  // The empty critical section orders the push before the worker's
+  // The empty critical section orders the push before the lane's
   // ring-empty recheck under the same mutex, so the notify cannot be lost.
   {
     std::lock_guard<std::mutex> l(lane.m);
@@ -132,20 +142,21 @@ void BurstPool::feed(Lane& lane, std::size_t begin, std::size_t end) {
   lane.cv.notify_one();
 }
 
-void BurstPool::run(std::size_t count) {
+void BurstLanes::run(std::size_t count, const Burst& burst) {
   if (count == 0) return;
   const std::size_t width = burst_width(count, lanes_.size());
   const std::size_t total = (count + width - 1) / width;
 
   done_->bursts.store(0, std::memory_order_relaxed);
+  burst_ = &burst;  // published to each lane by its ring hand-off
 
-  // Round-robin distribution: burst b -> worker b % workers, in order. With
+  // Round-robin distribution: burst b -> lane b % workers, in order. With
   // equal-cost bursts this is exactly the static block-cyclic schedule; with
   // skewed costs the ring depth (bursts in flight) absorbs the imbalance.
-  std::size_t next_worker = 0;
+  std::size_t next_lane = 0;
   for (std::size_t begin = 0; begin < count; begin += width) {
-    feed(*lanes_[next_worker], begin, std::min(begin + width, count));
-    next_worker = next_worker + 1 == lanes_.size() ? 0 : next_worker + 1;
+    feed(*lanes_[next_lane], begin, std::min(begin + width, count));
+    next_lane = next_lane + 1 == lanes_.size() ? 0 : next_lane + 1;
   }
 
   {
@@ -155,30 +166,16 @@ void BurstPool::run(std::size_t count) {
     });
   }
 
-  // First error by worker index, so the rethrown exception is deterministic.
-  // Task errors are cleared so the pool stays usable; a lane whose factory
-  // threw never got a task, so its error is permanent.
+  // First error by lane index, so the rethrown exception is deterministic.
+  // Job errors are cleared so the pool stays usable; a lane whose enter
+  // threw never got state, so its error is permanent.
   std::exception_ptr first;
   for (auto& lane : lanes_) {
     if (lane->error != nullptr && first == nullptr) first = lane->error;
-    if (!lane->factory_failed) lane->error = nullptr;
+    if (!lane->enter_failed) lane->error = nullptr;
   }
   if (first != nullptr) std::rethrow_exception(first);
 }
 
-void run_bursts(std::size_t count, std::size_t workers,
-                const BurstTaskFactory& factory) {
-  if (count == 0) return;
-  if (workers <= 1) {
-    const BurstTask task = factory(0);
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-
-  // One-shot: a temporary pool scoped to this call. Callers with a steady
-  // cadence of small batches hold a BurstPool instead.
-  BurstPool pool(workers, factory);
-  pool.run(count);
-}
-
+}  // namespace detail
 }  // namespace ftspan

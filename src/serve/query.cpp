@@ -79,9 +79,9 @@ std::uint64_t ServeQuery::cache_key() const {
   return h;
 }
 
-/// One worker lane's private state: an engine per graph, a fault mask, and
-/// the two dead-edge masks with touched-entry logs so resets are O(|F|),
-/// not O(m).
+/// One lane's private state, built on the lane's thread: an engine per
+/// graph, a fault mask, and the two dead-edge masks with touched-entry logs
+/// so resets are O(|F|), not O(m).
 struct QueryEngine::Scratch {
   Scratch(const Csr& cg, const Csr& ch) {
     dead_g.assign(cg.num_arcs() / 2, 0);
@@ -122,9 +122,8 @@ QueryEngine::QueryEngine(const Graph& g, const std::vector<EdgeId>& spanner_edge
                                 std::to_string(options_.workers) +
                                 " workers exceeds the ceiling of " +
                                 std::to_string(kMaxWorkers));
-  scratch_.reserve(options_.workers);
-  for (std::size_t w = 0; w < options_.workers; ++w)
-    scratch_.push_back(std::make_unique<Scratch>(cg_, ch_));
+  pool_ = std::make_unique<BurstPool<Scratch>>(
+      options_.workers, [this](std::size_t) { return Scratch(cg_, ch_); });
 }
 
 QueryEngine::QueryEngine(const Graph& g,
@@ -232,26 +231,11 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
   }
   if (miss_idx_.empty()) return;
 
-  // Phase 2: compute misses on per-worker engines. Results are keyed by
+  // Phase 2: compute misses on per-lane engines. Results are keyed by
   // index, so the answers are identical for every workers setting.
-  cur_queries_ = queries;
-  cur_answers_ = &answers;
-  if (options_.workers == 1) {
-    for (const std::size_t qi : miss_idx_)
-      answer_miss(queries[qi], answers[qi], *scratch_[0]);
-  } else {
-    if (pool_ == nullptr)
-      pool_ = std::make_unique<BurstPool>(
-          options_.workers,
-          [this](std::size_t w) {
-            Scratch* s = scratch_[w].get();
-            return [this, s](std::size_t i) {
-              answer_miss(cur_queries_[miss_idx_[i]],
-                          (*cur_answers_)[miss_idx_[i]], *s);
-            };
-          });
-    pool_->run(miss_idx_.size());
-  }
+  pool_->run(miss_idx_.size(), [&](std::size_t i, Scratch& s) {
+    answer_miss(queries[miss_idx_[i]], answers[miss_idx_[i]], s);
+  });
 
   // Phase 3 (calling thread): newly computed answers land in the cache.
   if (options_.cache_capacity != 0)

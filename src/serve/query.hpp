@@ -1,7 +1,6 @@
 // QueryEngine — the daemon's compute core: distance / stretch / fault-
-// what-if queries over a precomputed FT spanner, answered by per-worker
-// pooled DijkstraEngines behind the burst pipeline, with an LRU answer
-// cache in front.
+// what-if queries over a precomputed FT spanner, answered by per-lane
+// pooled DijkstraEngines of a BurstPool, with an LRU answer cache in front.
 //
 // A query names a pair (s, t) plus an optional fault set to avoid: vertices
 // and/or edges (given as endpoint pairs). The engine answers with the exact
@@ -11,9 +10,9 @@
 // are bit-identical to oracle ground truth.
 //
 // Threading contract: all public methods are called from ONE thread (the
-// daemon's event loop). Worker threads only ever run inside answer_batch's
-// pipeline fan-out, on their own per-worker scratch; the cache is touched by
-// the calling thread exclusively.
+// daemon's event loop). Lane threads build their scratch when the engine is
+// constructed and otherwise run only inside answer_batch's fan-out, on that
+// scratch; the cache is touched by the calling thread exclusively.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +30,7 @@
 #include "graph/vertex_set.hpp"
 
 namespace ftspan {
+template <class State>
 class BurstPool;
 }
 
@@ -66,7 +66,7 @@ struct ServeAnswer {
 class QueryEngine {
  public:
   struct Options {
-    std::size_t workers = 1;        ///< pipeline lanes; 1 = inline, no threads
+    std::size_t workers = 1;        ///< BurstPool lanes; 1 = inline, no threads
     std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables the cache
   };
 
@@ -85,7 +85,7 @@ class QueryEngine {
 
   /// Answers queries[i] into answers[i] (resized to match). Cache lookups
   /// happen up front on the calling thread; misses fan out through the
-  /// burst pipeline onto per-worker engines, then land in the cache.
+  /// BurstPool onto per-lane engines, then land in the cache.
   /// Queries must be canonicalized. Answers are deterministic and identical
   /// for every workers setting.
   void answer_batch(std::span<const ServeQuery> queries,
@@ -122,16 +122,11 @@ class QueryEngine {
   double k_;
   Options options_;
 
-  std::vector<std::unique_ptr<Scratch>> scratch_;  ///< one per worker lane
-  std::unique_ptr<BurstPool> pool_;  ///< lazily built when workers > 1
+  std::unique_ptr<BurstPool<Scratch>> pool_;  ///< one Scratch per lane
 
-  // Per-batch work list, held in members so the pool's (once-constructed)
-  // worker tasks can reach the current batch. Valid only inside
-  // answer_batch; the single coordinator-thread contract makes this safe.
+  // Per-batch work list, kept across batches so its capacity is reused.
   std::vector<std::size_t> miss_idx_;
   std::vector<std::uint64_t> miss_key_;
-  std::span<const ServeQuery> cur_queries_;
-  std::vector<ServeAnswer>* cur_answers_ = nullptr;
   ServeQuery one_query_[1];  ///< answer()'s reusable single-element batch
   std::vector<ServeAnswer> one_answer_;
 

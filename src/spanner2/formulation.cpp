@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "validate/stretch_oracle.hpp"  // count_fault_sets
+#include "validate/stretch_oracle.hpp"  // for_each_fault_set
 
 namespace ftspan {
 
@@ -136,6 +136,7 @@ RelaxationResult solve_lp4(const Digraph& g, std::size_t r,
   RelaxationResult out = extract(lp, cp.solution);
   out.cut_rounds = cp.rounds;
   out.cuts_added = cp.cuts_added;
+  out.simplex_iterations = cp.pivots;
   if (!cp.separated_clean && out.status == LpStatus::kOptimal)
     out.status = LpStatus::kIterationLimit;
   return out;
@@ -145,9 +146,6 @@ RelaxationResult solve_lp2_exact(const Digraph& g, std::size_t r,
                                  std::size_t max_fault_sets,
                                  const SimplexOptions& simplex) {
   const std::size_t n = g.num_vertices();
-  if (count_fault_sets(n, r) > max_fault_sets)
-    throw std::runtime_error("solve_lp2_exact: too many fault sets");
-
   LpModel model;
   std::vector<int> x_var(g.num_edges());
   for (EdgeId id = 0; id < g.num_edges(); ++id)
@@ -180,30 +178,13 @@ RelaxationResult solve_lp2_exact(const Digraph& g, std::size_t r,
     }
   };
 
-  for (std::size_t size = 0; size <= std::min(r, n); ++size) {
-    std::vector<Vertex> comb(size);
-    for (std::size_t i = 0; i < size; ++i) comb[i] = static_cast<Vertex>(i);
-    while (true) {
-      VertexSet faults(n);
-      for (Vertex v : comb) faults.insert(v);
-      add_fault_set(faults);
-
-      if (size == 0) break;
-      std::size_t i = size;
-      while (i > 0) {
-        --i;
-        if (comb[i] != static_cast<Vertex>(n - size + i)) break;
-        if (i == 0) {
-          i = size;
-          break;
-        }
-      }
-      if (i == size) break;
-      ++comb[i];
-      for (std::size_t j = i + 1; j < size; ++j)
-        comb[j] = static_cast<Vertex>(comb[j - 1] + 1);
-    }
-  }
+  VertexSet faults(n);
+  for_each_fault_set("solve_lp2_exact", /*edge_faults=*/false, n, r,
+                     max_fault_sets, [&](std::span<const Vertex> f) {
+                       faults.clear();
+                       for (const Vertex v : f) faults.insert(v);
+                       add_fault_set(faults);
+                     });
 
   const LpSolution sol = solve_lp(model, simplex);
   RelaxationResult out;

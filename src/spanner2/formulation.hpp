@@ -54,6 +54,7 @@ struct RelaxationResult {
   std::vector<double> x;           ///< per-edge capacity values x_e
   std::size_t cut_rounds = 0;      ///< LP re-solves (1 for LP (3))
   std::size_t cuts_added = 0;      ///< knapsack-cover cuts added
+  /// Simplex pivots, summed over every cut round's solve for LP (4).
   std::size_t simplex_iterations = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -55,6 +54,31 @@ void throw_fault_set_overflow(const char* where, bool edge_faults,
   throw std::runtime_error(msg);
 }
 
+void for_each_fault_set(const char* where, bool edge_faults,
+                        std::size_t universe, std::size_t r,
+                        std::size_t max_fault_sets,
+                        const std::function<void(std::span<const Vertex>)>& fn) {
+  const std::size_t total = count_fault_sets(universe, r);
+  if (total > max_fault_sets)
+    throw_fault_set_overflow(where, edge_faults, universe, r, total,
+                             max_fault_sets);
+  std::vector<Vertex> f;
+  for (std::size_t size = 0; size <= std::min(r, universe); ++size) {
+    f.resize(size);
+    for (std::size_t i = 0; i < size; ++i) f[i] = static_cast<Vertex>(i);
+    for (;;) {
+      fn(f);
+      // Advance the rightmost id that is below its largest value, universe
+      // - size + i, and restart every id after it just above it.
+      std::size_t i = size;
+      while (i > 0 && f[i - 1] == universe - size + (i - 1)) --i;
+      if (i == 0) break;
+      ++f[i - 1];
+      for (std::size_t j = i; j < size; ++j) f[j] = f[j - 1] + 1;
+    }
+  }
+}
+
 void sample_fault_set(Rng& rng, std::size_t fault_size,
                       std::vector<Vertex>& pool, VertexSet& out) {
   const std::size_t n = out.universe_size();
@@ -70,30 +94,6 @@ void sample_fault_set(Rng& rng, std::size_t fault_size,
 }
 
 namespace {
-
-/// Lexicographic walk over all size-`size` subsets of {0..n-1}.
-template <class Fn>
-void for_each_combination(std::size_t n, std::size_t size, Fn&& fn) {
-  std::vector<Vertex> comb(size);
-  for (std::size_t i = 0; i < size; ++i) comb[i] = static_cast<Vertex>(i);
-  while (true) {
-    fn(comb);
-    if (size == 0) break;
-    std::size_t i = size;
-    while (i > 0) {
-      --i;
-      if (comb[i] != static_cast<Vertex>(n - size + i)) break;
-      if (i == 0) {
-        i = size;  // done
-        break;
-      }
-    }
-    if (i == size) break;
-    ++comb[i];
-    for (std::size_t j = i + 1; j < size; ++j)
-      comb[j] = static_cast<Vertex>(comb[j - 1] + 1);
-  }
-}
 
 /// Every subset of {0..universe-1} of size <= r, by size then
 /// lexicographically, materialized once (flat id array + offsets); the
@@ -112,17 +112,14 @@ struct FaultSetList {
 FaultSetList enumerate_fault_sets(const char* where, bool edge_faults,
                                   std::size_t universe, std::size_t r,
                                   std::size_t max_fault_sets) {
-  const std::size_t total = count_fault_sets(universe, r);
-  if (total > max_fault_sets)
-    throw_fault_set_overflow(where, edge_faults, universe, r, total,
-                             max_fault_sets);
   FaultSetList out;
-  out.offsets.reserve(total + 1);
-  for (std::size_t size = 0; size <= std::min(r, universe); ++size)
-    for_each_combination(universe, size, [&](const std::vector<Vertex>& comb) {
-      out.flat.insert(out.flat.end(), comb.begin(), comb.end());
-      out.offsets.push_back(out.flat.size());
-    });
+  out.offsets.reserve(
+      std::min(count_fault_sets(universe, r), max_fault_sets) + 1);
+  for_each_fault_set(where, edge_faults, universe, r, max_fault_sets,
+                     [&](std::span<const Vertex> f) {
+                       out.flat.insert(out.flat.end(), f.begin(), f.end());
+                       out.offsets.push_back(out.flat.size());
+                     });
   return out;
 }
 
@@ -268,42 +265,6 @@ void record_path(const DijkstraEngine& e, Vertex u, Vertex v,
   }
 }
 
-/// A check's worker lanes: run(count, job) calls job(i, scratch) for every
-/// i < count, in bursts over the lanes. Each lane makes its scratch once, on
-/// its own thread, and keeps it for the check's next run, so a check with a
-/// baseline sweep allocates no more scratch than one without. One lane runs
-/// inline on the caller's thread.
-template <class Scratch>
-class CheckLanes {
- public:
-  using Job = std::function<void(std::size_t, Scratch&)>;
-
-  CheckLanes(std::size_t workers, std::function<Scratch()> make)
-      : make_(std::move(make)) {
-    if (workers > 1)
-      pool_.emplace(workers, [this](std::size_t) -> BurstTask {
-        auto scratch = std::make_shared<Scratch>(make_());
-        return [this, scratch](std::size_t i) { (*job_)(i, *scratch); };
-      });
-  }
-
-  void run(std::size_t count, const Job& job) {
-    job_ = &job;  // published to the lanes by the burst hand-off
-    if (pool_) {
-      pool_->run(count);
-      return;
-    }
-    if (!inline_) inline_.emplace(make_());
-    for (std::size_t i = 0; i < count; ++i) job(i, *inline_);
-  }
-
- private:
-  std::function<Scratch()> make_;
-  const Job* job_ = nullptr;
-  std::optional<Scratch> inline_;
-  std::optional<BurstPool> pool_;  ///< last: joined before the rest goes
-};
-
 /// `from`'s edge id -> `to`'s id for the same endpoints (kInvalidEdge where
 /// `to` lacks the edge). Built per edge check, never by the oracle's
 /// constructor.
@@ -382,8 +343,9 @@ double BasicStretchOracle<G>::max_stretch(const VertexSet* faults) const {
 }
 
 template <class G>
-template <bool kEdges, class Lanes>
-OracleBaseline BasicStretchOracle<G>::build_baseline(Lanes& lanes) const {
+template <bool kEdges>
+OracleBaseline BasicStretchOracle<G>::build_baseline(
+    BurstPool<Scratch>& lanes) const {
   // With no faults every source with a slot is searched.
   const std::size_t n = cg_.num_vertices();
   OracleBaseline b;
@@ -463,13 +425,15 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   const bool with_baseline = sweeps >= 2;
   // Burst pipeline: source and fault-set indices travel to per-lane scratch
   // in bursts (pipeline/burst_pipeline.hpp) — one ring hand-off per burst
-  // instead of one shared-counter bounce per index. Results land in
-  // index-keyed slots, so scheduling stays invisible.
-  CheckLanes<Scratch> lanes(
+  // instead of one shared-counter bounce per index. Each lane makes its
+  // scratch once, on its own thread, and keeps it from the baseline sweep to
+  // the fault sets. Results land in index-keyed slots, so scheduling stays
+  // invisible.
+  BurstPool<Scratch> lanes(
       resolve_threads(options.threads,
                       with_baseline ? std::max(count, g_->num_vertices())
                                     : count),
-      [this, &options] {
+      [this, &options](std::size_t) {
         return make_scratch(options.engine, options.bucket_max);
       });
   std::optional<OracleBaseline> baseline;

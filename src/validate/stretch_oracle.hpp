@@ -45,6 +45,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -106,6 +108,15 @@ std::size_t count_fault_sets(std::size_t n, std::size_t r);
                                            std::size_t count,
                                            std::size_t max_fault_sets);
 
+/// The one fault-set enumeration: calls fn(F) for every subset F of
+/// {0..universe-1} with |F| <= r, by size and then lexicographically (F's
+/// ids ascending). Throws via throw_fault_set_overflow(where, edge_faults,
+/// ...) before the first call when there are more than max_fault_sets.
+void for_each_fault_set(const char* where, bool edge_faults,
+                        std::size_t universe, std::size_t r,
+                        std::size_t max_fault_sets,
+                        const std::function<void(std::span<const Vertex>)>& fn);
+
 /// The fault set drawn by check_sampled's (or check_sampled_edges') random
 /// trial i: a partial Fisher-Yates draw of `fault_size` distinct ids, left
 /// in pool[0, fault_size), from the identity pool over out.universe_size()
@@ -118,6 +129,9 @@ void sample_fault_set(Rng& rng, std::size_t fault_size,
 /// The fault-free baseline a check builds before its fan-out (mechanism 4
 /// above); defined in stretch_oracle.cpp.
 struct OracleBaseline;
+
+template <class State>
+class BurstPool;
 
 template <class G>
 class BasicStretchOracle {
@@ -208,8 +222,8 @@ class BasicStretchOracle {
  private:
   /// Sweeps every source fault-free on the check's lanes and indexes the
   /// elements (vertices, or G's edge ids when kEdges) of its trees.
-  template <bool kEdges, class Lanes>
-  OracleBaseline build_baseline(Lanes& lanes) const;
+  template <bool kEdges>
+  OracleBaseline build_baseline(BurstPool<Scratch>& lanes) const;
 
   /// Fault set i is load(i, scratch) (which may fill the scratch's masks)
   /// and scores eval(i, scratch, baseline); `universe` sizes an empty

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#include "graph/generators.hpp"
+#include "spanner2/formulation.hpp"
 
 namespace ftspan {
 namespace {
@@ -117,6 +122,42 @@ TEST(CuttingPlane, InfeasibleCutStops) {
   const auto res = solve_with_cuts(m, oracle);
   EXPECT_EQ(res.solution.status, LpStatus::kInfeasible);
   EXPECT_FALSE(res.separated_clean);
+}
+
+// The pivot count is the total over every round's solve, not the last
+// round's: replay LP (4)'s cutting-plane loop one solve at a time on a
+// random digraph that needs several rounds, and compare with both
+// solve_with_cuts and solve_lp4.
+TEST(CuttingPlane, PivotsAreSummedOverRounds) {
+  const Digraph g = di_gnp(12, 0.3, 1);
+  constexpr std::size_t kR = 2;
+  TwoSpannerLp lp = build_two_spanner_lp(g, kR);
+  const SeparationOracle oracle = knapsack_cover_oracle(lp);
+  std::size_t rounds = 0, total = 0, last = 0;
+  for (;;) {
+    const LpSolution sol = solve_lp(lp.model);
+    ASSERT_EQ(sol.status, LpStatus::kOptimal);
+    ++rounds;
+    total += sol.iterations;
+    last = sol.iterations;
+    std::vector<LpConstraint> cuts = oracle(sol.x);
+    if (cuts.empty()) break;
+    for (LpConstraint& c : cuts)
+      lp.model.add_constraint(std::move(c.terms), c.sense, c.rhs);
+  }
+  ASSERT_GE(rounds, 2u);
+  EXPECT_GT(total, last);
+
+  TwoSpannerLp fresh = build_two_spanner_lp(g, kR);
+  const CuttingPlaneResult cp =
+      solve_with_cuts(fresh.model, knapsack_cover_oracle(fresh));
+  EXPECT_EQ(cp.rounds, rounds);
+  EXPECT_EQ(cp.pivots, total);
+  EXPECT_EQ(cp.solution.iterations, last);
+
+  const RelaxationResult lp4 = solve_lp4(g, kR);
+  EXPECT_EQ(lp4.cut_rounds, rounds);
+  EXPECT_EQ(lp4.simplex_iterations, total);
 }
 
 }  // namespace

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "ftspanner/baselines.hpp"
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
 #include "spanner/greedy.hpp"
+#include "spanner2/formulation.hpp"
 
 namespace ftspan {
 namespace {
@@ -53,6 +58,56 @@ TEST(CountFaultSets, BoundaryRNearNSaturates) {
   EXPECT_EQ(count_fault_sets(20, 1000), std::size_t{1} << 20);
   // ...and at the cap when it does not.
   EXPECT_EQ(count_fault_sets(80, 1000), cap);
+}
+
+// The one enumeration behind every exact check, LP (2) and the
+// union-over-faults baseline: by size, then lexicographically.
+TEST(ForEachFaultSet, BySizeThenLexicographic) {
+  std::vector<std::vector<Vertex>> seen;
+  for_each_fault_set("test", /*edge_faults=*/false, 4, 2, 100,
+                     [&seen](std::span<const Vertex> f) {
+                       seen.emplace_back(f.begin(), f.end());
+                     });
+  const std::vector<std::vector<Vertex>> want = {
+      {},     {0},    {1},    {2},    {3},    {0, 1},
+      {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(seen.size(), count_fault_sets(4, 2));
+}
+
+// Every caller of the walk reports an overflow through
+// throw_fault_set_overflow, naming itself, before enumerating anything.
+TEST(ForEachFaultSet, OverflowNamesTheCallerBeforeAnySet) {
+  const auto message = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  bool called = false;
+  const std::string walk = message([&called] {
+    for_each_fault_set("walk", /*edge_faults=*/false, 30, 4, 100,
+                       [&called](std::span<const Vertex>) { called = true; });
+  });
+  EXPECT_FALSE(called);
+  EXPECT_NE(walk.find("walk: too many vertex-fault sets"), std::string::npos)
+      << walk;
+  const std::string lp2 =
+      message([] { solve_lp2_exact(di_complete(30), 4, 100); });
+  EXPECT_NE(lp2.find("solve_lp2_exact: too many vertex-fault sets"),
+            std::string::npos)
+      << lp2;
+  EXPECT_NE(lp2.find("max_fault_sets=100"), std::string::npos) << lp2;
+  const BaseSpanner none = [](const Graph&, const VertexSet*, std::uint64_t) {
+    return std::vector<EdgeId>();
+  };
+  const std::string union_faults = message(
+      [&none] { union_over_faults_spanner(gnp(200, 0.05, 1), 5, none, 1); });
+  EXPECT_NE(union_faults.find("union_over_faults_spanner: too many"),
+            std::string::npos)
+      << union_faults;
 }
 
 TEST(StretchOracle, ExactCheckDetectsNonFaultTolerantSpanner) {

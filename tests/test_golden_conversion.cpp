@@ -7,6 +7,7 @@
 // thread count — the refactor is a pure performance change.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -204,6 +205,53 @@ TEST(GoldenConversion, FtEdgeGreedySpannerBitIdenticalUnitWeights) {
 
 TEST(GoldenConversion, FtEdgeGreedySpannerBitIdenticalDistinctWeights) {
   check_edge_goldens(gnp(200, 0.06, 5, 10.0), kGoldenEdgeWeighted);
+}
+
+// The benchmark's inputs (perfbench's build_unit and certify_midrange
+// instances at seed 1), pinned here so that a change in them — a different
+// libm under the generator or the reweight, say — fails as an input check
+// instead of silently moving perfbench's goldens. The hash is FNV-1a over
+// every edge's (u, v, bits of w), in edge-id order.
+std::uint64_t edge_list_hash(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (EdgeId id = 0; id < g.num_edges(); ++id) {
+    const Edge& e = g.edge(id);
+    mix(e.u);
+    mix(e.v);
+    mix(std::bit_cast<std::uint64_t>(e.w));
+  }
+  return h;
+}
+
+TEST(BenchmarkInputs, PerfbenchInstancesAreUnchanged) {
+  runner::WorkloadParams unit;
+  unit.n = 400;
+  unit.p = 0.5;
+  unit.seed = 1;
+  const Graph gu = runner::make_workload("gnp", unit).g;
+  EXPECT_EQ(gu.num_vertices(), 400u);
+  EXPECT_EQ(gu.num_edges(), 40043u);
+  EXPECT_EQ(edge_list_hash(gu), 0xcea38a6506e763e4ull);
+
+  runner::WorkloadParams midrange;
+  midrange.n = 400;
+  midrange.p = 0.1;
+  midrange.max_weight = 1e5;
+  midrange.seed = 1;
+  const Graph gm = runner::make_workload("gnp", midrange).g;
+  EXPECT_EQ(gm.num_vertices(), 400u);
+  EXPECT_EQ(gm.num_edges(), 8049u);
+  EXPECT_EQ(edge_list_hash(gm), 0x81c03554df043740ull);
+
+  // The iteration counts both workloads' conversions run (k = 3, r = 2).
+  EXPECT_EQ(conversion_iterations(2, 400, 1), 384u);
+  EXPECT_EQ(edge_conversion_iterations(2, 400, 1), 192u);
 }
 
 }  // namespace

@@ -1,64 +1,14 @@
-#include "ftspanner/parallel.hpp"
-
+// The conversion's thread-count invariance: for the same seed its edge set
+// does not depend on ConversionOptions::threads (the executor itself is
+// covered by tests/test_pipeline.cpp).
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <stdexcept>
-#include <utility>
 
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
-#include "pipeline/burst_pipeline.hpp"
 #include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 namespace {
-
-TEST(ResolveThreads, ZeroMeansHardware) {
-  EXPECT_EQ(resolve_threads(0, 100000),
-            std::min(hardware_threads(), kMaxWorkers));
-}
-
-TEST(ResolveThreads, ClampedToIterations) {
-  EXPECT_EQ(resolve_threads(8, 3), 3u);
-  EXPECT_EQ(resolve_threads(8, 0), 1u);  // never 0 workers
-  EXPECT_EQ(resolve_threads(2, 1000), 2u);
-}
-
-TEST(ResolveThreads, BogusRequestHitsTheCeiling) {
-  EXPECT_EQ(resolve_threads(static_cast<std::size_t>(-1), 1u << 20),
-            kMaxWorkers);
-}
-
-/// A factory that hands every worker the same stateless body.
-IterationBodyFactory every_worker(IterationBody body) {
-  return [body = std::move(body)](std::size_t) { return body; };
-}
-
-TEST(UnionIterations, SingleThreadMatchesManualLoop) {
-  const auto body = [](std::size_t it, std::vector<char>& marks) {
-    marks[it % marks.size()] = 1;
-  };
-  const auto marks = union_iterations(5, 1, 3, every_worker(body));
-  EXPECT_EQ(marks, (std::vector<char>{1, 1, 1}));
-  EXPECT_EQ(marks_to_edges(marks), (std::vector<EdgeId>{0, 1, 2}));
-}
-
-TEST(UnionIterations, ThreadCountInvariant) {
-  const auto body = [](std::size_t it, std::vector<char>& marks) {
-    marks[(it * 7) % marks.size()] = 1;
-  };
-  const auto one = union_iterations(20, 1, 50, every_worker(body));
-  const auto four = union_iterations(20, 4, 50, every_worker(body));
-  EXPECT_EQ(one, four);
-}
-
-TEST(UnionIterations, RethrowsBodyException) {
-  const IterationBody body = [](std::size_t it, std::vector<char>&) {
-    if (it == 3) throw std::invalid_argument("it 3");
-  };
-  EXPECT_THROW(union_iterations(8, 4, 2, every_worker(body)), std::invalid_argument);
-}
 
 // The engine's headline guarantee: for the same seed, the conversion's edge
 // set does not depend on the thread count — the vertex-fault path...

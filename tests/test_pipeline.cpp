@@ -1,5 +1,5 @@
-// The dataplane pipeline: SpscRing (bounded lock-free SPSC queue) and
-// run_bursts (the burst-batched fan-out driver).
+// The dataplane pipeline: SpscRing (bounded lock-free SPSC queue),
+// resolve_threads, and BurstPool (the burst-batched fan-out executor).
 //
 // This suite links tests/support/counting_allocator.cpp, whose counting
 // allocation functions let the steady-state ring tests assert an exact
@@ -17,7 +17,8 @@
 #include <thread>
 #include <vector>
 
-#include "ftspanner/parallel.hpp"
+#include "ftspanner/conversion.hpp"
+#include "graph/generators.hpp"
 #include "serve/query.hpp"
 #include "support/counting_allocator.hpp"
 #include "util/spsc_ring.hpp"
@@ -187,9 +188,27 @@ TEST(SpscRing, CarriesServeQueryPayloadsAcrossThreads) {
   EXPECT_FALSE(failed.load());
 }
 
-// --- run_bursts ----------------------------------------------------------
+// --- resolve_threads -----------------------------------------------------
 
-/// The width run_bursts derives: full kDefaultBurst bursts from 16·workers
+TEST(ResolveThreads, ZeroMeansHardware) {
+  EXPECT_EQ(resolve_threads(0, 100000),
+            std::min(hardware_threads(), kMaxWorkers));
+}
+
+TEST(ResolveThreads, ClampedToIterations) {
+  EXPECT_EQ(resolve_threads(8, 3), 3u);
+  EXPECT_EQ(resolve_threads(8, 0), 1u);  // never 0 workers
+  EXPECT_EQ(resolve_threads(2, 1000), 2u);
+}
+
+TEST(ResolveThreads, BogusRequestHitsTheCeiling) {
+  EXPECT_EQ(resolve_threads(static_cast<std::size_t>(-1), 1u << 20),
+            kMaxWorkers);
+}
+
+// --- BurstPool -----------------------------------------------------------
+
+/// The width the pool derives: full kDefaultBurst bursts from 16·workers
 /// indices on, finer ones below (pipeline/burst_pipeline.hpp).
 std::size_t expected_width(std::size_t count, std::size_t workers) {
   return std::min(kDefaultBurst, (count + workers - 1) / workers);
@@ -202,225 +221,198 @@ std::vector<std::size_t> counts_around_full_bursts(std::size_t workers) {
   return {0, 1, workers, 12, full - 1, full, full + 1, 4 * full + 7};
 }
 
-// Every index in [0, count) must run exactly once, whatever the worker count
-// and whichever side of 16·workers the count falls on (finer bursts below,
-// full bursts above).
-TEST(RunBursts, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t workers : {1, 2, 4})
-    for (const std::size_t count : counts_around_full_bursts(workers)) {
-      std::vector<std::atomic<int>> hits(count);
-      for (auto& h : hits) h.store(0);
-      run_bursts(count, workers, [&hits](std::size_t) -> BurstTask {
-        return [&hits](std::size_t i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        };
-      });
-      for (std::size_t i = 0; i < count; ++i)
-        ASSERT_EQ(hits[i].load(), 1)
-            << "count=" << count << " workers=" << workers << " i=" << i;
-    }
-}
+/// Lane state that is just the lane's index.
+std::size_t lane_index(std::size_t w) { return w; }
 
-TEST(RunBursts, WorkerPinningIsDeterministic) {
-  // Burst b goes to worker b % workers: record who ran each index and check
-  // the round-robin layout directly, at the derived width.
-  constexpr std::size_t kWorkers = 3;
-  for (const std::size_t count : counts_around_full_bursts(kWorkers)) {
-    std::vector<std::atomic<std::size_t>> ran_by(count);
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    run_bursts(count, kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-      return [&ran_by, w](std::size_t i) {
-        ran_by[i].store(w, std::memory_order_relaxed);
-      };
+// Every index in [0, count) runs exactly once, on one lane or several,
+// whichever side of 16·workers the count falls on, and run after run of the
+// same pool: each lane builds its state once, not once per run.
+TEST(BurstPool, CoversEveryIndexExactlyOnceAcrossRuns) {
+  for (const std::size_t workers : {1, 2, 4}) {
+    std::atomic<std::size_t> builds{0};
+    BurstPool<std::size_t> pool(workers, [&builds](std::size_t w) {
+      builds.fetch_add(1, std::memory_order_relaxed);
+      return w;
     });
-    const std::size_t width = expected_width(count, kWorkers);
-    for (std::size_t i = 0; i < count; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
-          << "count=" << count << " i=" << i;
+    EXPECT_EQ(pool.workers(), workers);
+    const std::vector<std::size_t> counts = counts_around_full_bursts(workers);
+    std::vector<std::atomic<int>> hits(counts.back());
+    for (const std::size_t count : counts) {
+      for (auto& h : hits) h.store(0);
+      pool.run(count, [&hits](std::size_t i, std::size_t&) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "workers=" << workers << " count=" << count << " i=" << i;
+    }
+    EXPECT_EQ(builds.load(), workers);
   }
 }
 
-// A fan-out smaller than one full burst per worker — the 12 fault sets of a
-// small certification on 4 workers — must still reach every lane instead of
-// running as one burst on lane 0.
-TEST(RunBursts, SmallFanOutReachesEveryLane) {
+// Burst b goes to lane b % workers at the derived width: record who ran
+// each index and check the round-robin layout directly, twice over the same
+// pool.
+TEST(BurstPool, LanePinningIsDeterministic) {
+  for (const std::size_t workers : {1, 3}) {
+    const std::vector<std::size_t> counts = counts_around_full_bursts(workers);
+    std::vector<std::atomic<std::size_t>> ran_by(counts.back());
+    BurstPool<std::size_t> pool(workers, lane_index);
+    for (int round = 0; round < 2; ++round)
+      for (const std::size_t count : counts) {
+        for (auto& r : ran_by) r.store(SIZE_MAX);
+        pool.run(count, [&ran_by](std::size_t i, std::size_t& w) {
+          ran_by[i].store(w, std::memory_order_relaxed);
+        });
+        const std::size_t width = expected_width(count, workers);
+        for (std::size_t i = 0; i < count; ++i)
+          EXPECT_EQ(ran_by[i].load(), (i / width) % workers)
+              << "workers=" << workers << " round=" << round
+              << " count=" << count << " i=" << i;
+      }
+  }
+}
+
+// A fan-out smaller than one full burst per lane — the 12 fault sets of a
+// small certification on 4 lanes — must still reach every lane instead of
+// running as one burst on lane 0: four bursts of 3.
+TEST(BurstPool, SmallRunReachesEveryLane) {
   constexpr std::size_t kCount = 12, kWorkers = 4;
   std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  run_bursts(kCount, kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-    return [&ran_by, w](std::size_t i) {
-      ran_by[i].store(w, std::memory_order_relaxed);
-    };
+  BurstPool<std::size_t> pool(kWorkers, lane_index);
+  pool.run(kCount, [&ran_by](std::size_t i, std::size_t& w) {
+    ran_by[i].store(w, std::memory_order_relaxed);
   });
   std::vector<std::size_t> per_lane(kWorkers, 0);
   for (const auto& w : ran_by) ++per_lane[w.load()];
   EXPECT_EQ(per_lane, std::vector<std::size_t>(kWorkers, kCount / kWorkers));
 }
 
-TEST(RunBursts, TaskExceptionPropagatesWithoutDeadlock) {
-  // A mid-stream throw must reach the caller even though the coordinator
-  // keeps pushing bursts into the thrower's ring (the worker drains and
-  // discards them). 10000 indices on 2 workers are ~312 full bursts per
-  // lane, several times the kRingCapacity-burst ring, so a stalled consumer
-  // would deadlock the feed.
+// Each lane builds its state on the thread that then runs its bursts: its
+// own thread, or with one lane the caller's.
+TEST(BurstPool, LaneStateIsBuiltOnItsLanesThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t workers : {1, 3}) {
+    BurstPool<std::thread::id> pool(
+        workers, [](std::size_t) { return std::this_thread::get_id(); });
+    std::atomic<int> foreign{0}, on_caller{0};
+    pool.run(300, [&](std::size_t, std::thread::id& built_on) {
+      if (built_on != std::this_thread::get_id()) foreign.fetch_add(1);
+      if (built_on == caller) on_caller.fetch_add(1);
+    });
+    EXPECT_EQ(foreign.load(), 0) << "workers=" << workers;
+    EXPECT_EQ(on_caller.load(), workers == 1 ? 300 : 0) << "workers=" << workers;
+  }
+}
+
+// A mid-stream throw must reach the caller even though the coordinator
+// keeps pushing bursts into the thrower's ring (the lane drains and
+// discards them). 10000 indices on 2 lanes are ~312 full bursts per lane,
+// several times the kRingCapacity-burst ring, so a stalled consumer would
+// deadlock the feed. The throw poisons one run, not the pool: the next run
+// succeeds.
+TEST(BurstPool, JobExceptionPropagatesWithoutDeadlockAndRecovers) {
   static_assert(10000 / (2 * kDefaultBurst) > 4 * kRingCapacity);
-  EXPECT_THROW(run_bursts(10000, 2,
-                          [](std::size_t) -> BurstTask {
-                            return [](std::size_t i) {
-                              if (i == 37) throw std::runtime_error("boom");
-                            };
+  for (const std::size_t workers : {1, 2}) {
+    BurstPool<std::size_t> pool(workers, lane_index);
+    EXPECT_THROW(pool.run(10000,
+                          [](std::size_t i, std::size_t&) {
+                            if (i == 37) throw std::runtime_error("boom");
                           }),
-               std::runtime_error);
+                 std::runtime_error);
+    std::atomic<std::size_t> done{0};
+    pool.run(100, [&done](std::size_t, std::size_t&) {
+      done.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(done.load(), 100u) << "workers=" << workers;
+  }
 }
 
-TEST(RunBursts, FactoryExceptionPropagates) {
-  EXPECT_THROW(run_bursts(100, 2,
-                          [](std::size_t w) -> BurstTask {
-                            if (w == 1)
-                              throw std::runtime_error("factory boom");
-                            return [](std::size_t) {};
-                          }),
-               std::runtime_error);
+// A make that throws leaves its lane without state: every run rethrows, but
+// runs still terminate — the lane drains its feed without running it.
+TEST(BurstPool, LaneStateFailurePropagatesOnEveryRun) {
+  for (const std::size_t workers : {1, 2}) {
+    BurstPool<std::size_t> pool(workers, [workers](std::size_t w) {
+      if (w == workers - 1) throw std::runtime_error("make boom");
+      return w;
+    });
+    const auto job = [](std::size_t, std::size_t&) {};
+    EXPECT_THROW(pool.run(50, job), std::runtime_error);
+    EXPECT_THROW(pool.run(50, job), std::runtime_error);
+  }
 }
 
-// The consumer contract the conversion engine relies on: union_iterations
-// over the burst pipeline produces the same marks as the sequential loop,
-// for every worker count and on both sides of 16·workers iterations.
-TEST(RunBursts, UnionIterationsIsGeometryInvariant) {
-  constexpr std::size_t kEdges = 512;
-  const IterationBodyFactory factory = [](std::size_t) -> IterationBody {
-    return [](std::size_t it, std::vector<char>& marks) {
-      // A deterministic, iteration-dependent scatter.
-      for (std::size_t j = 0; j < 16; ++j)
-        marks[(it * 31 + j * 97) % kEdges] = 1;
-    };
-  };
+// One lane runs inline: once its state exists, a run is a plain loop of
+// job calls with no allocation at all.
+TEST(BurstPool, InlineInnerLoopIsAllocationFree) {
+  BurstPool<std::size_t> pool(1, lane_index);
+  pool.run(1, [](std::size_t, std::size_t&) {});  // builds the lane's state
+  std::size_t sum = 0;
+  const std::size_t before = test::allocation_count();
+  pool.run(100000, [&sum](std::size_t i, std::size_t&) { sum += i; });
+  const std::size_t after = test::allocation_count();
+  EXPECT_EQ(sum, std::size_t{100000} * 99999 / 2);
+  EXPECT_EQ(after - before, 0u);
+}
+
+// The consumer contract the conversion relies on: its union is the same at
+// any thread count, for iteration counts on both sides of 16·workers (so
+// both finer and full bursts).
+TEST(BurstPool, ConversionUnionIsGeometryInvariant) {
+  const Graph g = gnp(24, 0.3, 5);
   for (const std::size_t workers : {2, 3, 8})
     for (const std::size_t iters : counts_around_full_bursts(workers)) {
-      const std::vector<char> want = union_iterations(iters, 1, kEdges, factory);
-      EXPECT_EQ(union_iterations(iters, workers, kEdges, factory), want)
+      ConversionOptions opt;
+      opt.iterations = iters;
+      const ConversionResult want = ft_greedy_spanner(g, 3.0, 2, 11, opt);
+      opt.threads = workers;
+      const ConversionResult got = ft_greedy_spanner(g, 3.0, 2, 11, opt);
+      EXPECT_EQ(got.edges, want.edges)
           << "workers=" << workers << " iters=" << iters;
+      EXPECT_EQ(got.max_survivors, want.max_survivors);
+      EXPECT_EQ(got.threads_used, resolve_threads(workers, iters));
     }
-}
-
-// The burst inner loop itself must not allocate: after the factory has built
-// the per-worker state, processing indices is ring pops + task calls only.
-TEST(RunBursts, SingleWorkerInnerLoopIsAllocationFree) {
-  std::size_t sum = 0, before = 0, after = 0;
-  run_bursts(100000, 1, [&](std::size_t) -> BurstTask {
-    before = test::allocation_count();
-    return [&sum](std::size_t i) { sum += i; };
-  });
-  after = test::allocation_count();
-  EXPECT_GT(sum, 0u);
-  // The one allowance: materializing the returned BurstTask (a
-  // std::function) may allocate once outside the loop.
-  EXPECT_LE(after - before, 1u);
-}
-
-// --- BurstPool -----------------------------------------------------------
-
-// The persistent pool must behave exactly like run_bursts call after call:
-// the factory runs once per worker (not once per run), and every run covers
-// its indices exactly once.
-TEST(BurstPool, ReusesLanesAcrossRuns) {
-  constexpr std::size_t kWorkers = 3;
-  std::atomic<std::size_t> factory_calls{0};
-  std::vector<std::atomic<int>> hits(257);
-  BurstPool pool(kWorkers, [&](std::size_t) -> BurstTask {
-    factory_calls.fetch_add(1, std::memory_order_relaxed);
-    return [&hits](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    };
-  });
-  EXPECT_EQ(pool.workers(), kWorkers);
-
-  const std::size_t counts[] = {1, 64, 257, 7, 0, 100};
-  int rounds = 0;
-  for (const std::size_t count : counts) {
-    for (auto& h : hits) h.store(0);
-    pool.run(count);
-    ++rounds;
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
-          << "round=" << rounds << " count=" << count << " i=" << i;
-  }
-  EXPECT_EQ(factory_calls.load(), kWorkers);
-}
-
-// A task exception poisons one run, not the pool: run() rethrows, then the
-// next run must succeed (the error slot is cleared).
-TEST(BurstPool, RecoversAfterATaskException) {
-  std::atomic<bool> armed{true};
-  std::atomic<std::size_t> done{0};
-  BurstPool pool(2, [&](std::size_t) -> BurstTask {
-    return [&](std::size_t i) {
-      if (armed.load(std::memory_order_relaxed) && i == 13)
-        throw std::runtime_error("boom");
-      done.fetch_add(1, std::memory_order_relaxed);
-    };
-  });
-  EXPECT_THROW(pool.run(100), std::runtime_error);
-  armed.store(false);
-  done.store(0);
-  pool.run(100);
-  EXPECT_EQ(done.load(), 100u);
-}
-
-// A factory that throws poisons its lane permanently: every run rethrows
-// (the lane never got a task), but runs still terminate — the lane drains
-// its feed without executing it.
-TEST(BurstPool, FactoryFailurePoisonsEveryRun) {
-  BurstPool pool(2, [](std::size_t w) -> BurstTask {
-    if (w == 1) throw std::runtime_error("factory boom");
-    return [](std::size_t) {};
-  });
-  EXPECT_THROW(pool.run(50), std::runtime_error);
-  EXPECT_THROW(pool.run(50), std::runtime_error);
 }
 
 // --- BurstPool teardown --------------------------------------------------
 //
-// The pool's destructor runs while worker threads may still be between
-// their last completion hand-off and the idle wait; these tests hammer that
+// The pool's destructor runs while lane threads may still be between their
+// last completion hand-off and the idle wait; these tests hammer that
 // window from every shape the serve layer can produce (see the teardown
 // contract in burst_pipeline.hpp). They are primarily TSan/ASan fodder: the
 // assertions are thin on purpose — the property under test is "no data
 // race, no deadlock, no touch-after-free during teardown".
 
-// Destroy the pool the instant run() returns, while workers are still
-// draining out of their final notify. Slow tasks widen the window; several
+// Destroy the pool the instant run() returns, while lanes are still
+// draining out of their final notify. Slow jobs widen the window; several
 // rounds make the interleaving vary.
 TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
   for (int round = 0; round < 8; ++round) {
     std::atomic<std::size_t> done{0};
     {
-      BurstPool pool(4, [&done](std::size_t) -> BurstTask {
-        return [&done](std::size_t) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          done.fetch_add(1, std::memory_order_relaxed);
-        };
+      BurstPool<std::size_t> pool(4, lane_index);
+      pool.run(64, [&done](std::size_t, std::size_t&) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        done.fetch_add(1, std::memory_order_relaxed);
       });
-      pool.run(64);
-    }  // ~BurstPool races the workers' post-completion wind-down
+    }  // ~BurstPool races the lanes' post-completion wind-down
     EXPECT_EQ(done.load(), 64u);
   }
 }
 
 // A run that throws still drains every burst before rethrowing, so tearing
 // the pool down right out of the catch block must be as safe as after a
-// clean run — no worker may still hold a burst whose task state is gone.
+// clean run — no lane may still hold a burst whose job is gone.
 TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
   for (int round = 0; round < 8; ++round) {
     bool threw = false;
     {
-      BurstPool pool(3, [](std::size_t) -> BurstTask {
-        return [](std::size_t i) {
+      BurstPool<std::size_t> pool(3, lane_index);
+      try {
+        pool.run(200, [](std::size_t i, std::size_t&) {
           if (i == 17) throw std::runtime_error("boom");
           std::this_thread::sleep_for(std::chrono::microseconds(20));
-        };
-      });
-      try {
-        pool.run(200);
+        });
       } catch (const std::runtime_error&) {
         threw = true;
       }
@@ -430,13 +422,12 @@ TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
 }
 
 // Construct-then-destroy with no run in between: the stop flag may be set
-// before a worker has even reached its first idle wait (or run its
-// factory), and the join must still succeed.
+// before a lane has even reached its first idle wait (or built its state),
+// and the join must still succeed.
 TEST(BurstPool, DestructionWithoutAnyRunIsClean) {
   for (int round = 0; round < 16; ++round) {
-    BurstPool pool(4, [](std::size_t) -> BurstTask {
-      return [](std::size_t) {};
-    });
+    BurstPool<std::vector<int>> pool(
+        4, [](std::size_t w) { return std::vector<int>(64, static_cast<int>(w)); });
   }
 }
 
@@ -447,53 +438,13 @@ TEST(BurstPool, DestructionWithoutAnyRunIsClean) {
 // thread identity.
 TEST(BurstPool, DestructionOnADifferentThreadIsClean) {
   std::atomic<std::size_t> done{0};
-  auto pool = std::make_unique<BurstPool>(3, [&done](std::size_t) -> BurstTask {
-    return [&done](std::size_t) {
-      done.fetch_add(1, std::memory_order_relaxed);
-    };
+  auto pool = std::make_unique<BurstPool<std::size_t>>(3, lane_index);
+  pool->run(100, [&done](std::size_t, std::size_t&) {
+    done.fetch_add(1, std::memory_order_relaxed);
   });
-  pool->run(100);
   EXPECT_EQ(done.load(), 100u);
   std::thread reaper([p = std::move(pool)]() mutable { p.reset(); });
   reaper.join();
-}
-
-// Same deterministic distribution as run_bursts: burst b -> worker
-// b % workers at the derived width, stable across runs of the same pool.
-TEST(BurstPool, WorkerPinningMatchesRunBursts) {
-  constexpr std::size_t kWorkers = 3;
-  const std::vector<std::size_t> counts = counts_around_full_bursts(kWorkers);
-  std::vector<std::atomic<std::size_t>> ran_by(counts.back());
-  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-    return [&ran_by, w](std::size_t i) {
-      ran_by[i].store(w, std::memory_order_relaxed);
-    };
-  });
-  for (int round = 0; round < 2; ++round)
-    for (const std::size_t count : counts) {
-      for (auto& r : ran_by) r.store(SIZE_MAX);
-      pool.run(count);
-      const std::size_t width = expected_width(count, kWorkers);
-      for (std::size_t i = 0; i < count; ++i)
-        EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
-            << "round=" << round << " count=" << count << " i=" << i;
-    }
-}
-
-// The persistent pool derives the same width: 12 indices on 4 lanes run as
-// four bursts of 3, one per lane.
-TEST(BurstPool, SmallRunReachesEveryLane) {
-  constexpr std::size_t kCount = 12, kWorkers = 4;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-    return [&ran_by, w](std::size_t i) {
-      ran_by[i].store(w, std::memory_order_relaxed);
-    };
-  });
-  pool.run(kCount);
-  std::vector<std::size_t> per_lane(kWorkers, 0);
-  for (const auto& w : ran_by) ++per_lane[w.load()];
-  EXPECT_EQ(per_lane, std::vector<std::size_t>(kWorkers, kCount / kWorkers));
 }
 
 }  // namespace

@@ -18,7 +18,8 @@
 // one it was given by the file's magic.
 // `--threads T` fans the conversion's sampling iterations across T worker
 // threads (0 = all hardware threads); the output edge set is bit-identical
-// to --threads 1 for the same seed (see src/ftspanner/parallel.hpp).
+// to --threads 1 for the same seed (see oversample in
+// src/ftspanner/conversion.cpp).
 #include <cctype>
 #include <cmath>
 #include <csignal>
