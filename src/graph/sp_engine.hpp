@@ -224,17 +224,27 @@ class DijkstraEngine {
   /// a few dozen vertices each, too few for delta-wide buckets to pay for
   /// opening them (on gnp(400, 0.1) with weights up to 1e5 the heap made the
   /// whole vertex conversion ~25% faster); one-directional runs keep delta.
+  ///
+  /// `accept` turns the query into a decision: the search returns the best
+  /// meeting length mu as soon as mu <= accept, checked after every settle
+  /// and before every relaxation. That value is the length of a real s-t
+  /// path and is <= accept, but it may be longer than d(s, t); it answers
+  /// "is d(s, t) <= accept?" without proving d, for a finite
+  /// accept <= bound. A search that never meets such a path runs, and
+  /// returns, exactly as without the threshold. The default (-infinity)
+  /// never stops a search early.
   template <class VisitArcs>
   static Weight bidirectional_bounded_pair(DijkstraEngine& fwd,
                                            DijkstraEngine& bwd, std::size_t n,
                                            Vertex s, Vertex t,
                                            const VertexSet* faults,
-                                           Weight bound, VisitArcs&& visit) {
+                                           Weight bound, VisitArcs&& visit,
+                                           Weight accept = -kInfiniteWeight) {
     if (fwd.queue_ == SpQueue::kBucket)
       return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
-                                faults, bound, visit);
+                                faults, bound, accept, visit);
     return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t, faults,
-                              bound, visit);
+                              bound, accept, visit);
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------
@@ -527,7 +537,8 @@ class DijkstraEngine {
   [[gnu::noinline]] static Weight bidirectional_impl(Q& qf, Q& qb, DijkstraEngine& fwd,
                                    DijkstraEngine& bwd, std::size_t n,
                                    Vertex s, Vertex t, const VertexSet* faults,
-                                   Weight bound, VisitArcs&& visit) {
+                                   Weight bound, Weight accept,
+                                   VisitArcs&& visit) {
     if (s == t) return 0;
     fwd.ensure(n);
     bwd.ensure(n);
@@ -547,6 +558,8 @@ class DijkstraEngine {
     // Settles one vertex of `self`, relaxing its arcs and improving the best
     // meeting length mu against `other`'s stamped (tentative or final)
     // distances — every such combination is the length of a real s-t path.
+    // Once mu <= accept the rest of the arc scan relaxes nothing, and the
+    // loop below returns mu.
     const auto expand = [&](DijkstraEngine& self, Q& q,
                             DijkstraEngine& other) {
       while (!q.empty()) {
@@ -556,7 +569,9 @@ class DijkstraEngine {
         self.done_[v] = self.epoch_;
         if (other.stamp_[v] == other.epoch_)
           mu = std::min(mu, item.d + other.dist_[v]);
+        if (mu <= accept) return;
         visit(v, [&](Vertex to, Weight w, EdgeId edge) {
+          if (mu <= accept) return;
           if (faults != nullptr && faults->contains(to)) return;
           if (self.done_[to] == self.epoch_) return;
           const Weight nd = item.d + w;
@@ -576,6 +591,7 @@ class DijkstraEngine {
     };
 
     for (;;) {
+      if (mu <= accept) return mu;
       const Weight top_f = qf.empty() ? kInfiniteWeight : qf.front_d();
       const Weight top_b = qb.empty() ? kInfiniteWeight : qb.front_d();
       if (top_f >= kInfiniteWeight && top_b >= kInfiniteWeight) break;

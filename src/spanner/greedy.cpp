@@ -6,6 +6,14 @@
 
 namespace ftspan {
 
+namespace {
+
+/// Relative window around a pair search's bound inside which a two-half
+/// path sum is not trusted (see GreedyWorkspace::bounded_pair).
+constexpr Weight kTieWindow = 1e-8;
+
+}  // namespace
+
 GreedyContext::GreedyContext(const Graph& g) : graph(&g) {
   // std::sort on ids, exactly as the historical per-call greedy did, so the
   // visit order of equal-weight edges — and therefore every greedy output —
@@ -45,6 +53,7 @@ void GreedyWorkspace::begin(const GreedyContext& ctx, double k) {
 
   for (const Vertex v : touched_) head_[v] = kNone;
   touched_.clear();
+  counters_ = {};
   pool_.clear();
   kept_.clear();
 }
@@ -63,22 +72,29 @@ void GreedyWorkspace::add_edge(Vertex u, Vertex v, Weight w) {
   head_[v] = static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-Weight GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
-                                     const VertexSet* faults, Weight bound) {
+bool GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
+                                   const VertexSet* faults, Weight kw) {
   // An endpoint with no incident scratch edge cannot reach anything: the
   // common case early in every greedy pass, answered without a search.
-  if (head_[s] == kNone || head_[t] == kNone)
-    return s == t ? 0 : kInfiniteWeight;
+  if (head_[s] == kNone || head_[t] == kNone) return s == t;
+  ++counters_.searches;
 
   const auto visit = [this](Vertex v, auto&& relax) {
     for (std::uint32_t i = head_[v]; i != kNone; i = pool_[i].next)
       relax(pool_[i].to, pool_[i].w, kInvalidEdge);
   };
 
-  // Bidirectional fast path: two radius-bound/2 balls instead of one
-  // radius-bound ball (the bulk of the engine's speedup on these queries).
-  // It sums each path in two halves, so near the bound the result can sit
-  // an ulp away from the historical forward sum and flip the caller's
+  // Distances above k * w are irrelevant, so bound the search; the slack
+  // keeps floating-point ties ("exactly k*w") counted as reachable.
+  const Weight bound = kw * (1 + kStretchSlack);
+  // Bidirectional fast path: two balls that grow only until they meet on a
+  // path within the acceptance threshold `accept`, instead of one
+  // radius-bound ball grown until d is proved. A path it meets is a real
+  // one, so one within k*w decides "joined" whatever d is (most candidates
+  // end here); a search that meets none runs to its usual end.
+  //
+  // The search sums each path in two halves, so near the bound the result
+  // can sit an ulp away from the historical forward sum and flip the
   // "d > k*w" decision. Any result inside a relative tie window around the
   // bound is therefore re-derived by the exact forward-accumulating search,
   // which reproduces the pre-engine pair_distance bit-for-bit. The window
@@ -86,33 +102,38 @@ Weight GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
   // relative) by orders of magnitude for any graph this repo handles, and
   // the bidirectional prune runs at bound * (1 + 2 * window) so a path that
   // is borderline-reachable under the true bound is never clipped before
-  // the window test can send it to the exact search.
-  constexpr Weight kTieWindow = 1e-8;
+  // the window test can send it to the exact search. For the same reason
+  // the threshold sits below the window unless sums are exact: a search
+  // that stops early never returns a near-tie.
+  //
+  // All-integer weights (the common unweighted case): every path sum is
+  // exact in any summation order, so the two-half sum already equals the
+  // historical forward sum bit-for-bit and no tie is ever ambiguous. The
+  // flag comes from the graph's hoisted WeightProfile (read in begin).
+  const Weight accept = exact_sums_ ? kw : kw * (1 - kTieWindow);
   const Weight fast = DijkstraEngine::bidirectional_bounded_pair(
       eng_, bwd_, head_.size(), s, t, faults, bound * (1 + 2 * kTieWindow),
-      visit);
-  // All-integer weights (the common unweighted case): every path sum is
-  // exact in any summation order, so `fast` already equals the historical
-  // forward sum bit-for-bit and no tie is ever ambiguous. The flag comes
-  // from the graph's hoisted WeightProfile (read in begin) — computed once
-  // per graph instead of per added edge.
-  if (exact_sums_) return fast;
-  if (fast > bound * (1 + kTieWindow) || fast < bound * (1 - kTieWindow))
-    return fast;
+      visit, accept);
+  if (fast <= accept) {
+    ++counters_.accepted_early;
+    return true;
+  }
+  if (exact_sums_ || fast > bound * (1 + kTieWindow) ||
+      fast < bound * (1 - kTieWindow))
+    return fast <= kw;
 
   // Tie region: the historical summation order is authoritative.
+  ++counters_.tie_fallbacks;
   const Vertex src[1] = {s};
   const Vertex tgt[1] = {t};
   eng_.run_visit(head_.size(), {src, 1}, faults, bound, {tgt, 1}, nullptr,
                  visit);
-  return eng_.dist(t);
+  return eng_.dist(t) <= kw;
 }
 
 void GreedyWorkspace::consider(Vertex u, Vertex v, Weight w, EdgeId id,
                                double k, const VertexSet* faults) {
-  // Distances above k * w are irrelevant, so bound the search; the slack
-  // keeps floating-point ties ("exactly k*w") counted as reachable.
-  if (bounded_pair(u, v, faults, k * w * (1 + kStretchSlack)) > k * w) {
+  if (!bounded_pair(u, v, faults, k * w)) {
     add_edge(u, v, w);
     kept_.push_back(id);
   }

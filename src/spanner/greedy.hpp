@@ -18,7 +18,7 @@
 //
 // Every greedy pass in the library is one GreedyWorkspace::run, and both
 // overloads apply the same private decision (keep e iff the scratch
-// spanner's bounded distance between its endpoints exceeds k·w(e)). They
+// spanner has no path of length <= k·w(e) between its endpoints). They
 // differ only in which edges they visit: run(ctx, k, faults) scans the
 // context's weight order minus the edges a fault touches (the vertex
 // conversion); run(ctx, k, order) visits exactly the ids it is given, in
@@ -70,6 +70,15 @@ class GreedyWorkspace {
   std::span<const EdgeId> run(const GreedyContext& ctx, double k,
                               std::span<const EdgeId> order);
 
+  /// Work counts of the last run. They depend only on the context, k and
+  /// the run's input, never on timing or threads.
+  struct Counters {
+    std::uint64_t searches = 0;        ///< candidates that ran a pair search
+    std::uint64_t accepted_early = 0;  ///< searches stopped at a path <= k*w
+    std::uint64_t tie_fallbacks = 0;   ///< near-ties re-run in forward order
+  };
+  const Counters& counters() const { return counters_; }
+
   /// Engine policy for this workspace's searches; kAuto picks the bucket
   /// queue on bounded-integer graphs up to bucket_max and delta-stepping
   /// above it. Takes effect at the next run, which resolves it against the
@@ -93,7 +102,8 @@ class GreedyWorkspace {
   /// weight profile (enabling the exact-sums fast path when every scratch
   /// path length is exactly representable; scratch edges are a subset of
   /// the graph's, so its profile bounds them), and clears the scratch
-  /// spanner in O(edges added since the last pass) and the output.
+  /// spanner in O(edges added since the last pass), the output and the
+  /// counters.
   void begin(const GreedyContext& ctx, double k);
   /// The greedy decision for edge `id` = {u, v} of length w: kept (added to
   /// the scratch spanner and the output) iff the scratch spanner minus
@@ -102,15 +112,14 @@ class GreedyWorkspace {
                 const VertexSet* faults);
   /// Adds {u, v} with length w to the scratch spanner.
   void add_edge(Vertex u, Vertex v, Weight w);
-  /// d(s, t) on the current scratch spanner minus `faults`, searching no
-  /// farther than `bound`; kInfiniteWeight if not reachable within it.
-  /// Intended for threshold decisions of the form "d > bound-ish": away
-  /// from `bound` the value may carry bidirectional-summation rounding (an
-  /// ulp or so), but within a relative tie window of `bound` it is exactly
-  /// the historical forward-Dijkstra value, so comparisons against
-  /// thresholds near `bound` are bit-stable (see the .cpp).
-  Weight bounded_pair(Vertex s, Vertex t, const VertexSet* faults,
-                      Weight bound);
+  /// The decision "is d(s, t) <= kw?" on the current scratch spanner minus
+  /// `faults`, where kw = k * w(e). It answers exactly as the historical
+  /// forward Dijkstra bounded at kw * (1 + kStretchSlack) answers it, bit
+  /// for bit on near-ties, but it proves no distance it does not need: the
+  /// search stops at the first path within kw (below a relative tie window
+  /// of it unless path sums are exact), and only a result inside that
+  /// window is re-derived in the historical summation order (see the .cpp).
+  bool bounded_pair(Vertex s, Vertex t, const VertexSet* faults, Weight kw);
 
   struct HalfArc {
     Weight w;
@@ -122,6 +131,7 @@ class GreedyWorkspace {
   SpEnginePolicy policy_ = SpEnginePolicy::kAuto;
   Weight bucket_max_ = kMaxBucketWeight;
   bool exact_sums_ = false;          ///< from the profile; gates the tie window
+  Counters counters_;
   std::vector<std::uint32_t> head_;  ///< per-vertex first slot, or kNone
   std::vector<HalfArc> pool_;        ///< two slots per added edge
   std::vector<Vertex> touched_;      ///< vertices whose head_ is live

@@ -7,7 +7,6 @@
 // thread count — the refactor is a pure performance change.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -20,6 +19,8 @@
 #include "graph/import.hpp"
 #include "runner/runner.hpp"
 #include "runner/workloads.hpp"
+#include "spanner/greedy.hpp"
+#include "support/edge_list_hash.hpp"
 #include "support/temp_path.hpp"
 #include "util/rng.hpp"
 #include "validate/stretch_oracle.hpp"
@@ -210,48 +211,58 @@ TEST(GoldenConversion, FtEdgeGreedySpannerBitIdenticalDistinctWeights) {
 // The benchmark's inputs (perfbench's build_unit and certify_midrange
 // instances at seed 1), pinned here so that a change in them — a different
 // libm under the generator or the reweight, say — fails as an input check
-// instead of silently moving perfbench's goldens. The hash is FNV-1a over
-// every edge's (u, v, bits of w), in edge-id order.
-std::uint64_t edge_list_hash(const Graph& g) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    const Edge& e = g.edge(id);
-    mix(e.u);
-    mix(e.v);
-    mix(std::bit_cast<std::uint64_t>(e.w));
-  }
-  return h;
+// instead of silently moving perfbench's goldens.
+Graph perfbench_instance(double p, double max_weight) {
+  runner::WorkloadParams params;
+  params.n = 400;
+  params.p = p;
+  params.max_weight = max_weight;
+  params.seed = 1;
+  return runner::make_workload("gnp", params).g;
 }
 
 TEST(BenchmarkInputs, PerfbenchInstancesAreUnchanged) {
-  runner::WorkloadParams unit;
-  unit.n = 400;
-  unit.p = 0.5;
-  unit.seed = 1;
-  const Graph gu = runner::make_workload("gnp", unit).g;
+  const Graph gu = perfbench_instance(0.5, 0);
   EXPECT_EQ(gu.num_vertices(), 400u);
   EXPECT_EQ(gu.num_edges(), 40043u);
-  EXPECT_EQ(edge_list_hash(gu), 0xcea38a6506e763e4ull);
+  EXPECT_EQ(test::edge_list_hash(gu), 0xcea38a6506e763e4ull);
 
-  runner::WorkloadParams midrange;
-  midrange.n = 400;
-  midrange.p = 0.1;
-  midrange.max_weight = 1e5;
-  midrange.seed = 1;
-  const Graph gm = runner::make_workload("gnp", midrange).g;
+  const Graph gm = perfbench_instance(0.1, 1e5);
   EXPECT_EQ(gm.num_vertices(), 400u);
   EXPECT_EQ(gm.num_edges(), 8049u);
-  EXPECT_EQ(edge_list_hash(gm), 0x81c03554df043740ull);
+  EXPECT_EQ(test::edge_list_hash(gm), 0x81c03554df043740ull);
 
   // The iteration counts both workloads' conversions run (k = 3, r = 2).
   EXPECT_EQ(conversion_iterations(2, 400, 1), 384u);
   EXPECT_EQ(edge_conversion_iterations(2, 400, 1), 192u);
+}
+
+// The greedy's work on the same instances, one unmasked run at k = 3: how
+// many candidates ran a pair search, how many of those searches stopped at
+// the first path within k·w, and how many near-ties were re-run in forward
+// order. Deterministic, so a change to the search's work shows here
+// exactly. Both instances have integer weights, whose path sums are exact,
+// so no near-tie is ever re-run, and every search that does not stop early
+// is a kept edge: 1197 − (39648 − 38846) = 395 and 529 − 222 = 307 edges
+// are kept without a search, because an endpoint had no spanner edge yet.
+TEST(BenchmarkInputs, GreedyWorkCountsArePinned) {
+  struct Want {
+    double p, max_weight;
+    std::size_t kept;
+    GreedyWorkspace::Counters counts;
+  };
+  for (const Want& want : {Want{0.5, 0, 1197, {39648, 38846, 0}},
+                           Want{0.1, 1e5, 529, {7742, 7520, 0}}}) {
+    SCOPED_TRACE(want.p);
+    const Graph g = perfbench_instance(want.p, want.max_weight);
+    const GreedyContext ctx(g);
+    GreedyWorkspace ws;
+    EXPECT_EQ(ws.run(ctx, 3.0).size(), want.kept);
+    const GreedyWorkspace::Counters& got = ws.counters();
+    EXPECT_EQ(got.searches, want.counts.searches);
+    EXPECT_EQ(got.accepted_early, want.counts.accepted_early);
+    EXPECT_EQ(got.tie_fallbacks, want.counts.tie_fallbacks);
+  }
 }
 
 }  // namespace

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "graph/sp_engine.hpp"
+#include "support/reference_sp.hpp"
+#include "util/rng.hpp"
 #include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
@@ -65,6 +70,78 @@ TEST(GreedySpanner, GirthProperty) {
     EXPECT_GT(DijkstraEngine().bounded_pair(without, e.u, e.v, nullptr, 3.0),
               3.0);
   }
+}
+
+// The naive greedy: a materialized spanner Graph, one textbook bounded
+// Dijkstra per candidate (tests/support/reference_sp.hpp, which sums every
+// path forward from the candidate's u), and "keep iff d > k·w". It visits
+// `order` (ids into g) and skips the edges a fault touches.
+std::vector<EdgeId> reference_greedy(const Graph& g, double k,
+                                     const std::vector<EdgeId>& order,
+                                     const VertexSet* faults) {
+  Graph h(g.num_vertices());
+  std::vector<EdgeId> kept;
+  for (const EdgeId id : order) {
+    const Edge& e = g.edge(id);
+    if (faults != nullptr && (faults->contains(e.u) || faults->contains(e.v)))
+      continue;
+    const Weight kw = k * e.w;
+    const Weight d =
+        test::reference_dijkstra(h, e.u, faults, kw * (1 + kStretchSlack))
+            .dist[e.v];
+    if (d > kw) {
+      h.add_edge(e.u, e.v, e.w);
+      kept.push_back(id);
+    }
+  }
+  return kept;
+}
+
+// Decimal weights 0.1/0.2/0.3 at k = 2 and 3 put many paths right at k·w:
+// (0.1 + 0.2) + 0.3 = 0.6000000000000001 but 0.1 + (0.2 + 0.3) = 0.6 =
+// 2 · 0.3, so whether a candidate is kept depends on the summation order.
+// The greedy's decision stops its search at the first path within k·w; it
+// must still keep exactly the edges the naive forward greedy keeps, in
+// weight order with and without a fault mask and in a shuffled order of
+// the caller's choosing, and the near-ties must really have been re-run in
+// forward order. (An acceptance threshold of exactly k·w would reject a
+// candidate whose two-half sum is 0.6 while its forward sum is
+// 0.6000000000000001: 5 of these 24 instances would then keep other edges.)
+TEST(GreedyWorkspace, NearTiesDecideAsTheForwardGreedy) {
+  const Weight levels[] = {0.1, 0.2, 0.3};
+  std::uint64_t fallbacks = 0, early = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const Graph base = gnp(40, 0.15, seed);
+    Graph g(base.num_vertices());
+    Rng rng(hash_combine(seed, 0x71e));
+    for (const Edge& e : base.edges())
+      g.add_edge(e.u, e.v, levels[rng.uniform_index(3)]);
+    const GreedyContext ctx(g);
+    std::vector<EdgeId> by_weight;
+    for (const GreedyContext::OrderedEdge& e : ctx.sorted)
+      by_weight.push_back(e.id);
+    std::vector<EdgeId> shuffled = by_weight;
+    rng.shuffle(shuffled);
+    VertexSet faults(g.num_vertices());
+    for (int i = 0; i < 3; ++i)
+      faults.insert(static_cast<Vertex>(rng.uniform_index(40)));
+
+    for (const double k : {2.0, 3.0}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " k=" + std::to_string(k));
+      EXPECT_EQ(greedy_spanner(g, k),
+                reference_greedy(g, k, by_weight, nullptr));
+      EXPECT_EQ(greedy_spanner(g, k, &faults),
+                reference_greedy(g, k, by_weight, &faults));
+      GreedyWorkspace ws;
+      const auto kept = ws.run(ctx, k, std::span<const EdgeId>(shuffled));
+      EXPECT_EQ(std::vector<EdgeId>(kept.begin(), kept.end()),
+                reference_greedy(g, k, shuffled, nullptr));
+      fallbacks += ws.counters().tie_fallbacks;
+      early += ws.counters().accepted_early;
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(early, 0u);
 }
 
 TEST(GreedySpanner, FaultMaskRestrictsSpanner) {

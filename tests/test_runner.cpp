@@ -7,6 +7,8 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
@@ -16,6 +18,7 @@
 #include "runner/scenario.hpp"
 #include "runner/workloads.hpp"
 #include "spanner/greedy.hpp"
+#include "support/edge_list_hash.hpp"
 #include "support/temp_path.hpp"
 
 namespace ftspan {
@@ -451,14 +454,18 @@ const Tracked kTracked[] = {
      228, 0x434a53410bffb415ull, "heap", true, 1.325408979834829, 248, 317},
 };
 
+// A tracked row's spec text: a preset runs as committed, at threads 1 and
+// 4 with timings off.
+std::string tracked_text(const Tracked& row) {
+  return runner::preset_registry().contains(row.spec)
+             ? runner::preset_registry().get(row.spec).spec +
+                   " threads=1,4 timings=off"
+             : row.spec;
+}
+
 TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
   for (const Tracked& want : kTracked) {
-    // A preset runs as committed, at threads 1 and 4 with timings off.
-    const std::string text =
-        runner::preset_registry().contains(want.spec)
-            ? runner::preset_registry().get(want.spec).spec +
-                  " threads=1,4 timings=off"
-            : want.spec;
+    const std::string text = tracked_text(want);
     const ScenarioSpec spec = ScenarioSpec::parse(text);
     const ScenarioReport report = runner::run_scenario(spec);
     ASSERT_EQ(report.cells.size(), 2u) << text;
@@ -475,6 +482,73 @@ TEST(ScenarioRunner, TrackedCellsKeepTheirCommittedOutputs) {
       EXPECT_EQ(cell.searches, want.searches) << where;
     }
   }
+}
+
+// The tracked cells' inputs, pinned like perfbench's
+// (BenchmarkInputs.PerfbenchInstancesAreUnchanged in test_golden_conversion):
+// the edge count and the FNV-1a hash of the (u, v, w) list of every distinct
+// instance above, named by its canonical workload keys. A different libm
+// under a generator or the reweight then fails here, as an input check,
+// instead of silently moving a committed output.
+struct TrackedInput {
+  const char* workload;  ///< the workload keys of ScenarioSpec::to_string()
+  std::size_t m;
+  std::uint64_t edge_list_hash;
+};
+const TrackedInput kTrackedInputs[] = {
+    {"workload=gnp n=400 p=0.05 wseed=1234", 4040, 0x12ef972825c6a0dcull},
+    {"workload=gnp n=300 p=0.2 wseed=1234", 9092, 0x66ec281f1c6b9c83ull},
+    {"workload=gnp n=400 p=0.05 max_weight=1e+05 wseed=1234", 4040,
+     0xb8c29037534a97b0ull},
+    {"workload=gnp n=300 p=0.2 max_weight=1e+05 wseed=1234", 9092,
+     0x47725e81e3f6c5deull},
+    {"workload=gnp n=400 p=0.1 wseed=1", 8049, 0xc0f9b59109e0b432ull},
+    {"workload=gnp n=400 p=0.05 wseed=1", 3974, 0xdba84f48cb032f6ull},
+    {"workload=gnp n=400 p=0.05 max_weight=1e+05 wseed=1", 3974,
+     0xae8abdae914d7207ull},
+    {"workload=gnp n=24 p=0.3 wseed=5", 76, 0xb8cf4d32a04c9ec6ull},
+    {"workload=gnp n=14 p=0.4 wseed=7", 33, 0x661f3332879909c8ull},
+    {"workload=gnp n=40 p=0.5 wseed=5", 387, 0xe872f93c128e6f73ull},
+    {"workload=gnp n=40 p=0.3 max_weight=1e+02 wseed=5", 243,
+     0xfac350fd4343b227ull},
+    {"workload=gnp n=30 p=0.4 max_weight=1e+02 wseed=5", 188,
+     0x42316713d3916b42ull},
+    {"workload=sensor n=40 wseed=5", 178, 0x6099a7a00150e8fdull},
+    {"workload=sensor n=60 wseed=5", 247, 0x1d9ba42af7548dd7ull},
+};
+
+TEST(ScenarioRunner, TrackedCellsKeepTheirInputs) {
+  std::vector<std::string> seen;
+  for (const Tracked& row : kTracked) {
+    const ScenarioSpec spec = ScenarioSpec::parse(tracked_text(row));
+    ASSERT_LE(spec.n.size(), 1u) << row.spec;
+    // to_string() prints the workload keys first, from `workload` to
+    // `wseed`; the instance depends on nothing else.
+    const std::string text = spec.to_string();
+    const std::string name = text.substr(0, text.find(" algo="));
+    if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
+    seen.push_back(name);
+
+    runner::WorkloadParams params;
+    params.n = spec.n.empty() ? 0 : spec.n[0];
+    params.p = spec.p;
+    params.scale = spec.scale;
+    params.seed = spec.wseed;
+    params.max_weight = spec.max_weight;
+    params.path = spec.path;
+    const Graph g = runner::make_workload(spec.workload, params).g;
+    const auto want = std::find_if(
+        std::begin(kTrackedInputs), std::end(kTrackedInputs),
+        [&name](const TrackedInput& in) { return name == in.workload; });
+    ASSERT_NE(want, std::end(kTrackedInputs))
+        << "no pinned input for " << name << ": m=" << g.num_edges()
+        << " hash=0x" << std::hex << test::edge_list_hash(g);
+    EXPECT_EQ(g.num_edges(), want->m) << name;
+    EXPECT_EQ(test::edge_list_hash(g), want->edge_list_hash)
+        << name << ": 0x" << std::hex << test::edge_list_hash(g);
+  }
+  // Every pinned input belongs to a tracked row.
+  EXPECT_EQ(seen.size(), std::size(kTrackedInputs));
 }
 
 // The serve presets measure wall clock, so they have no committed outputs;

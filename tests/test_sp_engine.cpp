@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "ftspanner/conversion.hpp"
@@ -376,6 +379,94 @@ TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnDeltaQueue) {
     const Weight got = DijkstraEngine::bidirectional_bounded_pair(
         df, db, g.num_vertices(), s, t, nullptr, bound, visit);
     EXPECT_EQ(want, got) << "s=" << s << " t=" << t << " bound=" << bound;
+  }
+}
+
+// The acceptance threshold turns the pair search into the decision
+// "d(s, t) <= accept?". Against the reference Dijkstra, on unit, small and
+// mid-range integer and on decimal weights, under random fault sets, with
+// thresholds on both sides of d and on both pair-search queues: the answer
+// is right, the returned value is a real path (never below d), and a search
+// that does not accept returns exactly what the threshold-free search
+// returns. Dial's queue runs where the engine policy picks it, on integer
+// weights up to kMaxBucketWeight; above that a pair search runs on the heap
+// (and Dial would scan up to 1e5 empty buckets per search). Decimal path
+// sums carry rounding in any order, so there the thresholds keep a relative
+// distance of 1e-6 from d and the lower bound allows an ulp-scale gap; on
+// integer weights every sum is exact and both are tested bit for bit, at
+// accept = d included.
+TEST(DijkstraEngine, BidirectionalAcceptThresholdDecidesTheDistance) {
+  struct Input {
+    const char* name;
+    Graph g;
+  };
+  const Input inputs[] = {
+      {"unit", gnp(90, 0.05, 51)},
+      {"small", integer_test_graph(90, 0.05, 54)},
+      {"midrange", integer_test_graph(90, 0.05, 52, 100000)},
+      {"decimal", gnp(90, 0.05, 53, 10.0)},
+  };
+  for (const Input& in : inputs) {
+    const Csr csr(in.g);
+    const bool exact = csr.weights().exact_sums();
+    const Weight max_w = csr.weights().max_weight;
+    const auto visit = [&csr](Vertex v, auto&& relax) {
+      for (const CsrArc& a : csr.out(v)) relax(a.to, a.w, a.edge);
+    };
+    std::vector<SpQueue> queues = {SpQueue::kHeap};
+    if (exact && max_w <= kMaxBucketWeight)
+      queues.push_back(SpQueue::kBucket);
+    for (const SpQueue q : queues) {
+      SCOPED_TRACE(std::string(in.name) +
+                   (q == SpQueue::kHeap ? " heap" : " dial"));
+      DijkstraEngine f, b, full_f, full_b;
+      for (DijkstraEngine* e : {&f, &b, &full_f, &full_b})
+        e->set_queue(q, max_w);
+      Rng rng(hash_combine(7, in.g.num_edges()));
+      std::size_t accepted = 0, rejected = 0;
+      for (int trial = 0; trial < 300; ++trial) {
+        const Vertex s = static_cast<Vertex>(rng.uniform_index(90));
+        const Vertex t = static_cast<Vertex>(rng.uniform_index(90));
+        VertexSet faults(90);
+        for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i)
+          faults.insert(static_cast<Vertex>(rng.uniform_index(90)));
+        const Weight d = reference_dijkstra(in.g, s, &faults).dist[t];
+        const Weight scale = d < kInfiniteWeight ? d : 4 * max_w;
+        std::vector<Weight> accepts = {0, scale * (1 - 1e-6),
+                                       scale * (1 + 1e-6), scale * 0.5,
+                                       scale * 2};
+        if (exact) accepts.insert(accepts.end(), {d, d - 1, d + 1});
+        for (const Weight accept : accepts) {
+          if (!(accept < kInfiniteWeight)) continue;
+          for (const Weight bound : {accept, accept * 3, kInfiniteWeight}) {
+            const std::string where =
+                "s=" + std::to_string(s) + " t=" + std::to_string(t) +
+                " d=" + std::to_string(d) + " accept=" +
+                std::to_string(accept) + " bound=" + std::to_string(bound);
+            const Weight got = DijkstraEngine::bidirectional_bounded_pair(
+                f, b, 90, s, t, &faults, bound, visit, accept);
+            EXPECT_EQ(got <= accept, d <= accept) << where;
+            if (exact)
+              EXPECT_GE(got, d) << where;
+            else
+              EXPECT_GE(got, d * (1 - 1e-12)) << where;
+            if (got <= accept) {
+              ++accepted;
+              continue;
+            }
+            ++rejected;
+            const Weight want = DijkstraEngine::bidirectional_bounded_pair(
+                full_f, full_b, 90, s, t, &faults, bound, visit);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << where;
+          }
+        }
+      }
+      // Both answers occur often, so every assertion above was exercised.
+      EXPECT_GT(accepted, 300u);
+      EXPECT_GT(rejected, 300u);
+    }
   }
 }
 
