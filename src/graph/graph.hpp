@@ -1,7 +1,9 @@
 // Graph and Digraph: the adjacency-list graph types used everywhere.
 //
-// `Graph` is a simple undirected graph with positive edge lengths — the
+// `Graph` is a simple undirected graph with non-negative edge lengths — the
 // setting of Section 2 of the paper (fault-tolerant k-spanners, k >= 3).
+// Zero is a valid length (the readers accept it); a zero-length pair must
+// keep a zero-length path in a spanner, since no k stretches 0 to d > 0.
 // `Digraph` is a simple directed graph with non-negative edge costs — the
 // setting of Section 3 (minimum-cost r-fault-tolerant 2-spanner).
 //
@@ -21,7 +23,7 @@
 
 namespace ftspan {
 
-/// Simple undirected graph with positive edge lengths.
+/// Simple undirected graph with non-negative edge lengths.
 class Graph {
  public:
   Graph() = default;

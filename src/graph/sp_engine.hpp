@@ -78,6 +78,13 @@ inline std::span<const CsrArc> out_arcs(const CsrView& g, Vertex v) {
   return g.out(v);
 }
 
+/// Relative window around a bidirectional pair search's result inside which
+/// its two-half path sum is not trusted to match a forward-summed label (see
+/// bidirectional_bounded_pair). Callers that decide on inexact path sums
+/// keep their acceptance thresholds this far inside the bound
+/// (GreedyWorkspace::bounded_pair, the StretchOracle's cutoff queries).
+inline constexpr Weight kTieWindow = 1e-8;
+
 class DijkstraEngine {
  public:
   /// Pre-sizes every internal buffer for an n-vertex graph whose searches

@@ -6,14 +6,6 @@
 
 namespace ftspan {
 
-namespace {
-
-/// Relative window around a pair search's bound inside which a two-half
-/// path sum is not trusted (see GreedyWorkspace::bounded_pair).
-constexpr Weight kTieWindow = 1e-8;
-
-}  // namespace
-
 GreedyContext::GreedyContext(const Graph& g) : graph(&g) {
   // std::sort on ids, exactly as the historical per-call greedy did, so the
   // visit order of equal-weight edges — and therefore every greedy output —

@@ -1,6 +1,7 @@
 #include "validate/stretch_oracle.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -130,33 +131,56 @@ bool is_slot(Vertex u, const CsrArc& a) {
   return !std::is_same_v<G, Graph> || a.to >= u;
 }
 
-/// The stretch of a target whose G-distance is 0 or infinite (none is
-/// defined). Never a witness: witnesses start at 1.
+/// The stretch of a pair where none is defined: d_G infinite, or
+/// d_G = d_H = 0. Never a witness: witnesses start at 1.
 constexpr double kNoStretch = -1.0;
+
+/// d_H / d_G, or kNoStretch. A pair with d_G = 0 < d_H has an infinite
+/// stretch: no k covers it, so H must keep a zero-length path.
+double stretch_value(Weight dg, Weight dh) {
+  if (!(dg < kInfiniteWeight)) return kNoStretch;
+  if (dg <= 0) return dh <= 0 ? kNoStretch : kInfiniteWeight;
+  return dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+}
 
 }  // namespace
 
-/// Per source, the fault-free stretch of every target slot; per element
-/// (vertex, or G's edge id under edge faults), the sources whose recorded
-/// G- or H-tree paths to their targets contain it.
+/// The fault-free baseline (mechanisms 4 and 5). A slot is one (source u,
+/// target v) pair, numbered in sweep order; per slot it keeps the labels of
+/// u's fault-free search, and per element (vertex, or G's edge id under edge
+/// faults) the index entries slot * 2 + side of the slots whose recorded G
+/// path (side 0) or H path (side 1) contains it.
 struct OracleBaseline {
-  /// Source u's slots are stretch[slot_begin[u], slot_begin[u + 1]), in
-  /// adjacency order (is_slot), kNoStretch where d_G(u, v) is 0.
+  /// Source u's slots are [slot_begin[u], slot_begin[u + 1]), in adjacency
+  /// order (is_slot).
   std::vector<std::size_t> slot_begin;
-  std::vector<double> stretch;
-  /// Element e's sources are sources[source_begin[e], source_begin[e + 1]),
+  std::vector<Weight> dg, dh;  ///< per slot: d_G(u, v) and d_H(u, v)
+  /// Element e's entries are entries[entry_begin[e], entry_begin[e + 1]),
   /// ascending.
-  std::vector<std::size_t> source_begin;
-  std::vector<Vertex> sources;
-  std::size_t searches = 0;  ///< sources the baseline sweep searched
+  std::vector<std::size_t> entry_begin;
+  std::vector<std::size_t> entries;
+  std::size_t searches = 0;  ///< runs the baseline sweep made
 
-  std::span<const Vertex> affected(Vertex e) const {
-    return {sources.data() + source_begin[e],
-            sources.data() + source_begin[e + 1]};
+  std::span<const std::size_t> touched_by(Vertex e) const {
+    return {entries.data() + entry_begin[e],
+            entries.data() + entry_begin[e + 1]};
   }
 };
 
 namespace {
+
+/// One forward run from u on a graph minus F, to `targets` within `bound`:
+/// F is `dead` — failed vertices (nullptr: none), or with kEdges the
+/// graph's dead edge ids.
+template <bool kEdges>
+void run_from(DijkstraEngine& e, const Csr& c, Vertex u,
+              const VertexSet* dead, std::span<const Vertex> targets,
+              Weight bound = kInfiniteWeight) {
+  if constexpr (kEdges)
+    e.run_avoiding_edges(c, u, *dead, targets, bound);
+  else
+    e.run(c, u, dead, targets, bound);
+}
 
 /// Source u's search: collects its surviving targets into s.targets and,
 /// if there are any, runs one bounded G-run and one targeted H-run. A
@@ -178,91 +202,259 @@ bool search_source(const Csr& cg, const Csr& ch, Vertex u,
     bound = std::max(bound, a.w);
   }
   if (s.targets.empty()) return false;
-  if constexpr (kEdges) {
-    s.dg.run_avoiding_edges(cg, u, *fg, s.targets, bound);
-    s.dh.run_avoiding_edges(ch, u, *fh, s.targets);
-  } else {
-    s.dg.run(cg, u, fg, s.targets, bound);
-    s.dh.run(ch, u, fg, s.targets);
-  }
+  run_from<kEdges>(s.dg, cg, u, fg, s.targets, bound);
+  run_from<kEdges>(s.dh, ch, u, kEdges ? fh : fg, s.targets);
   return true;
 }
 
-/// Target v's stretch after its source's search, or kNoStretch.
-template <class Scratch>
-double stretch_of(const Scratch& s, Vertex v) {
-  const Weight dg = s.dg.dist(v);
-  if (!(dg < kInfiniteWeight) || dg <= 0) return kNoStretch;
-  const Weight dh = s.dh.dist(v);
-  return dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
-}
-
-/// The oracle's loop: search_source for every source, skipping failed
+/// The oracle's full loop: search_source for every source, skipping failed
 /// vertices. The witness pair is the first strict maximum in (source
-/// ascending, adjacency order). With a baseline, only the sources listed
-/// under some f in F are searched; every other source replays its baseline
-/// stretches minus the targets F removed, which is exactly what its search
-/// would produce (see the header's mechanism 4).
+/// ascending, adjacency order).
 template <class G, bool kEdges>
-typename BasicStretchOracle<G>::Witness sweep(
+typename BasicStretchOracle<G>::Witness sweep_all(
     const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
-    const OracleBaseline* base, typename BasicStretchOracle<G>::Scratch& s) {
+    typename BasicStretchOracle<G>::Scratch& s) {
   typename BasicStretchOracle<G>::Witness w;
-  const auto consider = [&w](double stretch, Vertex u, Vertex v) {
-    if (stretch > w.stretch) {
-      w.stretch = stretch;
-      w.u = u;
-      w.v = v;
-    }
-  };
-  if (base != nullptr) {
-    s.dirty.clear();
-    fg.for_each([&](Vertex f) {
-      const std::span<const Vertex> src = base->affected(f);
-      s.dirty.insert(s.dirty.end(), src.begin(), src.end());
-    });
-    std::sort(s.dirty.begin(), s.dirty.end());
-    s.dirty.erase(std::unique(s.dirty.begin(), s.dirty.end()), s.dirty.end());
-  }
-  std::size_t next_dirty = 0;  // first entry of s.dirty not below u
   for (Vertex u = 0; u < cg.num_vertices(); ++u) {
     if (!kEdges && fg.contains(u)) continue;
-    if (base != nullptr) {
-      while (next_dirty < s.dirty.size() && s.dirty[next_dirty] < u)
-        ++next_dirty;
-      if (next_dirty == s.dirty.size() || s.dirty[next_dirty] != u) {
-        const double* stretch = base->stretch.data() + base->slot_begin[u];
-        for (const CsrArc& a : cg.out(u)) {
-          if (!is_slot<G>(u, a)) continue;
-          const double st = *stretch++;
-          if (!fg.contains(kEdges ? a.edge : a.to)) consider(st, u, a.to);
-        }
-        continue;
+    if (!search_source<G, kEdges>(cg, ch, u, &fg, &fh, s)) continue;
+    w.searches += 2;
+    for (const Vertex v : s.targets) {
+      const double stretch = stretch_value(s.dg.dist(v), s.dh.dist(v));
+      if (stretch > w.stretch) {
+        w.stretch = stretch;
+        w.u = u;
+        w.v = v;
       }
     }
-    if (!search_source<G, kEdges>(cg, ch, u, &fg, &fh, s)) continue;
-    ++w.searches;
-    for (const Vertex v : s.targets) consider(stretch_of(s, v), u, v);
   }
   return w;
 }
 
+/// A baseline-backed sweep's running fold: the first strict maximum so far
+/// and its slot (kNone while no slot beats the starting 1.0).
+struct RunningWitness {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  double stretch = 1.0;
+  std::size_t slot = kNone;
+  Vertex u = kInvalidVertex;
+  Vertex v = kInvalidVertex;
+
+  /// Whether `slot_stretch` at slot `at` cannot be the witness: it is below
+  /// the running maximum, or equal to it where the 1.0 start or an earlier
+  /// slot already holds it. Below for one value, below for every smaller
+  /// one.
+  bool below(double slot_stretch, std::size_t at) const {
+    return slot_stretch < stretch ||
+           (slot_stretch == stretch && !(stretch > 1 && at < slot));
+  }
+  void consider(double slot_stretch, std::size_t at, Vertex su, Vertex sv) {
+    if (below(slot_stretch, at)) return;
+    stretch = slot_stretch;
+    slot = at;
+    u = su;
+    v = sv;
+  }
+};
+
+/// The largest length t, looked for within a few ulps of cut * d, for which
+/// fl(t / d) is below(): for d > 0 <= d_{G\F}, a path of length <= t in H\F
+/// then bounds the slot's stretch below the cut (division is monotone).
+/// -1 when no such t is found there.
+template <class Below>
+Weight cutoff(double cut, Weight d, const Below& below) {
+  constexpr int kSteps = 8;
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  Weight t = std::min(cut * d, kMax * std::min(d, Weight{1}));
+  for (int i = 0; !below(t / d); ++i) {
+    if (i == kSteps || !(t > 0)) return -1;
+    t = std::nextafter(t, Weight{0});
+  }
+  for (int i = 0; i < kSteps; ++i) {
+    const Weight up = std::nextafter(t, kInfiniteWeight);
+    if (!(up <= kMax) || !below(up / d)) break;
+    t = up;
+  }
+  return t;
+}
+
+/// A baseline-backed sweep (mechanism 5). Pass 1 folds, from their baseline
+/// labels, the live slots whose recorded paths F misses. Each live slot F
+/// touches is then decided against the running witness: it is skipped once
+/// a real path proves its stretch below it, and only the undecided slots of
+/// a source get that source's exact runs, on the sides F touched. Their
+/// labels are those of a full sweep, bit for bit, so the witness is too.
+template <class G, bool kEdges>
+typename BasicStretchOracle<G>::Witness sweep_indexed(
+    const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
+    const OracleBaseline& base, typename BasicStretchOracle<G>::Scratch& s) {
+  using Touched = typename BasicStretchOracle<G>::Scratch::Touched;
+  typename BasicStretchOracle<G>::Witness w;
+  const std::size_t n = cg.num_vertices();
+  const bool exact = cg.weights().exact_sums() && ch.weights().exact_sums();
+
+  s.entries.clear();
+  fg.for_each([&](Vertex f) {
+    const std::span<const std::size_t> e = base.touched_by(f);
+    s.entries.insert(s.entries.end(), e.begin(), e.end());
+  });
+  std::sort(s.entries.begin(), s.entries.end());
+  s.entries.erase(std::unique(s.entries.begin(), s.entries.end()),
+                  s.entries.end());
+
+  // Pass 1: the untouched live slots, in order; the touched ones wait.
+  RunningWitness best;
+  s.touched.clear();
+  std::size_t next = 0;  // first entry not below the current slot's
+  for (Vertex u = 0; u < n; ++u) {
+    if (!kEdges && fg.contains(u)) continue;
+    std::size_t slot = base.slot_begin[u];
+    for (const CsrArc& a : cg.out(u)) {
+      if (!is_slot<G>(u, a)) continue;
+      const std::size_t j = slot++;
+      if (fg.contains(kEdges ? a.edge : a.to)) continue;
+      while (next < s.entries.size() && s.entries[next] / 2 < j) ++next;
+      std::uint8_t sides = 0;
+      for (; next < s.entries.size() && s.entries[next] / 2 == j; ++next)
+        sides |= static_cast<std::uint8_t>(1u << (s.entries[next] % 2));
+      if (sides == 0)
+        best.consider(stretch_value(base.dg[j], base.dh[j]), j, u, a.to);
+      else
+        s.touched.push_back({j, u, a.to, a.w, sides, false});
+    }
+  }
+
+  // The decision queries. Undirected graphs ask the bidirectional pair
+  // search, on the two engines (mechanism 2's joint queue makes them a pair
+  // on either graph); its two-half sums are trusted only kTieWindow inside
+  // a threshold unless path sums are exact. Digraphs ask a bounded forward
+  // run, whose label is exact.
+  const auto arcs = [](const Csr& c, const VertexSet& dead) {
+    return [&c, &dead](Vertex x, auto&& relax) {
+      for (const CsrArc& a : c.out(x))
+        if (!kEdges || !dead.contains(a.edge)) relax(a.to, a.w, a.edge);
+    };
+  };
+  const VertexSet* vertex_faults = kEdges ? nullptr : &fg;
+  // A lower bound on d_{G\F}(u, v); the live edge (u, v) bounds the search.
+  const auto g_lower_bound = [&](const Touched& t) -> Weight {
+    ++w.searches;
+    if constexpr (std::is_same_v<G, Graph>) {
+      const Weight mu = DijkstraEngine::bidirectional_bounded_pair(
+          s.dg, s.dh, n, t.u, t.v, vertex_faults, t.w, arcs(cg, fg));
+      return exact ? mu : mu * (1 - kTieWindow);
+    } else {
+      const Vertex target[1] = {t.v};
+      s.dg.run(cg, t.u, &fg, std::span<const Vertex>(target, 1), t.w);
+      return s.dg.dist(t.v);
+    }
+  };
+  // Whether H\F has a u-v path of forward-summed length <= len.
+  const auto h_within = [&](const Touched& t, Weight len) -> bool {
+    ++w.searches;
+    if constexpr (std::is_same_v<G, Graph>) {
+      const Weight accept = exact ? len : len * (1 - kTieWindow);
+      return DijkstraEngine::bidirectional_bounded_pair(
+                 s.dg, s.dh, n, t.u, t.v, vertex_faults, len, arcs(ch, fh),
+                 accept) <= accept;
+    } else {
+      const Vertex target[1] = {t.v};
+      s.dh.run(ch, t.u, &fg, std::span<const Vertex>(target, 1), len);
+      return s.dh.dist(t.v) <= len;
+    }
+  };
+  // Whether touched slot t provably cannot be the witness. F only removes
+  // paths, so d_{G\F} >= d_G; a skip needs a real path, so it only ever
+  // proves "below", and every uncertain case stays undecided.
+  const auto skip = [&](const Touched& t) {
+    const auto below = [&](double stretch) {
+      return best.below(stretch, t.slot);
+    };
+    if (below(kInfiniteWeight)) return true;  // so is every stretch
+    const Weight dg = base.dg[t.slot], dh = base.dh[t.slot];
+    if (!(dg > 0)) return false;  // a zero-length G path: no cut applies
+    if ((t.sides & 2) == 0)       // d_H stays, and d_G can only grow
+      return below(stretch_value(dg, dh));
+    const Weight cut = cutoff(best.stretch, dg, below);
+    if (cut >= 0 && h_within(t, cut)) return true;
+    if ((t.sides & 1) == 0) return false;
+    // Both paths touched: d_{G\F} may have grown; decide again against a
+    // lower bound on it.
+    const Weight lower = g_lower_bound(t);
+    if (!(lower > dg)) return false;
+    const Weight wider = cutoff(best.stretch, lower, below);
+    return wider > cut && h_within(t, wider);
+  };
+
+  // Pass 2, one source at a time: decide, run, fold in slot order.
+  for (std::size_t i = 0; i < s.touched.size();) {
+    const Vertex u = s.touched[i].u;
+    std::size_t end = i;
+    Weight bound = 0;
+    s.targets.clear();
+    s.h_targets.clear();
+    for (; end < s.touched.size() && s.touched[end].u == u; ++end) {
+      Touched& t = s.touched[end];
+      t.undecided = !skip(t);
+      if (!t.undecided) continue;
+      if (t.sides & 1) {
+        s.targets.push_back(t.v);
+        bound = std::max(bound, t.w);
+      }
+      if (t.sides & 2) s.h_targets.push_back(t.v);
+    }
+    if (!s.targets.empty()) {
+      ++w.searches;
+      run_from<kEdges>(s.dg, cg, u, &fg, s.targets, bound);
+    }
+    if (!s.h_targets.empty()) {
+      ++w.searches;
+      run_from<kEdges>(s.dh, ch, u, kEdges ? &fh : &fg, s.h_targets);
+    }
+    for (; i < end; ++i) {
+      const Touched& t = s.touched[i];
+      if (!t.undecided) continue;
+      const Weight dg = t.sides & 1 ? s.dg.dist(t.v) : base.dg[t.slot];
+      const Weight dh = t.sides & 2 ? s.dh.dist(t.v) : base.dh[t.slot];
+      best.consider(stretch_value(dg, dh), t.slot, u, t.v);
+    }
+  }
+  w.stretch = best.stretch;
+  w.u = best.u;
+  w.v = best.v;
+  return w;
+}
+
+/// One fault set's sweep: baseline-backed when there is a baseline.
+template <class G, bool kEdges>
+typename BasicStretchOracle<G>::Witness sweep(
+    const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
+    const OracleBaseline* base, typename BasicStretchOracle<G>::Scratch& s) {
+  return base != nullptr ? sweep_indexed<G, kEdges>(cg, ch, fg, fh, *base, s)
+                         : sweep_all<G, kEdges>(cg, ch, fg, fh, s);
+}
+
 /// Appends to `out` the elements on the engine's recorded path from its
 /// source u to v: the interior vertices, or with kEdges the path's edge ids
-/// mapped through `to_g` (nullptr: already G's), dropping kInvalidEdge.
+/// mapped through `to_g` (nullptr: already G's), dropping kInvalidEdge and
+/// the slot's own edge `own` (a fault on it removes the slot). Returns how
+/// many it appended.
 template <bool kEdges>
-void record_path(const DijkstraEngine& e, Vertex u, Vertex v,
-                 const std::vector<EdgeId>* to_g, std::vector<Vertex>& out) {
+std::uint32_t record_path(const DijkstraEngine& e, Vertex u, Vertex v,
+                          EdgeId own, const std::vector<EdgeId>* to_g,
+                          std::vector<Vertex>& out) {
+  const std::size_t before = out.size();
   if constexpr (kEdges) {
     for (Vertex x = v; e.via(x) != kInvalidEdge; x = e.parent(x)) {
       const EdgeId id = to_g != nullptr ? (*to_g)[e.via(x)] : e.via(x);
-      if (id != kInvalidEdge) out.push_back(id);
+      if (id != kInvalidEdge && id != own) out.push_back(id);
     }
   } else {
     for (Vertex x = e.parent(v); x != u && x != kInvalidVertex;
          x = e.parent(x))
       out.push_back(x);
   }
+  return static_cast<std::uint32_t>(out.size() - before);
 }
 
 /// `from`'s edge id -> `to`'s id for the same endpoints (kInvalidEdge where
@@ -313,18 +505,17 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
         "StretchOracle: bucket_max must be finite and >= 1");
   Scratch s;
   s.faults = VertexSet(g_->num_vertices());
-  // Resolve the queue per graph side: G and H can differ (H is a subgraph,
-  // but the snapshots carry their own hoisted profiles). Pre-size both
-  // engines to their graph's push bound so runs are allocation-free from the
-  // first fault set.
+  // One queue for both engines, from the joint weight profile: either
+  // engine may run on either graph (a bidirectional query uses both), and H
+  // may carry heavier edges than G. Pre-size each to its own graph's push
+  // bound, so its runs are allocation-free from the first fault set.
   const WeightProfile& wg = cg_.weights();
   const WeightProfile& wh = ch_.weights();
-  s.dg.set_queue(
-      select_sp_queue(policy, wg.exact_sums(), wg.max_weight, bucket_max),
-      wg.max_weight, bucket_max);
-  s.dh.set_queue(
-      select_sp_queue(policy, wh.exact_sums(), wh.max_weight, bucket_max),
-      wh.max_weight, bucket_max);
+  const Weight max_weight = std::max(wg.max_weight, wh.max_weight);
+  const SpQueue q = select_sp_queue(
+      policy, wg.exact_sums() && wh.exact_sums(), max_weight, bucket_max);
+  s.dg.set_queue(q, max_weight, bucket_max);
+  s.dh.set_queue(q, max_weight, bucket_max);
   s.dg.reserve(g_->num_vertices(), cg_.num_arcs() + 1);
   s.dh.reserve(h_->num_vertices(), ch_.num_arcs() + 1);
   return s;
@@ -346,7 +537,8 @@ template <class G>
 template <bool kEdges>
 OracleBaseline BasicStretchOracle<G>::build_baseline(
     BurstPool<Scratch>& lanes) const {
-  // With no faults every source with a slot is searched.
+  // With no faults every source with a slot is searched: a G-run and an
+  // H-run.
   const std::size_t n = cg_.num_vertices();
   OracleBaseline b;
   b.slot_begin.assign(n + 1, 0);
@@ -354,54 +546,61 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
     std::size_t slots = 0;
     for (const CsrArc& a : cg_.out(u)) slots += is_slot<G>(u, a) ? 1 : 0;
     b.slot_begin[u + 1] = b.slot_begin[u] + slots;
-    b.searches += slots > 0 ? 1 : 0;
+    b.searches += slots > 0 ? 2 : 0;
   }
-  b.stretch.resize(b.slot_begin[n]);
+  b.dg.resize(b.slot_begin[n]);
+  b.dh.resize(b.slot_begin[n]);
   // H's edge id -> G's: an H edge G lacks never fails.
   std::vector<EdgeId> h_to_g;
   if constexpr (kEdges) h_to_g = edge_ids_in(*h_, *g_);
 
-  // One source per task: a lane writes the source's slots, and appends its
-  // elements, sorted and deduplicated, to the lane's own buffer (one
-  // growing buffer per lane, not one per source).
-  struct Elements {
+  // One source per task: a lane writes the source's slots and the lengths
+  // of their two recorded paths, and appends the paths' elements to the
+  // lane's own buffer (one growing buffer per lane, not one per source).
+  std::vector<std::uint32_t> path_length(2 * b.slot_begin[n]);
+  struct Recorded {
     const std::vector<Vertex>* buffer = nullptr;
-    std::size_t begin = 0, end = 0;
-    std::span<const Vertex> get() const {
-      if (buffer == nullptr) return {};
-      return {buffer->data() + begin, buffer->data() + end};
-    }
+    std::size_t begin = 0;
   };
-  std::vector<Elements> elements(n);
+  std::vector<Recorded> recorded(n);
   lanes.run(n, [&](std::size_t i, Scratch& s) {
     const Vertex u = static_cast<Vertex>(i);
     if (!search_source<G, false>(cg_, ch_, u, nullptr, nullptr, s)) return;
-    double* stretch = b.stretch.data() + b.slot_begin[u];
-    const std::size_t begin = s.elements.size();
-    for (const Vertex v : s.targets) {
-      *stretch++ = stretch_of(s, v);
-      record_path<kEdges>(s.dg, u, v, nullptr, s.elements);
-      record_path<kEdges>(s.dh, u, v, &h_to_g, s.elements);
+    recorded[u] = {&s.path_elements, s.path_elements.size()};
+    std::size_t slot = b.slot_begin[u];
+    for (const CsrArc& a : cg_.out(u)) {
+      if (!is_slot<G>(u, a)) continue;
+      b.dg[slot] = s.dg.dist(a.to);
+      b.dh[slot] = s.dh.dist(a.to);
+      path_length[2 * slot] = record_path<kEdges>(s.dg, u, a.to, a.edge,
+                                                  nullptr, s.path_elements);
+      path_length[2 * slot + 1] = record_path<kEdges>(
+          s.dh, u, a.to, a.edge, &h_to_g, s.path_elements);
+      ++slot;
     }
-    std::sort(s.elements.begin() + begin, s.elements.end());
-    s.elements.erase(std::unique(s.elements.begin() + begin, s.elements.end()),
-                     s.elements.end());
-    elements[u] = {&s.elements, begin, s.elements.size()};
   });
 
-  // Invert source -> elements into element -> sources (a counting sort, so
-  // each element's sources come out ascending).
+  // Invert into element -> entries, entry slot * 2 + side: a counting sort
+  // over the entries in order, so each element's come out ascending.
+  const auto for_each_entry = [&](const auto& fn) {
+    for (Vertex u = 0; u < n; ++u) {
+      if (recorded[u].buffer == nullptr) continue;
+      const Vertex* e = recorded[u].buffer->data() + recorded[u].begin;
+      for (std::size_t entry = 2 * b.slot_begin[u];
+           entry < 2 * b.slot_begin[u + 1]; ++entry)
+        for (std::uint32_t i = 0; i < path_length[entry]; ++i) fn(*e++, entry);
+    }
+  };
   const std::size_t universe = kEdges ? g_->num_edges() : n;
-  b.source_begin.assign(universe + 1, 0);
-  for (const Elements& es : elements)
-    for (const Vertex e : es.get()) ++b.source_begin[e + 1];
+  b.entry_begin.assign(universe + 1, 0);
+  for_each_entry([&](Vertex e, std::size_t) { ++b.entry_begin[e + 1]; });
   for (std::size_t e = 0; e < universe; ++e)
-    b.source_begin[e + 1] += b.source_begin[e];
-  b.sources.resize(b.source_begin[universe]);
-  std::vector<std::size_t> fill(b.source_begin.begin(),
-                                b.source_begin.end() - 1);
-  for (Vertex u = 0; u < n; ++u)
-    for (const Vertex e : elements[u].get()) b.sources[fill[e]++] = u;
+    b.entry_begin[e + 1] += b.entry_begin[e];
+  b.entries.resize(b.entry_begin[universe]);
+  std::vector<std::size_t> fill(b.entry_begin.begin(),
+                                b.entry_begin.end() - 1);
+  for_each_entry(
+      [&](Vertex e, std::size_t entry) { b.entries[fill[e]++] = entry; });
   return b;
 }
 
@@ -557,14 +756,13 @@ FtCheckResult BasicStretchOracle<G>::check_sampled(
     const auto& e = g_->edge(*probed);
     Witness w;
     if (s.faults.contains(e.u) || s.faults.contains(e.v)) return w;
-    w.searches = 1;
+    w.searches = 2;
     const Vertex target[1] = {e.v};
     s.dg.run(cg_, e.u, &s.faults, std::span<const Vertex>(target, 1), e.w);
-    const Weight dg = s.dg.dist(e.v);
-    if (!(dg < kInfiniteWeight) || dg <= 0) return w;
     s.dh.run(ch_, e.u, &s.faults, std::span<const Vertex>(target, 1));
-    const Weight dh = s.dh.dist(e.v);
-    w.stretch = dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+    const double stretch = stretch_value(s.dg.dist(e.v), s.dh.dist(e.v));
+    if (stretch == kNoStretch) return w;
+    w.stretch = stretch;
     w.u = e.u;
     w.v = e.v;
     return w;

@@ -4,7 +4,7 @@
 // of fault sets F, how large does d_{H\F}(u,v) / d_{G\F}(u,v) get over the
 // surviving edges (u,v) of G? (Checking edges suffices: every edge of a
 // shortest path is stretched by at most k iff every pair is.) The oracle
-// answers it with three mechanisms:
+// answers it with five mechanisms:
 //
 //   1. One source-batched Dijkstra pair per spanner-edge endpoint per fault
 //      set — never one per pair. The G-side run is bounded by the largest
@@ -20,21 +20,36 @@
 //      Per-set witnesses land in an index-ordered array and are folded
 //      sequentially, so the worst witness — and the whole FtCheckResult —
 //      is bit-identical for every thread count.
-//   4. A fault-free baseline and an affected-source index, built once per
-//      check that sweeps two or more fault sets (the baseline sweep runs
-//      by source on the check's lanes, whose scratch the fault sets then
-//      reuse). The baseline stores every source's per-target stretches and
-//      the elements — interior vertices, or G's edge ids under edge faults
-//      — on its recorded G and H shortest-path trees to its targets; the
-//      index inverts that into element -> sources. A fault set then
-//      re-searches only the sources listed under its faults; every other
-//      source replays its stored stretches, minus the targets F removed.
+//   4. A fault-free baseline and a per-slot index, built once per check
+//      that sweeps two or more fault sets (the baseline sweep runs by
+//      source on the check's lanes, whose scratch the fault sets then
+//      reuse). A slot is one (source u, target v) pair in sweep order; the
+//      baseline stores its labels d_G and d_H, and the index maps each
+//      element — an interior vertex, or G's edge id under edge faults — of
+//      the slot's recorded G path and H path to the entry slot * 2 + side
+//      (0: G, 1: H). A live slot F does not touch replays its labels.
 //      Exact, not approximate: weights are non-negative and IEEE addition
 //      is monotone, so a Dijkstra label is the minimum over paths of the
 //      forward-summed length; when F misses the recorded path that minimum
-//      is unchanged bit for bit (F only removes paths), and the G-run's
-//      bound, at least w(u,v) >= d(u,v), prunes nothing on it. evaluate()
-//      and max_stretch() are the same loop with every source re-searched.
+//      is unchanged bit for bit (F only removes paths), and a G-run's
+//      bound, at least w(u,v) >= d(u,v), prunes nothing on it.
+//   5. Cutoff decisions for the slots F touches. A set's result is its
+//      largest stretch and the first slot reaching it, so a touched slot
+//      only matters if it can beat the running witness (m, P) folded from
+//      the rest: stretch > m, or = m > 1 before P. F only removes paths, so
+//      d_{G\F} >= d_G, and IEEE division is monotone: a slot whose G path
+//      alone is touched and whose baseline stretch is below the cut stays
+//      below it; one whose H path is touched is below once H\F has a u-v
+//      path of length <= t, the largest t with fl(t / d_G) below — a
+//      bidirectional decision query that stops at the first path within t
+//      (a bounded forward run on a Digraph); if both paths are touched, a
+//      G pair query's lower bound on d_{G\F} widens t for a second try.
+//      Every skip rests on a real path, so it only proves "below"; inexact
+//      sums (two-half vs forward) are trusted only kTieWindow inside a cut.
+//      What stays undecided (d_G = 0, failed queries) gets its source's
+//      forward runs, targeted at those slots, so every label — and the
+//      witness — matches a full sweep bit for bit. evaluate() and
+//      max_stretch() run mechanism 1 for every source instead.
 //
 // This is the one validation entry point: plain stretch is max_stretch() or
 // check_exact(0), vertex-fault tolerance is check_exact / check_sampled,
@@ -65,10 +80,11 @@ struct FtCheckResult {
   Vertex witness_u = kInvalidVertex;   ///< violated / worst pair
   Vertex witness_v = kInvalidVertex;
   std::size_t fault_sets_checked = 0;
-  /// Source searches run — one G-run and its H-run from one source — over
-  /// the whole check, the baseline sweep's included (the adversaries' path
-  /// probes are not). A deterministic work counter: the same at any thread
-  /// count.
+  /// Shortest-path queries run over the whole check: every forward run (a
+  /// source search is a G-run and an H-run; the baseline's are included),
+  /// every decision query and every G pair query (mechanism 5). The
+  /// adversaries' path probes are not counted. A deterministic work
+  /// counter: the same at any thread count.
   std::size_t searches = 0;
 
   /// Records (F, u, v, stretch) if it is worse than the current worst.
@@ -151,10 +167,13 @@ class BasicStretchOracle {
   double stretch_bound() const { return k_; }
 
   /// Per-worker scratch: one pooled Dijkstra engine each for G and H plus
-  /// the reusable target/pool buffers. One per thread; never shared. The
-  /// engines' queue structure is resolved against each graph's weight
-  /// profile (bucket on bounded-integer weights under kAuto). Throws
-  /// std::invalid_argument unless valid_bucket_max(bucket_max).
+  /// the reusable target/pool buffers. One per thread; never shared. Both
+  /// engines get one queue structure, resolved against the joint weight
+  /// profile of G and H (the larger max weight; exact sums only if both
+  /// graphs have them — bucket on bounded-integer weights under kAuto), so
+  /// either can run on either graph and the two serve as the pair of a
+  /// bidirectional query on G or on H. Throws std::invalid_argument unless
+  /// valid_bucket_max(bucket_max).
   struct Scratch {
     DijkstraEngine dg, dh;
     std::vector<Vertex> targets;
@@ -163,9 +182,20 @@ class BasicStretchOracle {
     VertexSet faults;
     /// Edge checks only: F over G's edge ids, and over H's (sized lazily).
     VertexSet edge_faults, h_edge_faults;
-    std::vector<Vertex> dirty;  ///< sources the current F can touch
-    /// Baseline sweep: this lane's sources' path elements, one after another.
-    std::vector<Vertex> elements;
+    /// A live slot whose recorded G or H path the current F touches.
+    struct Touched {
+      std::size_t slot;
+      Vertex u, v;
+      Weight w;            ///< length of the slot's edge (u, v)
+      std::uint8_t sides;  ///< bit 0: its G path is touched; bit 1: its H path
+      bool undecided;      ///< needs exact runs (mechanism 5)
+    };
+    std::vector<std::size_t> entries;  ///< index entries of the current F
+    std::vector<Touched> touched;
+    std::vector<Vertex> h_targets;  ///< one source's exact H-run targets
+    /// Baseline sweep: the elements on this lane's sources' recorded paths,
+    /// one after another.
+    std::vector<Vertex> path_elements;
   };
   Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,
                        Weight bucket_max = kMaxBucketWeight) const;
@@ -177,7 +207,7 @@ class BasicStretchOracle {
     double stretch = 1.0;
     Vertex u = kInvalidVertex;
     Vertex v = kInvalidVertex;
-    std::size_t searches = 0;  ///< source searches this evaluation ran
+    std::size_t searches = 0;  ///< queries this evaluation ran
   };
   Witness evaluate(const VertexSet& faults, Scratch& scratch) const;
 
@@ -220,8 +250,9 @@ class BasicStretchOracle {
     requires std::is_same_v<G, Graph>;
 
  private:
-  /// Sweeps every source fault-free on the check's lanes and indexes the
-  /// elements (vertices, or G's edge ids when kEdges) of its trees.
+  /// Sweeps every source fault-free on the check's lanes, keeps each slot's
+  /// labels and indexes the elements (vertices, or G's edge ids when
+  /// kEdges) of each slot's recorded G and H paths.
   template <bool kEdges>
   OracleBaseline build_baseline(BurstPool<Scratch>& lanes) const;
 

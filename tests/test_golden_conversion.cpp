@@ -265,5 +265,41 @@ TEST(BenchmarkInputs, GreedyWorkCountsArePinned) {
   }
 }
 
+// The oracle's work on the same instances, certifying their Theorem 2.1
+// spanners (k = 3, r = 2, seed 1) as perfbench does: the number of
+// shortest-path queries (the baseline's runs, decision queries, G pair
+// queries and exact runs) of the 256- and 12-set sampled checks. A work
+// counter, so it is the same at any thread count, and CI gates it exactly.
+TEST(BenchmarkInputs, OracleWorkCountsArePinned) {
+  struct Want {
+    double p, max_weight;
+    std::size_t kept;
+    double worst;
+    std::size_t searches_256, searches_12;
+  };
+  for (const Want& want : {Want{0.5, 0, 22157, 2, 24069, 1472},
+                           Want{0.1, 1e5, 2098, 1.3224581922642864, 65562,
+                                4564}}) {
+    SCOPED_TRACE(want.p);
+    const Graph g = perfbench_instance(want.p, want.max_weight);
+    ConversionOptions conversion;
+    conversion.threads = 4;
+    const Graph h =
+        g.edge_subgraph(ft_greedy_spanner(g, 3, 2, 1, conversion).edges);
+    ASSERT_EQ(h.num_edges(), want.kept);
+    const StretchOracle oracle(g, h, 3);
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      FtCheckOptions options;
+      options.threads = threads;
+      const FtCheckResult wide = oracle.check_sampled(2, 256, 0, 1, options);
+      EXPECT_EQ(wide.worst_stretch, want.worst);
+      EXPECT_EQ(wide.searches, want.searches_256);
+      EXPECT_EQ(oracle.check_sampled(2, 12, 0, 1, options).searches,
+                want.searches_12);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftspan

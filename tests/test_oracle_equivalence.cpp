@@ -1,18 +1,23 @@
-// The StretchOracle's fault-free baseline and affected-source index
-// (mechanism 4 in validate/stretch_oracle.hpp) must be invisible: every
-// check returns, field by field, the FtCheckResult of evaluating each fault
-// set from scratch and folding in index order. Vertex-fault references
-// evaluate every set with evaluate(), the oracle's full sweep; edge-fault
-// references run tests/support/reference_sp on the materialized G\F and
-// H\F. The fault sets are the checks' own streams, restated here from their
-// documentation: exact enumerations hit every tree path, and the
-// adversaries fail vertices and edges on H's shortest paths by design.
+// The StretchOracle's fault-free baseline, its per-slot index and its
+// cutoff decisions (mechanisms 4 and 5 in validate/stretch_oracle.hpp) must
+// be invisible: every check returns, field by field, the FtCheckResult of
+// evaluating each fault set from scratch and folding in index order.
+// Vertex-fault references evaluate every set with evaluate(), the oracle's
+// full sweep, or run tests/support/reference_sp on G\F and H\F; edge-fault
+// references run reference_sp on the materialized G\F and H\F. The fault
+// sets are the checks' own streams, restated here from their documentation:
+// exact enumerations hit every tree path, and the adversaries fail vertices
+// and edges on H's shortest paths by design. The later instances aim at the
+// cutoff's corner cases: ties at the running maximum on either side of its
+// slot, zero-length G paths, an infinite maximum, near-ties on decimal
+// weights, invalid spanners and an H heavier than G.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +34,15 @@ namespace ftspan {
 namespace {
 
 constexpr double kK = 3.0;
+
+/// A pair's stretch is defined unless d_G is infinite or d_G = d_H = 0;
+/// d_G = 0 < d_H is an infinite stretch.
+bool defined_stretch(Weight dg, Weight dh) {
+  return dg < kInfiniteWeight && (dg > 0 || dh > 0);
+}
+double stretch(Weight dg, Weight dh) {
+  return dg > 0 && dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
+}
 
 /// One fault set's worst pair.
 struct Scored {
@@ -152,10 +166,10 @@ Scored vertex_adversary(const StretchOracle& oracle, const Csr& ch,
   }
   if (faults.contains(e.u) || faults.contains(e.v)) return {};
   const Weight dg = test::reference_dijkstra(g, e.u, &faults).dist[e.v];
-  if (!(dg < kInfiniteWeight) || dg <= 0) return {};
   const Weight dh =
       test::reference_dijkstra(oracle.spanner(), e.u, &faults).dist[e.v];
-  return {dh < kInfiniteWeight ? dh / dg : kInfiniteWeight, e.u, e.v};
+  if (!defined_stretch(dg, dh)) return {};
+  return {stretch(dg, dh), e.u, e.v};
 }
 
 /// Sets of one and two interior vertices of H's shortest paths between the
@@ -214,6 +228,54 @@ void expect_vertex_checks(const Graph& g, const Graph& h,
       name + " evaluate_sets");
 }
 
+/// The worst surviving-edge stretch under vertex faults `f`, by reference
+/// Dijkstra on G\F and H\F, scanning sources ascending and each source's
+/// out-arcs in adjacency order (on a Graph each edge once, from its lower
+/// endpoint).
+template <class G>
+Scored vertex_reference(const G& g, const G& h, const VertexSet& f) {
+  Scored best;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (f.contains(u)) continue;
+    const test::ReferenceTree tg = test::reference_dijkstra(g, u, &f);
+    const test::ReferenceTree th = test::reference_dijkstra(h, u, &f);
+    for (const Arc& a : out_arcs(g, u)) {
+      if ((std::is_same_v<G, Graph> && a.to < u) || f.contains(a.to)) continue;
+      const Weight dg = tg.dist[a.to], dh = th.dist[a.to];
+      if (defined_stretch(dg, dh) && stretch(dg, dh) > best.stretch)
+        best = {stretch(dg, dh), u, a.to};
+    }
+  }
+  return best;
+}
+
+/// check_exact(r), and a 24-trial check_sampled(r), against
+/// vertex_reference on every set.
+template <class G>
+void expect_vertex_reference(const BasicStretchOracle<G>& oracle,
+                             std::size_t r, const std::string& name) {
+  const G& g = oracle.base();
+  const G& h = oracle.spanner();
+  const std::size_t n = g.num_vertices();
+  const double k = oracle.stretch_bound();
+  const auto reference = [&](const std::vector<VertexSet>& sets) {
+    std::vector<Scored> out;
+    for (const VertexSet& f : sets) out.push_back(vertex_reference(g, h, f));
+    return fold(sets, out, n, k);
+  };
+  expect_check([&](const FtCheckOptions& o) { return oracle.check_exact(r, o); },
+               reference(all_sets(n, r)), name + " check_exact");
+  constexpr std::size_t kTrials = 24;
+  std::vector<VertexSet> sampled;
+  for (std::size_t i = 0; i < kTrials; ++i)
+    sampled.push_back(random_trial(n, std::min(r, n - 2), 3, i));
+  expect_check(
+      [&](const FtCheckOptions& o) {
+        return oracle.check_sampled(r, kTrials, 0, 3, o);
+      },
+      reference(sampled), name + " check_sampled");
+}
+
 // --- edge faults -----------------------------------------------------------
 
 /// The worst surviving-edge stretch under edge faults `fe` (G's edge ids),
@@ -234,11 +296,9 @@ Scored edge_reference(const Graph& g, const Graph& h, const VertexSet& fe) {
     const test::ReferenceTree th = test::reference_dijkstra(hf, u);
     for (const Arc& a : g.neighbors(u)) {
       if (a.to < u || fe.contains(a.edge)) continue;
-      const Weight dg = tg.dist[a.to];
-      if (!(dg < kInfiniteWeight) || dg <= 0) continue;
-      const Weight dh = th.dist[a.to];
-      const double stretch = dh < kInfiniteWeight ? dh / dg : kInfiniteWeight;
-      if (stretch > best.stretch) best = {stretch, u, a.to};
+      const Weight dg = tg.dist[a.to], dh = th.dist[a.to];
+      if (defined_stretch(dg, dh) && stretch(dg, dh) > best.stretch)
+        best = {stretch(dg, dh), u, a.to};
     }
   }
   return best;
@@ -369,8 +429,9 @@ TEST(OracleEquivalence, DisconnectingFaultsMatch) {
 TEST(OracleEquivalence, DirectedChecksMatchFullSweeps) {
   // A two-way ring in both graphs keeps every pair connected under one
   // fault, so single faults move finite stretches; two can cut H. Zero-cost
-  // arcs make some d_G vanish: those slots are skipped, yet the faults on
-  // their paths must still re-search them.
+  // arcs make some d_G vanish: a slot with d_G = 0 < d_H has an infinite
+  // stretch (and d_G = d_H = 0 none), no cutoff applies to it, and the
+  // faults on its paths must still send it to exact runs.
   const Digraph base = di_gnp(18, 0.3, 3, 5.0);
   const std::size_t n = base.num_vertices();
   Digraph g(n), h(n);
@@ -421,13 +482,273 @@ TEST(OracleEquivalence, BaselineSearchesOnlyWhatFaultsTouch) {
   auto scratch = oracle.make_scratch();
   std::size_t full = 0;
   for (const VertexSet& f : sets) full += oracle.evaluate(f, scratch).searches;
-  // One baseline sweep plus the touched sources costs far less than a full
-  // sweep per set.
+  // Every query counts: the baseline's G- and H-runs, then per set its
+  // decision queries, G pair queries and exact runs. Together they cost far
+  // less than a full sweep (a G-run and an H-run per source) per set.
   EXPECT_LT(oracle.check_exact(2).searches, full / 2);
   // A single fault set builds no baseline: it is one full sweep.
   const std::vector<VertexSet> one(sets.begin() + 5, sets.begin() + 6);
   EXPECT_EQ(oracle.evaluate_sets(one).searches,
             oracle.evaluate(one[0], scratch).searches);
+}
+
+// --- the cutoff's corner cases ---------------------------------------------
+
+/// Unit weights, whose stretches are small rationals that many slots share,
+/// against the reference on a graph and a digraph
+/// (TiesAtTheMaximumKeepTheFirstSlot places such ties on purpose).
+TEST(OracleEquivalence, UnitWeightTiesMatchReference) {
+  const Graph g = gnp(26, 0.5, 21);
+  const Graph h = greedy_spanner_graph(g, kK);
+  const StretchOracle oracle(g, h, kK);
+  expect_vertex_reference(oracle, 2, "unit/greedy");
+  expect_edge_checks(g, h, 1, "unit/greedy");
+  // The same on a digraph with unit costs.
+  const Digraph dg = di_gnp(20, 0.3, 4);
+  Digraph dh(dg.num_vertices());
+  for (EdgeId id = 0; id < dg.num_edges(); ++id)
+    if (id % 3 != 0) dh.add_edge(dg.edge(id).u, dg.edge(id).v, 1.0);
+  expect_vertex_reference(DiStretchOracle(dg, dh, 2.0), 2, "digraph/unit");
+}
+
+/// evaluate_sets over `sets`, at threads 1 and 4, folds to what
+/// vertex_reference scores, and to `want`'s scores when they are given.
+void expect_listed(const StretchOracle& oracle,
+                   const std::vector<VertexSet>& sets, const std::string& name,
+                   const std::vector<Scored>& want = {}) {
+  const std::size_t n = oracle.base().num_vertices();
+  std::vector<Scored> reference;
+  for (const VertexSet& f : sets)
+    reference.push_back(vertex_reference(oracle.base(), oracle.spanner(), f));
+  const FtCheckResult folded = fold(sets, reference, n, kK);
+  if (!want.empty())
+    expect_same(fold(sets, want, n, kK), folded, name + " reference");
+  expect_check(
+      [&](const FtCheckOptions& o) { return oracle.evaluate_sets(sets, o); },
+      folded, name);
+}
+
+/// A fault set's maximum is reached both by a slot it leaves alone and by
+/// slots whose H paths it cuts, on unit weights: the first slot wins. Slot
+/// (0, 1) has stretch 2 over H path 0-2-1 and 3 over 0-3-4-1 once 2 fails;
+/// slot (5, 6) has stretch 3 over 5-7-8-6 and no fault touches it; slot
+/// (9, 10) is (0, 1)'s copy on 9-11-10 and 9-12-13-10, after (5, 6).
+TEST(OracleEquivalence, TiesAtTheMaximumKeepTheFirstSlot) {
+  Graph g(14), h(14);
+  const auto both = [&](Vertex a, Vertex b) {
+    g.add_edge(a, b);
+    h.add_edge(a, b);
+  };
+  for (const auto& [a, b] : {std::pair<Vertex, Vertex>{0, 1}, {5, 6}, {9, 10}})
+    g.add_edge(a, b);
+  for (const auto& [a, b] : {std::pair<Vertex, Vertex>{0, 2}, {2, 1}, {0, 3},
+                             {3, 4}, {4, 1}, {5, 7}, {7, 8}, {8, 6}, {9, 11},
+                             {11, 10}, {9, 12}, {12, 13}, {13, 10}})
+    both(a, b);
+  const StretchOracle oracle(g, h, kK);
+  const VertexSet first(14, {2}), both_cut(14, {2, 11}), last(14, {11});
+  // Before the untouched maximum, a tie wins; after it, it does not.
+  expect_listed(oracle, {first, first}, "tie first", {{3, 0, 1}, {3, 0, 1}});
+  expect_listed(oracle, {both_cut, last}, "ties on both sides",
+                {{3, 0, 1}, {3, 5, 6}});
+  expect_listed(oracle, {last, last}, "tie after", {{3, 5, 6}, {3, 5, 6}});
+}
+
+/// A slot whose G path the faults touch, but not its H path, can stay the
+/// maximum: its stretch only falls, here from 15/8 to 15/10. Slot (0, 1)
+/// has G path 0-2-1 (8, shorter than the edge's 10) and H path 0-3-1 (15);
+/// failing 2 also removes slot (2, 1), whose H path is the long way round.
+TEST(OracleEquivalence, SlotWhoseGPathIsTouchedStaysTheMaximum) {
+  Graph g(4), h(4);
+  g.add_edge(0, 1, 10);
+  g.add_edge(2, 1, 4);
+  for (Graph* t : {&g, &h}) {
+    t->add_edge(0, 2, 4);
+    t->add_edge(0, 3, 7);
+    t->add_edge(3, 1, 8);
+  }
+  const StretchOracle oracle(g, h, kK);
+  const VertexSet f(4, {2});
+  expect_listed(oracle, {f, f}, "G path touched", {{1.5, 0, 1}, {1.5, 0, 1}});
+}
+
+/// Zero-length G edges: a slot with d_G = 0 takes no cutoff, and one that H
+/// stretches to d_H > 0 is an infinite stretch.
+TEST(OracleEquivalence, ZeroLengthPathsMatchReference) {
+  const Graph base = integer_lengths(gnp(20, 0.35, 13));
+  std::vector<Edge> edges = base.edges();
+  for (std::size_t i = 0; i < edges.size(); i += 4) edges[i].w = 0;
+  const Graph g = Graph::from_edges(base.num_vertices(), edges);
+  const Graph kept = greedy_spanner_graph(g, kK);
+  // H drops the zero-length edges a fault set could need.
+  std::vector<Edge> dropped;
+  for (const Edge& e : kept.edges())
+    if (e.w > 0 || (e.u + e.v) % 2 == 0) dropped.push_back(e);
+  const Graph h = Graph::from_edges(g.num_vertices(), dropped);
+  for (const Graph* sp : {&kept, &h}) {
+    const std::string name = sp == &kept ? "zero/greedy" : "zero/dropped";
+    expect_vertex_reference(StretchOracle(g, *sp, kK), 2, name);
+    expect_edge_checks(g, *sp, 1, name);
+  }
+  EXPECT_EQ(StretchOracle(g, kept, kK).check_exact(0).worst_stretch,
+            StretchOracle(g, kept, kK).max_stretch());
+
+  // The smallest case: H drops the zero-length edge of a triangle.
+  Graph tri(3), tri_h(3);
+  tri.add_edge(0, 1, 0);
+  for (Graph* t : {&tri, &tri_h}) {
+    t->add_edge(1, 2, 1);
+    t->add_edge(0, 2, 1);
+  }
+  const FtCheckResult plain = StretchOracle(tri, tri_h, kK).check_exact(0);
+  EXPECT_FALSE(plain.valid);
+  EXPECT_EQ(plain.worst_stretch, kInfiniteWeight);
+  EXPECT_EQ(plain.witness_u, 0u);
+  EXPECT_EQ(plain.witness_v, 1u);
+  expect_vertex_reference(StretchOracle(tri, tri_h, kK), 1, "triangle");
+  // Keeping it, d_G = d_H = 0 has no stretch.
+  EXPECT_TRUE(StretchOracle(tri, tri, kK).check_exact(1).valid);
+}
+
+/// An infinite running maximum: H lacks every edge between two halves, so
+/// each crossing slot is cut fault-free. Only vertices 8..11 have crossing
+/// edges, so slots of lower sources that F cuts in H tie at infinity before
+/// the first crossing slot.
+TEST(OracleEquivalence, InfiniteMaximumMatchesReference) {
+  const Graph base = gnp(24, 0.4, 7);
+  const auto half = [](Vertex v) { return v < 12; };
+  std::vector<Edge> g_edges, inside;
+  for (const Edge& e : base.edges()) {
+    if (half(e.u) == half(e.v)) {
+      g_edges.push_back(e);
+      inside.push_back(e);
+    } else if (std::min(e.u, e.v) >= 8) {
+      g_edges.push_back(e);
+    }
+  }
+  const Graph g = Graph::from_edges(24, g_edges);
+  const Graph h = greedy_spanner_graph(Graph::from_edges(24, inside), kK);
+  const StretchOracle oracle(g, h, kK);
+  EXPECT_EQ(oracle.max_stretch(), kInfiniteWeight);
+  expect_vertex_reference(oracle, 2, "halves");
+  expect_edge_checks(g, h, 1, "halves");
+}
+
+/// Decimal weights whose stretches sit within 1e-8 of the cutoff. Gadget R
+/// has stretch `cut` (G edge r0-r1 of length 1, H path of two cut/2 halves);
+/// gadget T has stretch 1.2 until its H middle vertex y fails, and then
+/// L / 1 over a three-hop detour of lengths L - 0.4, 0.3 and 0.1, whose
+/// bidirectional halves and forward sum can round apart. Failing y leaves
+/// R untouched, so R holds the running maximum while T is decided.
+struct NearTies {
+  std::vector<Edge> g_edges, h_edges;
+  std::vector<Vertex> y;  ///< each T gadget's H middle vertex, in order
+  Vertex next = 0;
+
+  void both(Vertex a, Vertex b, Weight w) {
+    g_edges.push_back({a, b, w});
+    h_edges.push_back({a, b, w});
+  }
+  void r_gadget(Weight cut) {
+    g_edges.push_back({next, next + 1, 1.0});
+    both(next, next + 2, cut / 2);
+    both(next + 2, next + 1, cut / 2);
+    next += 3;
+  }
+  void t_gadget(Weight detour) {
+    const Vertex c = next, d = next + 1, z1 = next + 3, z2 = next + 4;
+    y.push_back(next + 2);
+    g_edges.push_back({c, d, 1.0});
+    both(c, y.back(), 0.6);
+    both(y.back(), d, 0.6);
+    both(c, z1, detour - 0.4);
+    both(z1, z2, 0.3);
+    both(z2, d, 0.1);
+    next += 5;
+  }
+};
+
+TEST(OracleEquivalence, DecimalNearTiesMatchReference) {
+  // T gadgets before and after R, so ties are met on both sides of the
+  // maximum's slot.
+  NearTies t;
+  const double eps[] = {-1e-7, -1e-8, -2e-9, -1e-12, 0, 1e-12, 2e-9, 1e-8};
+  for (std::size_t i = 0; i < std::size(eps); i += 2)
+    t.t_gadget(1.4 * (1 + eps[i]));
+  t.r_gadget(1.4);
+  for (std::size_t i = 1; i < std::size(eps); i += 2)
+    t.t_gadget(1.4 * (1 + eps[i]));
+  t.t_gadget(1.4);
+  const Graph g = Graph::from_edges(t.next, t.g_edges);
+  const Graph h = Graph::from_edges(t.next, t.h_edges);
+  const StretchOracle oracle(g, h, kK);
+  for (const Vertex y : t.y) {
+    const VertexSet f(t.next, {y});
+    expect_listed(oracle, {f, f}, "near-tie y=" + std::to_string(y));
+  }
+  expect_vertex_reference(oracle, 1, "near-ties");
+  expect_edge_checks(g, h, 1, "near-ties");
+
+  // After R = 1.5 a tie is allowed, but T's detour 1.1 + 0.3 + 0.1 sums
+  // forward to 1.5000000000000002, while the pair search meets its halves
+  // at 1.1 + 0.4 = 1.5: only the tie window sends T to the exact runs that
+  // make it the witness.
+  NearTies split;
+  split.r_gadget(1.5);
+  split.t_gadget(1.5);
+  const Graph sg = Graph::from_edges(split.next, split.g_edges);
+  const Graph sh = Graph::from_edges(split.next, split.h_edges);
+  const VertexSet f(split.next, {split.y[0]});
+  expect_listed(StretchOracle(sg, sh, kK), {f, f}, "split sums",
+                {{1.5000000000000002, 3, 4}, {1.5000000000000002, 3, 4}});
+
+  // Random decimal lengths: a geometric instance's greedy spanner.
+  const Graph geo = random_geometric(30, 0.35, 8);
+  const Graph geo_h = greedy_spanner_graph(geo, 1.5);
+  expect_vertex_reference(StretchOracle(geo, geo_h, 1.5), 2,
+                          "geometric/greedy k=1.5");
+}
+
+/// Conversions with too few iterations (c = 0.1) are invalid under some
+/// fault set: the cutoff must keep every witness of the violation.
+TEST(OracleEquivalence, InvalidSpannersMatchReference) {
+  ConversionOptions few;
+  few.iteration_constant = 0.1;
+  bool any_invalid = false;
+  for (const Instance& in : instances()) {
+    if (in.name.find("/ft_vertex") == std::string::npos) continue;
+    const Graph h =
+        in.g.edge_subgraph(ft_greedy_spanner(in.g, kK, 2, 9, few).edges);
+    const StretchOracle oracle(in.g, h, kK);
+    any_invalid = any_invalid || !oracle.check_exact(2).valid;
+    expect_vertex_reference(oracle, 2, in.name + " c=0.1");
+    expect_edge_checks(
+        in.g,
+        in.g.edge_subgraph(ft_edge_greedy_spanner(in.g, kK, 2, 9, few).edges),
+        1, in.name + " edge c=0.1");
+  }
+  EXPECT_TRUE(any_invalid);
+}
+
+/// H may be any graph on G's vertices, heavier than G: the two engines'
+/// shared queue must fit both graphs' weights (Dial's queue here, with
+/// lengths in [1, 20] in G and up to 60 in H).
+TEST(OracleEquivalence, SpannerHeavierThanBaseMatchesReference) {
+  const Graph g = integer_lengths(gnp(22, 0.35, 12));
+  const Graph greedy = greedy_spanner_graph(g, kK);
+  std::vector<Edge> edges = greedy.edges();
+  for (std::size_t i = 0; i < edges.size(); i += 3) edges[i].w = 60;
+  edges.push_back({0, 21, 55});  // an edge G lacks
+  const Graph h = Graph::from_edges(g.num_vertices(), edges);
+  const Csr cg(g), ch(h);
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true,
+                            std::max(cg.weights().max_weight,
+                                     ch.weights().max_weight)),
+            SpQueue::kBucket);
+  ASSERT_GT(ch.weights().max_weight, cg.weights().max_weight);
+  const StretchOracle oracle(g, h, kK);
+  expect_vertex_reference(oracle, 2, "heavier H");
+  expect_edge_checks(g, h, 1, "heavier H");
 }
 
 }  // namespace

@@ -385,7 +385,7 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
 // last rows validate conversions exactly where the spanner drops edges
 // (|H| < m), so their verdicts could fail: unit, integer and fractional
 // (sensor) weights, under vertex and edge faults. `searches` is the
-// oracle's work count, pinned like an output.
+// oracle's work count (its shortest-path queries), pinned like an output.
 struct Tracked {
   const char* spec;  ///< spec text, or the name of a preset
   std::size_t edges;
@@ -417,41 +417,41 @@ const Tracked kTracked[] = {
     {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
      "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
      "timings=off",
-     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12, 524},
+     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12, 953},
     {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
      "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
      "adversarial=0 vseed=1 timings=off",
-     539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12, 1018},
-    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1, 22},
+     539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12, 1508},
+    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1, 44},
     {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "bucket", true, 3, 1,
-     22},
+     44},
     {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "bucket", true, 3, 1,
-     22},
+     44},
     {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "bucket", true, 3, 25,
-     31},
-    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25, 22},
-    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77, 93},
+     55},
+    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25, 44},
+    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77, 44},
     {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15,
-     14},
-    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15, 11},
-    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15, 14},
+     26},
+    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15, 22},
+    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15, 26},
     {"workload=gnp n=40 p=0.5 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
      "threads=1,4 reps=1 validate=exact timings=off",
-     340, 0x46aaa617dbf45348ull, "bucket", true, 2, 41, 81},
+     340, 0x46aaa617dbf45348ull, "bucket", true, 2, 41, 124},
     {"workload=gnp n=40 p=0.3 max_weight=100 wseed=5 algo=ft_vertex k=3 r=2 "
      "seed=3 threads=1,4 reps=1 validate=exact timings=off",
      177, 0xc563330c4967aceeull, "bucket", true, 1.1666666666666667, 821,
-     8696},
+     41496},
     {"workload=gnp n=30 p=0.4 max_weight=100 wseed=5 algo=ft_edge k=3 r=1 "
      "seed=3 threads=1,4 reps=1 validate=exact timings=off",
      111, 0x626cd937e94c112eull, "bucket", true, 1.1636363636363636, 189,
-     328},
+     926},
     {"workload=sensor n=40 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
      "threads=1,4 reps=1 validate=exact timings=off",
-     150, 0x2609403189033bdeull, "heap", true, 1.3797412741873816, 41, 60},
+     150, 0x2609403189033bdeull, "heap", true, 1.3797412741873816, 41, 102},
     {"workload=sensor n=60 wseed=5 algo=ft_edge k=3 r=1 seed=3 "
      "threads=1,4 reps=1 validate=exact timings=off",
-     228, 0x434a53410bffb415ull, "heap", true, 1.325408979834829, 248, 317},
+     228, 0x434a53410bffb415ull, "heap", true, 1.325408979834829, 248, 143},
 };
 
 // A tracked row's spec text: a preset runs as committed, at threads 1 and
