@@ -3,32 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "util/spsc_ring.hpp"
-
 namespace ftspan {
-
-namespace {
-
-/// A half-open index range; the unit that travels through a lane's ring.
-struct Range {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Indices per burst for a run of count >= 1: full kDefaultBurst bursts for
-/// large fan-outs, finer ones when count < kDefaultBurst * workers so no lane
-/// gets more than its even share.
-std::size_t burst_width(std::size_t count, std::size_t workers) {
-  return std::min(kDefaultBurst, (count + workers - 1) / workers);
-}
-
-}  // namespace
 
 std::size_t hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
@@ -43,33 +26,34 @@ std::size_t resolve_threads(std::size_t requested, std::size_t count) {
 
 namespace detail {
 
-/// Everything one lane owns. Rings are per-lane (SPSC: coordinator
-/// produces, the lane consumes). The mutex/cv pair only matters while the
-/// lane is idle: a lane with a non-empty ring never touches it, so the
-/// in-flight hand-off cost stays one acquire/release pair per burst.
-struct BurstLanes::Lane {
-  SpscRing<Range> ring{kRingCapacity};
+/// What the coordinator and the lanes share. The mutex guards the run's
+/// publication and the lanes' check-out; while a run is in flight the lanes
+/// touch only the cursor and the stop-claiming flag, each on a cache line
+/// of its own so a claim does not evict the flag every lane reads.
+struct BurstLanes::Shared {
+  explicit Shared(std::size_t workers) : lanes(workers) {}
+
+  const std::size_t lanes;
+
   std::mutex m;
-  std::condition_variable cv;
-  bool stop = false;         ///< guarded by m
-  std::exception_ptr error;  ///< lane-written; read/cleared between runs
-  bool enter_failed = false;  ///< permanent: the lane never got state
+  std::condition_variable start;  ///< a new generation, or stop
+  std::condition_variable done;   ///< every lane has checked out
+  std::uint64_t generation = 0;   ///< guarded by m; bumped by each run
+  bool stop = false;              ///< guarded by m
+  std::size_t count = 0;          ///< guarded by m; the run's index count
+  const Job* job = nullptr;       ///< guarded by m; the run's job
+  std::size_t checked_out = 0;    ///< guarded by m; lanes done this run
+  std::exception_ptr error;       ///< guarded by m; lowest throwing index's
+  std::size_t error_index = 0;    ///< guarded by m; meaningful with error
+  std::exception_ptr make_error;  ///< guarded by m; permanent
+
+  alignas(64) std::atomic<std::size_t> next{0};  ///< the shared cursor
+  /// Set by a throwing job or a failed make: lanes start no new index.
+  alignas(64) std::atomic<bool> halt{false};
 };
 
-/// Run-completion rendezvous: lanes count finished bursts, the coordinator
-/// sleeps until the count reaches the run's burst total.
-struct BurstLanes::Completion {
-  std::atomic<std::size_t> bursts{0};
-  std::mutex m;
-  std::condition_variable cv;
-};
-
-BurstLanes::BurstLanes(std::size_t workers, Hook enter, Hook leave) {
-  lanes_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    lanes_.push_back(std::make_unique<Lane>());
-
-  done_ = std::make_unique<Completion>();
+BurstLanes::BurstLanes(std::size_t workers, Hook enter, Hook leave)
+    : shared_(std::make_unique<Shared>(workers)) {
   threads_.reserve(workers);
   // A failed thread start must not leave the started lanes unjoined.
   try {
@@ -83,98 +67,86 @@ BurstLanes::BurstLanes(std::size_t workers, Hook enter, Hook leave) {
 
 void BurstLanes::lane_main(std::size_t w, const Hook& enter,
                            const Hook& leave) {
-  Lane& lane = *lanes_[w];
+  Shared& sh = *shared_;
+  bool has_state = true;
   try {
     enter(w);
   } catch (...) {
-    lane.error = std::current_exception();
-    lane.enter_failed = true;
+    has_state = false;
+    std::lock_guard<std::mutex> l(sh.m);
+    sh.make_error = std::current_exception();
+    sh.halt.store(true, std::memory_order_relaxed);
   }
-  Range b;
+  std::uint64_t seen = 0;
   for (;;) {
-    if (lane.ring.try_pop(b)) {
-      // After a failure keep draining without running: the coordinator may
-      // be spinning on this ring being full, so the feed must keep moving
-      // even though its results are abandoned.
-      if (lane.error == nullptr) {
-        try {
-          (*burst_)(w, b.begin, b.end);
-        } catch (...) {
-          lane.error = std::current_exception();
-        }
-      }
-      done_->bursts.fetch_add(1, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> l(done_->m);
-      }
-      done_->cv.notify_one();
-      continue;
+    {
+      std::unique_lock<std::mutex> l(sh.m);
+      sh.start.wait(l,
+                    [&sh, seen] { return sh.stop || sh.generation != seen; });
+      if (sh.stop) break;
+      seen = sh.generation;
     }
-    std::unique_lock<std::mutex> l(lane.m);
-    if (!lane.ring.empty()) continue;  // pushed while we took the lock
-    if (lane.stop) break;
-    lane.cv.wait(l);
+    if (has_state) claim_until_done(w);
+    std::lock_guard<std::mutex> l(sh.m);
+    if (++sh.checked_out == sh.lanes) sh.done.notify_one();
   }
   leave(w);
+}
+
+void BurstLanes::claim_until_done(std::size_t w) {
+  Shared& sh = *shared_;
+  // Read under the mutex when this generation was observed; run() changes
+  // neither until every lane has checked out.
+  const std::size_t count = sh.count;
+  const Job& job = *sh.job;
+  // The halt check comes before the claim and a claimed index always runs:
+  // every index below a throwing one was claimed before it, so it ran too,
+  // and the lowest throwing index is always among those recorded.
+  while (!sh.halt.load(std::memory_order_relaxed)) {
+    const std::size_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count) return;
+    try {
+      job(w, i);
+    } catch (...) {
+      std::lock_guard<std::mutex> l(sh.m);
+      if (sh.error == nullptr || i < sh.error_index) {
+        sh.error = std::current_exception();
+        sh.error_index = i;
+      }
+      sh.halt.store(true, std::memory_order_relaxed);
+    }
+  }
 }
 
 BurstLanes::~BurstLanes() { stop_and_join(); }
 
 void BurstLanes::stop_and_join() {
-  for (auto& lane : lanes_) {
-    {
-      std::lock_guard<std::mutex> l(lane->m);
-      lane->stop = true;
-    }
-    lane->cv.notify_one();
+  {
+    std::lock_guard<std::mutex> l(shared_->m);
+    shared_->stop = true;
   }
+  shared_->start.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void BurstLanes::feed(Lane& lane, std::size_t begin, std::size_t end) {
-  const Range b{begin, end};
-  while (!lane.ring.try_push(b)) std::this_thread::yield();
-  // The empty critical section orders the push before the lane's
-  // ring-empty recheck under the same mutex, so the notify cannot be lost.
-  {
-    std::lock_guard<std::mutex> l(lane.m);
-  }
-  lane.cv.notify_one();
-}
-
-void BurstLanes::run(std::size_t count, const Burst& burst) {
+void BurstLanes::run(std::size_t count, const Job& job) {
   if (count == 0) return;
-  const std::size_t width = burst_width(count, lanes_.size());
-  const std::size_t total = (count + width - 1) / width;
+  Shared& sh = *shared_;
+  std::unique_lock<std::mutex> l(sh.m);
+  sh.count = count;
+  sh.job = &job;
+  sh.checked_out = 0;
+  sh.next.store(0, std::memory_order_relaxed);
+  sh.halt.store(sh.make_error != nullptr, std::memory_order_relaxed);
+  ++sh.generation;
+  sh.start.notify_all();
+  sh.done.wait(l, [&sh] { return sh.checked_out == sh.lanes; });
 
-  done_->bursts.store(0, std::memory_order_relaxed);
-  burst_ = &burst;  // published to each lane by its ring hand-off
-
-  // Round-robin distribution: burst b -> lane b % workers, in order. With
-  // equal-cost bursts this is exactly the static block-cyclic schedule; with
-  // skewed costs the ring depth (bursts in flight) absorbs the imbalance.
-  std::size_t next_lane = 0;
-  for (std::size_t begin = 0; begin < count; begin += width) {
-    feed(*lanes_[next_lane], begin, std::min(begin + width, count));
-    next_lane = next_lane + 1 == lanes_.size() ? 0 : next_lane + 1;
-  }
-
-  {
-    std::unique_lock<std::mutex> l(done_->m);
-    done_->cv.wait(l, [this, total] {
-      return done_->bursts.load(std::memory_order_acquire) == total;
-    });
-  }
-
-  // First error by lane index, so the rethrown exception is deterministic.
-  // Job errors are cleared so the pool stays usable; a lane whose enter
-  // threw never got state, so its error is permanent.
-  std::exception_ptr first;
-  for (auto& lane : lanes_) {
-    if (lane->error != nullptr && first == nullptr) first = lane->error;
-    if (!lane->enter_failed) lane->error = nullptr;
-  }
-  if (first != nullptr) std::rethrow_exception(first);
+  // A job's error is cleared so the pool stays usable; a lane whose make
+  // threw never got state, so its error is permanent and comes first.
+  const std::exception_ptr error = std::exchange(sh.error, nullptr);
+  if (sh.make_error != nullptr) std::rethrow_exception(sh.make_error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace detail

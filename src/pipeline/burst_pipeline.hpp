@@ -2,32 +2,28 @@
 //
 // Every parallel loop in the repo (conversion sampling iterations,
 // StretchOracle baseline sources and fault-set checks, QueryEngine cache
-// misses) is an index loop 0..count whose bodies run on per-lane state. A
-// generic thread pool would hand indices out one atomic fetch_add at a time:
-// one shared-cache-line bounce per task, with tasks that can be a few
-// microseconds each. This executor applies the dataplane shape instead
-// (per-core lanes, SPSC rings, burst processing — the ndn-dpdk idiom):
+// misses) is an index loop 0..count whose bodies run on per-lane state, and
+// every body is tens of microseconds to milliseconds of search work: a
+// greedy run, a fault set, a baseline source, a cache miss. So the pool
+// balances at run time, one index at a time:
 //
-//   - the coordinator slices 0..count into bursts and round-robins them into
-//     one SpscRing per lane (single producer: the coordinator; single
-//     consumer: the lane — no shared ring, no CAS anywhere);
-//   - each lane drains its own ring and runs whole bursts against its own
-//     state (engines, scratch graphs), so the shared-line traffic is one
-//     acquire/release pair per burst instead of per task;
-//   - distribution is deterministic (burst b → lane b % workers), which
-//     keeps "which lane ran which index" reproducible, though callers must
-//     not depend on it — output determinism comes from index-keyed results.
+//   - run() publishes (count, job) under the pool's mutex, bumps a
+//     generation counter and wakes every lane;
+//   - each lane claims the next index from one shared cursor (one fetch_add
+//     per index) and runs it against its own state (engines, scratch
+//     graphs), until the count is used up;
+//   - run() returns once every lane has checked out of that generation.
 //
-// The burst width is derived, never configured: min(kDefaultBurst,
-// ceil(count / workers)). Fan-outs of at least 16·workers indices get full
-// 16-index bursts; smaller ones are cut finer, so no lane runs more than its
-// even share of ceil(count / workers) indices (12 fault sets on 4 workers run
-// as four bursts of 3, one per lane).
+// A lane that runs slower, or draws a heavier index, simply claims fewer:
+// no index waits behind another in a queue it cannot leave. One shared
+// cache-line bounce per index is noise next to a job of this size. Which
+// lane runs which index is not reproducible, so callers must not depend on
+// it — output determinism comes from index-keyed results.
 //
-// Exceptions: a lane that throws records the first exception and discards
-// the rest of its feed (it keeps draining so the coordinator never blocks on
-// a full ring); the coordinator rethrows the lowest-indexed lane's
-// exception once every burst is done.
+// Exceptions: once a job throws, no lane starts a new index, and run()
+// rethrows the exception of the lowest index that threw. Claims go in
+// ascending order and every claimed index runs, so that index is the
+// lowest throwing one whatever the timing: the rule is deterministic.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +35,6 @@
 #include <vector>
 
 namespace ftspan {
-
-/// Largest burst: indices per ring hand-off once count >= 16·workers. Large
-/// enough to amortize the hand-off, small enough that a burst of even the
-/// slowest tasks (a greedy run per index) keeps all workers fed.
-inline constexpr std::size_t kDefaultBurst = 16;
-
-/// Bursts in flight per worker before the coordinator waits on that ring.
-inline constexpr std::size_t kRingCapacity = 64;
 
 /// The machine's hardware concurrency, never reported as 0.
 std::size_t hardware_threads();
@@ -66,17 +54,16 @@ std::size_t resolve_threads(std::size_t requested, std::size_t count);
 
 namespace detail {
 
-/// BurstPool's threads, rings and error slots: everything that does not
-/// depend on the lanes' state type, compiled once. Always two or more lanes
-/// (one lane runs inline and never builds this). Use BurstPool.
+/// BurstPool's threads, shared cursor and error slots: everything that does
+/// not depend on the lanes' state type, compiled once. Always two or more
+/// lanes (one lane runs inline and never builds this). Use BurstPool.
 class BurstLanes {
  public:
-  /// Runs on lane w's own thread: `enter` once before its first burst,
+  /// Runs on lane w's own thread: `enter` once before its first job,
   /// `leave` once after its last.
   using Hook = std::function<void(std::size_t lane)>;
-  /// Runs indices [begin, end) on lane `lane`'s thread.
-  using Burst =
-      std::function<void(std::size_t lane, std::size_t begin, std::size_t end)>;
+  /// Runs index i on lane `lane`'s thread.
+  using Job = std::function<void(std::size_t lane, std::size_t i)>;
 
   BurstLanes(std::size_t workers, Hook enter, Hook leave);
   ~BurstLanes();  ///< joins all lanes
@@ -84,19 +71,17 @@ class BurstLanes {
   BurstLanes(const BurstLanes&) = delete;
   BurstLanes& operator=(const BurstLanes&) = delete;
 
-  /// Feeds [0, count) to the lanes in bursts and waits for all of them.
-  void run(std::size_t count, const Burst& burst);
+  /// Lets the lanes claim [0, count) one index at a time and waits until
+  /// every lane has checked out.
+  void run(std::size_t count, const Job& job);
 
  private:
-  struct Lane;
-  struct Completion;
+  struct Shared;
   void lane_main(std::size_t w, const Hook& enter, const Hook& leave);
+  void claim_until_done(std::size_t w);
   void stop_and_join();
-  void feed(Lane& lane, std::size_t begin, std::size_t end);
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::unique_ptr<Completion> done_;
-  const Burst* burst_ = nullptr;  ///< published to the lanes by each feed
+  std::unique_ptr<Shared> shared_;
   std::vector<std::thread> threads_;
 };
 
@@ -104,35 +89,35 @@ class BurstLanes {
 
 /// The fan-out executor: `workers` lanes, each owning one State, that stay
 /// alive across run() calls. run(count, job) calls job(i, state) for every
-/// i in [0, count), with the state of the lane that index i's burst went
-/// to, so two runs with different jobs share the lanes' state (an oracle
-/// check's baseline sweep and then its fault sets; the daemon's successive
-/// batches).
+/// i in [0, count), with the state of whichever lane claimed index i, so two
+/// runs with different jobs share the lanes' state (an oracle check's
+/// baseline sweep and then its fault sets; the daemon's successive batches).
 ///
 ///   - Each lane builds its State once, as make(lane), on the thread it runs
 ///     on: its own thread, started by the constructor, or with one lane the
 ///     caller's, inside the first run(). A lane thread also destroys its
 ///     State before it exits, so the state's memory goes back to the
-///     allocator arena it came from. One lane spawns no thread and no ring:
-///     run() is a plain loop.
-///   - Distribution is deterministic (burst b -> lane b % workers).
-///   - A lane whose job throws abandons the rest of its feed but keeps
-///     draining, and run() rethrows the lowest-indexed lane's exception
-///     (after which the pool is usable again). A lane whose make throws
-///     never gets state: its bursts are drained unrun and every run()
-///     rethrows (with one lane, every run() retries make).
+///     allocator arena it came from. One lane spawns no thread: run() is a
+///     plain loop.
+///   - Lanes claim indices one at a time from a shared cursor, so which
+///     lane runs which index depends on timing (see the file comment).
+///   - Once a job throws, no lane starts a new index, and run() rethrows
+///     the exception of the lowest index that threw (after which the pool
+///     is usable again). A lane whose make throws never gets state: it
+///     claims nothing, and every run() rethrows (with one lane, every run()
+///     retries make).
 ///
 /// One coordinator thread at a time: run() calls must not overlap. A job
 /// must only touch its index's slots of shared output and its lane's state.
 ///
-/// Teardown contract: run() returns (or throws) only after every burst of
-/// that run has been popped and counted, so the destructor never races
-/// in-flight feed — it merely flips each lane's stop flag and joins lanes
-/// that are either idle or finishing their last completion hand-off. The
-/// pool may therefore be destroyed immediately after run() returns, after
-/// run() threw, without ever calling run(), and from a different thread
-/// than the one that ran it (the epoch-teardown shape: the last owner of a
-/// retired engine drops it from whichever thread held the final reference).
+/// Teardown contract: run() returns (or throws) only after every lane has
+/// checked out of that run, so the destructor never races a job — it
+/// merely sets the stop flag and joins lanes that are either idle or
+/// finishing their check-out. The pool may therefore be destroyed
+/// immediately after run() returns, after run() threw, without ever calling
+/// run(), and from a different thread than the one that ran it (the
+/// epoch-teardown shape: the last owner of a retired engine drops it from
+/// whichever thread held the final reference).
 template <class State>
 class BurstPool {
  public:
@@ -152,8 +137,8 @@ class BurstPool {
 
   std::size_t workers() const { return states_.size(); }
 
-  /// Runs job(i, state) for every i in [0, count) in bursts of the derived
-  /// width (see the file comment). Blocks until every burst has run.
+  /// Runs job(i, state) for every i in [0, count), one claimed index at a
+  /// time (see the file comment). Blocks until every lane has checked out.
   template <class Job>
   void run(std::size_t count, const Job& job) {
     if (count == 0) return;
@@ -162,10 +147,8 @@ class BurstPool {
       for (std::size_t i = 0; i < count; ++i) job(i, *states_[0]);
       return;
     }
-    lanes_->run(count, [this, &job](std::size_t w, std::size_t begin,
-                                    std::size_t end) {
-      State& state = *states_[w];
-      for (std::size_t i = begin; i < end; ++i) job(i, state);
+    lanes_->run(count, [this, &job](std::size_t w, std::size_t i) {
+      job(i, *states_[w]);
     });
   }
 

@@ -38,8 +38,7 @@ namespace ftspan::serve {
 
 /// One parsed query. Fault lists must be canonical (sorted, deduplicated,
 /// edge endpoints lo <= hi) before hashing/answering — canonicalize() does
-/// it. Also the payload type of the daemon's request rings, so it must stay
-/// cheaply movable.
+/// it.
 struct ServeQuery {
   Vertex s = 0;
   Vertex t = 0;

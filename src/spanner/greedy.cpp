@@ -64,8 +64,7 @@ void GreedyWorkspace::add_edge(Vertex u, Vertex v, Weight w) {
   head_[v] = static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
-bool GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
-                                   const VertexSet* faults, Weight kw) {
+bool GreedyWorkspace::bounded_pair(Vertex s, Vertex t, Weight kw) {
   // An endpoint with no incident scratch edge cannot reach anything: the
   // common case early in every greedy pass, answered without a search.
   if (head_[s] == kNone || head_[t] == kNone) return s == t;
@@ -104,7 +103,7 @@ bool GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
   // flag comes from the graph's hoisted WeightProfile (read in begin).
   const Weight accept = exact_sums_ ? kw : kw * (1 - kTieWindow);
   const Weight fast = DijkstraEngine::bidirectional_bounded_pair(
-      eng_, bwd_, head_.size(), s, t, faults, bound * (1 + 2 * kTieWindow),
+      eng_, bwd_, head_.size(), s, t, nullptr, bound * (1 + 2 * kTieWindow),
       visit, accept);
   if (fast <= accept) {
     ++counters_.accepted_early;
@@ -118,14 +117,14 @@ bool GreedyWorkspace::bounded_pair(Vertex s, Vertex t,
   ++counters_.tie_fallbacks;
   const Vertex src[1] = {s};
   const Vertex tgt[1] = {t};
-  eng_.run_visit(head_.size(), {src, 1}, faults, bound, {tgt, 1}, nullptr,
+  eng_.run_visit(head_.size(), {src, 1}, nullptr, bound, {tgt, 1}, nullptr,
                  visit);
   return eng_.dist(t) <= kw;
 }
 
 void GreedyWorkspace::consider(Vertex u, Vertex v, Weight w, EdgeId id,
-                               double k, const VertexSet* faults) {
-  if (!bounded_pair(u, v, faults, k * w)) {
+                               double k) {
+  if (!bounded_pair(u, v, k * w)) {
     add_edge(u, v, w);
     kept_.push_back(id);
   }
@@ -135,10 +134,12 @@ std::span<const EdgeId> GreedyWorkspace::run(const GreedyContext& ctx,
                                              double k,
                                              const VertexSet* faults) {
   begin(ctx, k);
+  // An edge with a failed endpoint never enters the scratch spanner, so no
+  // search below can reach a failed vertex and needs no fault mask.
   for (const GreedyContext::OrderedEdge& e : ctx.sorted) {
     if (faults != nullptr && (faults->contains(e.u) || faults->contains(e.v)))
       continue;
-    consider(e.u, e.v, e.w, e.id, k, faults);
+    consider(e.u, e.v, e.w, e.id, k);
   }
   return kept_;
 }
@@ -150,7 +151,7 @@ std::span<const EdgeId> GreedyWorkspace::run(const GreedyContext& ctx,
   const Graph& g = *ctx.graph;
   for (const EdgeId id : order) {
     const Edge& e = g.edge(id);
-    consider(e.u, e.v, e.w, id, k, nullptr);
+    consider(e.u, e.v, e.w, id, k);
   }
   return kept_;
 }

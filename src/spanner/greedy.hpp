@@ -106,20 +106,19 @@ class GreedyWorkspace {
   /// counters.
   void begin(const GreedyContext& ctx, double k);
   /// The greedy decision for edge `id` = {u, v} of length w: kept (added to
-  /// the scratch spanner and the output) iff the scratch spanner minus
-  /// `faults` does not join u and v within k * w.
-  void consider(Vertex u, Vertex v, Weight w, EdgeId id, double k,
-                const VertexSet* faults);
+  /// the scratch spanner and the output) iff the scratch spanner does not
+  /// join u and v within k * w.
+  void consider(Vertex u, Vertex v, Weight w, EdgeId id, double k);
   /// Adds {u, v} with length w to the scratch spanner.
   void add_edge(Vertex u, Vertex v, Weight w);
-  /// The decision "is d(s, t) <= kw?" on the current scratch spanner minus
-  /// `faults`, where kw = k * w(e). It answers exactly as the historical
+  /// The decision "is d(s, t) <= kw?" on the current scratch spanner, where
+  /// kw = k * w(e). It answers exactly as the historical
   /// forward Dijkstra bounded at kw * (1 + kStretchSlack) answers it, bit
   /// for bit on near-ties, but it proves no distance it does not need: the
   /// search stops at the first path within kw (below a relative tie window
   /// of it unless path sums are exact), and only a result inside that
   /// window is re-derived in the historical summation order (see the .cpp).
-  bool bounded_pair(Vertex s, Vertex t, const VertexSet* faults, Weight kw);
+  bool bounded_pair(Vertex s, Vertex t, Weight kw);
 
   struct HalfArc {
     Weight w;

@@ -622,12 +622,11 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   // The baseline costs one fault-free sweep, so it pays from the second
   // sweeping fault set on.
   const bool with_baseline = sweeps >= 2;
-  // Burst pipeline: source and fault-set indices travel to per-lane scratch
-  // in bursts (pipeline/burst_pipeline.hpp) — one ring hand-off per burst
-  // instead of one shared-counter bounce per index. Each lane makes its
-  // scratch once, on its own thread, and keeps it from the baseline sweep to
-  // the fault sets. Results land in index-keyed slots, so scheduling stays
-  // invisible.
+  // Source and fault-set indices are claimed one at a time by the lanes of
+  // a BurstPool (pipeline/burst_pipeline.hpp), so a heavy fault set holds up
+  // only the lane that drew it. Each lane makes its scratch once, on its own
+  // thread, and keeps it from the baseline sweep to the fault sets. Results
+  // land in index-keyed slots, so scheduling stays invisible.
   BurstPool<Scratch> lanes(
       resolve_threads(options.threads,
                       with_baseline ? std::max(count, g_->num_vertices())

@@ -15,8 +15,8 @@
 //      scratch reused across fault sets — no per-run allocation, O(1)
 //      invalidation — running over immutable CSR snapshots of both graphs
 //      taken once at oracle construction.
-//   3. Independent fault sets fanned across the burst pipeline's worker
-//      lanes (pipeline/burst_pipeline.hpp), each with private scratch.
+//   3. Independent fault sets fanned across the worker lanes of a BurstPool
+//      (pipeline/burst_pipeline.hpp), each with private scratch.
 //      Per-set witnesses land in an index-ordered array and are folded
 //      sequentially, so the worst witness — and the whole FtCheckResult —
 //      is bit-identical for every thread count.

@@ -52,8 +52,8 @@ TEST(GoldenConversion, FtGreedySpannerBitIdenticalAcrossRefactorAndThreads) {
   // The golden hashes must also survive every engine policy: the bucket
   // queue's pop order — FIFO per key for Dial, the open bucket's stable heap
   // for delta — is the stable heap's order, so heap, bucket, delta, and auto
-  // are all bit-identical on this unit-weight graph — at every thread count
-  // and burst geometry.
+  // are all bit-identical on this unit-weight graph — at every thread count,
+  // whichever lane runs which iteration.
   constexpr SpEnginePolicy kPolicies[] = {
       SpEnginePolicy::kAuto, SpEnginePolicy::kHeap, SpEnginePolicy::kBucket,
       SpEnginePolicy::kDelta};

@@ -1,9 +1,9 @@
-// The dataplane pipeline: SpscRing (bounded lock-free SPSC queue),
-// resolve_threads, and BurstPool (the burst-batched fan-out executor).
+// The fan-out executor: resolve_threads and BurstPool (lanes that claim
+// indices one at a time from a shared cursor).
 //
 // This suite links tests/support/counting_allocator.cpp, whose counting
-// allocation functions let the steady-state ring tests assert an exact
-// allocation count of zero.
+// allocation functions let the inline-loop test assert an exact allocation
+// count of zero.
 #include "pipeline/burst_pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -19,174 +18,10 @@
 
 #include "ftspanner/conversion.hpp"
 #include "graph/generators.hpp"
-#include "serve/query.hpp"
 #include "support/counting_allocator.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ftspan {
 namespace {
-
-// --- SpscRing ------------------------------------------------------------
-
-TEST(SpscRing, CapacityRoundsUpToAPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(0).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(64).capacity(), 64u);
-  EXPECT_EQ(SpscRing<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, FullAndEmptyAreReportedExactly) {
-  SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(out));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty());
-}
-
-// Push/pop far beyond the capacity: the 64-bit positions mask down into the
-// slot array, so order must survive arbitrarily many wraps.
-TEST(SpscRing, WraparoundPreservesFifoOrder) {
-  SpscRing<int> ring(4);
-  int next_push = 0, next_pop = 0, out = 0;
-  for (int round = 0; round < 1000; ++round) {
-    // Vary the fill level so head/tail cross the slot boundary at every
-    // possible phase.
-    const int batch = 1 + round % 4;
-    for (int i = 0; i < batch; ++i) ASSERT_TRUE(ring.try_push(next_push++));
-    for (int i = 0; i < batch; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      ASSERT_EQ(out, next_pop++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, SteadyStateOperationsAreAllocationFree) {
-  SpscRing<int> ring(8);
-  const std::size_t before = test::allocation_count();
-  int out = 0;
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ASSERT_TRUE(ring.try_pop(out));
-  }
-  const std::size_t after = test::allocation_count();
-  EXPECT_EQ(after - before, 0u);
-}
-
-// The actual SPSC contract: one producer thread, one consumer thread, no
-// locks. The consumer must observe every value exactly once, in order.
-TEST(SpscRing, ConcurrentProducerConsumerDeliversInOrder) {
-  constexpr std::uint64_t kCount = 200000;
-  SpscRing<std::uint64_t> ring(16);
-  std::atomic<bool> failed{false};
-
-  std::thread consumer([&] {
-    std::uint64_t expect = 0, v = 0;
-    while (expect < kCount) {
-      if (!ring.try_pop(v)) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (v != expect) {
-        failed.store(true);
-        return;
-      }
-      ++expect;
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i)
-    while (!ring.try_push(i)) std::this_thread::yield();
-  consumer.join();
-  EXPECT_FALSE(failed.load());
-}
-
-// The degenerate geometry: one slot. Full after one push, empty after one
-// pop — the boundary where an off-by-one in the masked positions would make
-// full and empty indistinguishable.
-TEST(SpscRing, CapacityOneAlternatesFullAndEmpty) {
-  SpscRing<int> ring(1);
-  ASSERT_EQ(ring.capacity(), 1u);
-  int out = 0;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(ring.empty());
-    ASSERT_TRUE(ring.try_push(i));
-    EXPECT_FALSE(ring.empty());
-    EXPECT_FALSE(ring.try_push(-1));  // full at depth 1
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-    EXPECT_FALSE(ring.try_pop(out));
-  }
-}
-
-// empty() is consumer-side state plus one acquire load of the producer's
-// tail — safe to call while the producer is pushing. Run it hot against a
-// live producer so TSan can vet the claim; the only invariant it must hold
-// is "false implies try_pop succeeds" (from the single consumer's view,
-// non-empty cannot become empty without a pop).
-TEST(SpscRing, EmptyIsSafeAgainstAConcurrentProducer) {
-  constexpr std::uint64_t kCount = 100000;
-  SpscRing<std::uint64_t> ring(8);
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i)
-      while (!ring.try_push(i)) std::this_thread::yield();
-  });
-
-  std::uint64_t expect = 0, v = 0;
-  while (expect < kCount) {
-    if (ring.empty()) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_TRUE(ring.try_pop(v));  // non-empty must imply a poppable item
-    ASSERT_EQ(v, expect);
-    ++expect;
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
-// The serve daemon's request/response payloads ride rings between the event
-// loop and the worker lanes; pin that the non-trivial types (heap-owning
-// vectors) move through a ring intact under the real two-thread contract.
-TEST(SpscRing, CarriesServeQueryPayloadsAcrossThreads) {
-  constexpr std::uint64_t kCount = 20000;
-  SpscRing<serve::ServeQuery> ring(4);
-  std::atomic<bool> failed{false};
-
-  std::thread consumer([&] {
-    serve::ServeQuery q;
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.try_pop(q)) std::this_thread::yield();
-      const auto v = static_cast<Vertex>(i % 97);
-      if (q.s != v || q.t != v + 1 || q.avoid_vertices.size() != i % 3 ||
-          q.avoid_edges.size() != i % 2) {
-        failed.store(true);
-        return;
-      }
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    serve::ServeQuery q;
-    q.s = static_cast<Vertex>(i % 97);
-    q.t = q.s + 1;
-    q.avoid_vertices.assign(i % 3, q.s);
-    q.avoid_edges.assign(i % 2, {q.s, q.t});
-    while (!ring.try_push(q)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_FALSE(failed.load());
-}
 
 // --- resolve_threads -----------------------------------------------------
 
@@ -208,24 +43,16 @@ TEST(ResolveThreads, BogusRequestHitsTheCeiling) {
 
 // --- BurstPool -----------------------------------------------------------
 
-/// The width the pool derives: full kDefaultBurst bursts from 16·workers
-/// indices on, finer ones below (pipeline/burst_pipeline.hpp).
-std::size_t expected_width(std::size_t count, std::size_t workers) {
-  return std::min(kDefaultBurst, (count + workers - 1) / workers);
-}
-
-/// Counts on both sides of the 16·workers point where the derived width
-/// stops shrinking.
-std::vector<std::size_t> counts_around_full_bursts(std::size_t workers) {
-  const std::size_t full = kDefaultBurst * workers;
-  return {0, 1, workers, 12, full - 1, full, full + 1, 4 * full + 7};
+/// Run sizes from empty through fewer indices than lanes to many per lane.
+std::vector<std::size_t> run_counts(std::size_t workers) {
+  return {0, 1, workers, 12, 64 * workers - 1, 64 * workers + 7};
 }
 
 /// Lane state that is just the lane's index.
 std::size_t lane_index(std::size_t w) { return w; }
 
-// Every index in [0, count) runs exactly once, on one lane or several,
-// whichever side of 16·workers the count falls on, and run after run of the
+// Every index in [0, count) runs exactly once, on one lane or several, for
+// runs smaller and larger than the lane count, and run after run of the
 // same pool: each lane builds its state once, not once per run.
 TEST(BurstPool, CoversEveryIndexExactlyOnceAcrossRuns) {
   for (const std::size_t workers : {1, 2, 4}) {
@@ -235,7 +62,7 @@ TEST(BurstPool, CoversEveryIndexExactlyOnceAcrossRuns) {
       return w;
     });
     EXPECT_EQ(pool.workers(), workers);
-    const std::vector<std::size_t> counts = counts_around_full_bursts(workers);
+    const std::vector<std::size_t> counts = run_counts(workers);
     std::vector<std::atomic<int>> hits(counts.back());
     for (const std::size_t count : counts) {
       for (auto& h : hits) h.store(0);
@@ -250,45 +77,58 @@ TEST(BurstPool, CoversEveryIndexExactlyOnceAcrossRuns) {
   }
 }
 
-// Burst b goes to lane b % workers at the derived width: record who ran
-// each index and check the round-robin layout directly, twice over the same
-// pool.
-TEST(BurstPool, LanePinningIsDeterministic) {
-  for (const std::size_t workers : {1, 3}) {
-    const std::vector<std::size_t> counts = counts_around_full_bursts(workers);
-    std::vector<std::atomic<std::size_t>> ran_by(counts.back());
-    BurstPool<std::size_t> pool(workers, lane_index);
-    for (int round = 0; round < 2; ++round)
-      for (const std::size_t count : counts) {
-        for (auto& r : ran_by) r.store(SIZE_MAX);
-        pool.run(count, [&ran_by](std::size_t i, std::size_t& w) {
-          ran_by[i].store(w, std::memory_order_relaxed);
-        });
-        const std::size_t width = expected_width(count, workers);
-        for (std::size_t i = 0; i < count; ++i)
-          EXPECT_EQ(ran_by[i].load(), (i / width) % workers)
-              << "workers=" << workers << " round=" << round
-              << " count=" << count << " i=" << i;
+// Lanes balance at run time: a job that blocks holds up only its own lane.
+// Index 0 waits until every other index has run; with indices pinned to
+// lanes in advance, the indices queued behind it would never run and the
+// wait would time out instead. The deadline turns a regression into a
+// failure, not a hang.
+TEST(BurstPool, ABlockedJobDoesNotHoldBackTheRest) {
+  constexpr std::size_t kWorkers = 4, kCount = 64;
+  BurstPool<std::size_t> pool(kWorkers, lane_index);
+  std::atomic<std::size_t> others{0};
+  std::atomic<bool> timed_out{false};
+  pool.run(kCount, [&](std::size_t i, std::size_t&) {
+    if (i != 0) {
+      others.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (others.load(std::memory_order_relaxed) < kCount - 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
       }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(others.load(), kCount - 1);
+}
+
+// The rethrown error is the lowest throwing index's, not the first thrown:
+// index 5 sleeps before it throws, so index 200 throws first on another
+// lane, yet run() must rethrow index 5's error. On one lane the loop stops
+// at index 5 and never reaches 200.
+TEST(BurstPool, RethrowsTheLowestThrowingIndex) {
+  for (const std::size_t workers : {1, 2, 4}) {
+    BurstPool<std::size_t> pool(workers, lane_index);
+    try {
+      pool.run(1000, [](std::size_t i, std::size_t&) {
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("index 5");
+        }
+        if (i == 200) throw std::runtime_error("index 200");
+      });
+      ADD_FAILURE() << "run() did not throw, workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 5") << "workers=" << workers;
+    }
   }
 }
 
-// A fan-out smaller than one full burst per lane — the 12 fault sets of a
-// small certification on 4 lanes — must still reach every lane instead of
-// running as one burst on lane 0: four bursts of 3.
-TEST(BurstPool, SmallRunReachesEveryLane) {
-  constexpr std::size_t kCount = 12, kWorkers = 4;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  BurstPool<std::size_t> pool(kWorkers, lane_index);
-  pool.run(kCount, [&ran_by](std::size_t i, std::size_t& w) {
-    ran_by[i].store(w, std::memory_order_relaxed);
-  });
-  std::vector<std::size_t> per_lane(kWorkers, 0);
-  for (const auto& w : ran_by) ++per_lane[w.load()];
-  EXPECT_EQ(per_lane, std::vector<std::size_t>(kWorkers, kCount / kWorkers));
-}
-
-// Each lane builds its state on the thread that then runs its bursts: its
+// Each lane builds its state on the thread that then runs its jobs: its
 // own thread, or with one lane the caller's.
 TEST(BurstPool, LaneStateIsBuiltOnItsLanesThread) {
   const std::thread::id caller = std::this_thread::get_id();
@@ -305,14 +145,10 @@ TEST(BurstPool, LaneStateIsBuiltOnItsLanesThread) {
   }
 }
 
-// A mid-stream throw must reach the caller even though the coordinator
-// keeps pushing bursts into the thrower's ring (the lane drains and
-// discards them). 10000 indices on 2 lanes are ~312 full bursts per lane,
-// several times the kRingCapacity-burst ring, so a stalled consumer would
-// deadlock the feed. The throw poisons one run, not the pool: the next run
-// succeeds.
+// A mid-stream throw must reach the caller, and the lanes must stop
+// claiming and check out rather than leave the coordinator waiting. The
+// throw poisons one run, not the pool: the next run succeeds.
 TEST(BurstPool, JobExceptionPropagatesWithoutDeadlockAndRecovers) {
-  static_assert(10000 / (2 * kDefaultBurst) > 4 * kRingCapacity);
   for (const std::size_t workers : {1, 2}) {
     BurstPool<std::size_t> pool(workers, lane_index);
     EXPECT_THROW(pool.run(10000,
@@ -329,7 +165,7 @@ TEST(BurstPool, JobExceptionPropagatesWithoutDeadlockAndRecovers) {
 }
 
 // A make that throws leaves its lane without state: every run rethrows, but
-// runs still terminate — the lane drains its feed without running it.
+// runs still terminate — that lane claims nothing and still checks out.
 TEST(BurstPool, LaneStateFailurePropagatesOnEveryRun) {
   for (const std::size_t workers : {1, 2}) {
     BurstPool<std::size_t> pool(workers, [workers](std::size_t w) {
@@ -356,12 +192,12 @@ TEST(BurstPool, InlineInnerLoopIsAllocationFree) {
 }
 
 // The consumer contract the conversion relies on: its union is the same at
-// any thread count, for iteration counts on both sides of 16·workers (so
-// both finer and full bursts).
+// any thread count, whichever lane ran which iteration, for iteration
+// counts below, at and well above the lane count.
 TEST(BurstPool, ConversionUnionIsGeometryInvariant) {
   const Graph g = gnp(24, 0.3, 5);
   for (const std::size_t workers : {2, 3, 8})
-    for (const std::size_t iters : counts_around_full_bursts(workers)) {
+    for (const std::size_t iters : run_counts(workers)) {
       ConversionOptions opt;
       opt.iterations = iters;
       const ConversionResult want = ft_greedy_spanner(g, 3.0, 2, 11, opt);
@@ -377,14 +213,14 @@ TEST(BurstPool, ConversionUnionIsGeometryInvariant) {
 // --- BurstPool teardown --------------------------------------------------
 //
 // The pool's destructor runs while lane threads may still be between their
-// last completion hand-off and the idle wait; these tests hammer that
+// check-out and the idle wait; these tests hammer that
 // window from every shape the serve layer can produce (see the teardown
 // contract in burst_pipeline.hpp). They are primarily TSan/ASan fodder: the
 // assertions are thin on purpose — the property under test is "no data
 // race, no deadlock, no touch-after-free during teardown".
 
 // Destroy the pool the instant run() returns, while lanes are still
-// draining out of their final notify. Slow jobs widen the window; several
+// leaving their check-out. Slow jobs widen the window; several
 // rounds make the interleaving vary.
 TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
   for (int round = 0; round < 8; ++round) {
@@ -400,9 +236,10 @@ TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
   }
 }
 
-// A run that throws still drains every burst before rethrowing, so tearing
-// the pool down right out of the catch block must be as safe as after a
-// clean run — no lane may still hold a burst whose job is gone.
+// A run that throws still waits for every lane to check out before
+// rethrowing, so tearing the pool down right out of the catch block must be
+// as safe as after a clean run — no lane may still hold an index whose job
+// is gone.
 TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
   for (int round = 0; round < 8; ++round) {
     bool threw = false;

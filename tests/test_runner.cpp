@@ -147,7 +147,7 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(ScenarioSpec::parse("validate=maybe"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("timings=sometimes"),
                std::invalid_argument);
-  // The burst width, lane placement and SP queue are not configurable:
+  // The batching, lane placement and SP queue are not configurable:
   // batch=, pin=, engine= and bucket_max= are unknown keys like any other.
   for (const char* text : {"batch=16", "pin=on", "pin=off", "engine=heap",
                            "engine=auto", "bucket_max=8192"}) {
