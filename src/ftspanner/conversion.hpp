@@ -86,10 +86,11 @@ struct ConversionOptions {
   /// ignore it. Never affects the output edge set.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
-  /// Integer-weight ceiling separating the Dial bucket queue from
-  /// delta-stepping under engine resolution (see graph/engine_policy.hpp).
-  /// Never affects the output edge set. Must be finite and >= 1: the greedy
-  /// conversions throw std::invalid_argument otherwise.
+  /// Bucket budget of the resolved bucket queue: integer weights up to it
+  /// get one key per bucket, heavier ones tune_delta-wide buckets (see
+  /// graph/engine_policy.hpp). Never affects the output edge set. Must be
+  /// finite and >= 1: the greedy conversions throw std::invalid_argument
+  /// otherwise.
   Weight bucket_max = kMaxBucketWeight;
 };
 

@@ -12,11 +12,6 @@ void DijkstraEngine::BucketQueue::push_open(Weight d, Vertex v) {
   open_.push(d, v);
 }
 
-Weight DijkstraEngine::BucketQueue::front_d_open() {
-  open_next_if_drained();
-  return open_.front_d();
-}
-
 DijkstraEngine::QueueItem DijkstraEngine::BucketQueue::pop_open() {
   open_next_if_drained();
   return open_.pop();

@@ -8,8 +8,9 @@
 // allocations — invalidation of the previous run's state is an O(1) epoch
 // bump, not an O(n) infinity-fill.
 //
-// Two interchangeable priority structures sit behind the same loop
-// (selected with set_queue; see graph/engine_policy.hpp for the policy):
+// Two interchangeable priority structures sit behind the one-directional
+// loop (selected with set_queue; see graph/engine_policy.hpp for the
+// policy); the bidirectional pair search always runs on the heap:
 //
 //   HeapQueue    a 4-ary min-heap ordered by (distance, push sequence) —
 //                the push-sequence tie-break makes equal-distance pops FIFO,
@@ -17,16 +18,16 @@
 //                bucket queue can reproduce exactly.
 //   BucketQueue  integer weights only (a label-setting bucket queue is
 //                incorrect on fractional keys): circular buckets of 2^shift
-//                keys each. With shift 0 it is Dial's algorithm — one key
-//                per bucket, FIFO within a bucket, O(1) push and amortized
-//                O(1) pop. With wider buckets (delta-stepping, for weights
-//                above the Dial ceiling; searches in one direction only, see
-//                bidirectional_bounded_pair) a far push is parked in O(1)
-//                and the open bucket is ordered by a HeapQueue, so the heap
-//                log factor is paid only within one bucket. Either way the pops
-//                come out in exactly the stable heap's (distance, push
-//                sequence) order, so distances, parents, vias, and the
-//                settle order are bit-identical between the two structures.
+//                keys each. With shift 0 (weights up to the bucket ceiling)
+//                it is Dial's algorithm — one key per bucket, FIFO within a
+//                bucket, O(1) push and amortized O(1) pop. With wider
+//                buckets (delta-stepping, for weights above the ceiling) a
+//                far push is parked in O(1) and the open bucket is ordered
+//                by a HeapQueue, so the heap log factor is paid only within
+//                one bucket. Either way the pops come out in exactly the
+//                stable heap's (distance, push sequence) order, so
+//                distances, parents, vias, and the settle order are
+//                bit-identical between the two structures.
 //
 // Usage pattern: one engine per thread, reused across runs. Engines are not
 // thread-safe; never share one across concurrent callers.
@@ -94,11 +95,11 @@ class DijkstraEngine {
   /// on the very first search.
   void reserve(std::size_t n, std::size_t heap_hint);
 
-  /// Selects the priority structure for subsequent runs. For kBucket and
-  /// kDelta, max_weight is the largest integer arc weight any run will
-  /// relax: kBucket gets one key per bucket (Dial's queue), kDelta gets
-  /// delta = tune_delta(max_weight, bucket_max) keys per bucket; either way
-  /// the circular array holds max_weight / delta + 2 buckets. The caller is
+  /// Selects the priority structure for subsequent one-directional runs.
+  /// For kDelta, max_weight is the largest integer arc weight any run will
+  /// relax, and each bucket holds delta = tune_delta(max_weight, bucket_max)
+  /// keys (kBucket, which no policy resolves to, forces delta = 1); the
+  /// circular array holds max_weight / delta + 2 buckets. The caller is
   /// responsible for only routing integer-weight graphs whose path sums are
   /// exact here — use select_sp_queue with the graph's WeightProfile — and
   /// for a bucket_max that passes valid_bucket_max. Defaults to the heap.
@@ -224,13 +225,13 @@ class DijkstraEngine {
   /// (~hops * eps, relative); callers whose *decision* compares the result
   /// against a threshold must treat a window around that threshold as
   /// undecided and re-query run() — see GreedyWorkspace::bounded_pair.
-  /// Undirected adjacency only: `visit` serves both directions. Both engines
-  /// must be configured with the same queue kind. The queue is picked by
-  /// query shape, dispatched on fwd's: Dial's queue when the engines are set
-  /// to kBucket, the heap for kHeap *and* kDelta. These half-searches settle
-  /// a few dozen vertices each, too few for delta-wide buckets to pay for
-  /// opening them (on gnp(400, 0.1) with weights up to 1e5 the heap made the
-  /// whole vertex conversion ~25% faster); one-directional runs keep delta.
+  /// Undirected adjacency only: `visit` serves both directions. Both halves
+  /// run on their engine's heap, whatever queue set_queue configured: they
+  /// settle a few dozen vertices each, too few for buckets to pay for
+  /// themselves (on gnp(400, 0.1) with weights up to 1e5 the heap made the
+  /// whole vertex conversion ~25% faster than delta; on unit weights Dial's
+  /// queue was no faster than the heap); one-directional runs keep the
+  /// configured queue.
   ///
   /// `accept` turns the query into a decision: the search returns the best
   /// meeting length mu as soon as mu <= accept, checked after every settle
@@ -240,18 +241,85 @@ class DijkstraEngine {
   /// accept <= bound. A search that never meets such a path runs, and
   /// returns, exactly as without the threshold. The default (-infinity)
   /// never stops a search early.
+  ///
+  /// Kept out of line: inlined into its caller (the greedy's bounded_pair)
+  /// it made tiny unit-weight pair searches ~1.4x slower (gcc 12, 4-vCPU
+  /// Xeon).
   template <class VisitArcs>
-  static Weight bidirectional_bounded_pair(DijkstraEngine& fwd,
-                                           DijkstraEngine& bwd, std::size_t n,
-                                           Vertex s, Vertex t,
-                                           const VertexSet* faults,
-                                           Weight bound, VisitArcs&& visit,
-                                           Weight accept = -kInfiniteWeight) {
-    if (fwd.queue_ == SpQueue::kBucket)
-      return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
-                                faults, bound, accept, visit);
-    return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t, faults,
-                              bound, accept, visit);
+  [[gnu::noinline]] static Weight bidirectional_bounded_pair(
+      DijkstraEngine& fwd, DijkstraEngine& bwd, std::size_t n, Vertex s,
+      Vertex t, const VertexSet* faults, Weight bound, VisitArcs&& visit,
+      Weight accept = -kInfiniteWeight) {
+    if (s == t) return 0;
+    fwd.ensure(n);
+    bwd.ensure(n);
+    fwd.next_epoch();
+    bwd.next_epoch();
+    HeapQueue& qf = fwd.heap_;
+    HeapQueue& qb = bwd.heap_;
+    qf.clear();
+    qb.clear();
+    fwd.order_.clear();
+    bwd.order_.clear();
+    if (faults != nullptr && (faults->contains(s) || faults->contains(t)))
+      return kInfiniteWeight;
+
+    fwd.seed_source(s);
+    bwd.seed_source(t);
+    Weight mu = kInfiniteWeight;
+
+    // Settles one vertex of `self`, relaxing its arcs and improving the best
+    // meeting length mu against `other`'s stamped (tentative or final)
+    // distances — every such combination is the length of a real s-t path.
+    // Once mu <= accept the rest of the arc scan relaxes nothing, and the
+    // loop below returns mu.
+    const auto expand = [&](DijkstraEngine& self, DijkstraEngine& other) {
+      HeapQueue& q = self.heap_;
+      while (!q.empty()) {
+        const QueueItem item = q.pop();
+        const Vertex v = item.v;
+        if (self.done_[v] == self.epoch_) continue;  // stale duplicate
+        self.done_[v] = self.epoch_;
+        if (other.stamp_[v] == other.epoch_)
+          mu = std::min(mu, item.d + other.dist_[v]);
+        if (mu <= accept) return;
+        visit(v, [&](Vertex to, Weight w, EdgeId edge) {
+          if (mu <= accept) return;
+          if (faults != nullptr && faults->contains(to)) return;
+          if (self.done_[to] == self.epoch_) return;
+          const Weight nd = item.d + w;
+          if (nd > bound) return;
+          if (self.stamp_[to] != self.epoch_ || nd < self.dist_[to]) {
+            self.stamp_[to] = self.epoch_;
+            self.dist_[to] = nd;
+            self.parent_[to] = v;
+            self.via_[to] = edge;
+            q.push(nd, to);
+            if (other.stamp_[to] == other.epoch_)
+              mu = std::min(mu, nd + other.dist_[to]);
+          }
+        });
+        return;
+      }
+    };
+
+    for (;;) {
+      if (mu <= accept) return mu;
+      const Weight top_f = qf.empty() ? kInfiniteWeight : qf.front_d();
+      const Weight top_b = qb.empty() ? kInfiniteWeight : qb.front_d();
+      if (top_f >= kInfiniteWeight && top_b >= kInfiniteWeight) break;
+      const Weight reach = top_f + top_b;
+      if (reach >= mu || reach > bound) break;
+      if (top_f <= top_b)
+        expand(fwd, bwd);
+      else
+        expand(bwd, fwd);
+    }
+    // If d(s,t) <= bound then mu == d(s,t) exactly up to the rounding noted
+    // above (classical bidirectional termination argument); otherwise mu is
+    // the length of some witnessed longer path, or infinity — either way on
+    // the "> bound" side.
+    return mu;
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------
@@ -428,12 +496,6 @@ class DijkstraEngine {
       tails_[b] = i;
     }
 
-    /// Minimum queued distance. Precondition: !empty().
-    Weight front_d() {
-      if (shift_ != 0) return front_d_open();
-      return slab_[heads_[advance()]].d;
-    }
-
     QueueItem pop() {
       --live_;
       if (shift_ != 0) return pop_open();
@@ -468,7 +530,6 @@ class DijkstraEngine {
 
     // The wide path (shift > 0), defined in sp_engine.cpp.
     void push_open(Weight d, Vertex v);
-    Weight front_d_open();
     QueueItem pop_open();
     /// If the open bucket's heap is drained, advances the cursor to the next
     /// non-empty bucket and moves its FIFO chain into the heap.
@@ -537,92 +598,12 @@ class DijkstraEngine {
     }
   }
 
-  // Kept out of line: inlined into its caller (the greedy's bounded_pair)
-  // it made tiny unit-weight pair searches ~1.4x slower (gcc 12, 4-vCPU
-  // Xeon).
-  template <class Q, class VisitArcs>
-  [[gnu::noinline]] static Weight bidirectional_impl(Q& qf, Q& qb, DijkstraEngine& fwd,
-                                   DijkstraEngine& bwd, std::size_t n,
-                                   Vertex s, Vertex t, const VertexSet* faults,
-                                   Weight bound, Weight accept,
-                                   VisitArcs&& visit) {
-    if (s == t) return 0;
-    fwd.ensure(n);
-    bwd.ensure(n);
-    fwd.next_epoch();
-    bwd.next_epoch();
-    qf.clear();
-    qb.clear();
-    fwd.order_.clear();
-    bwd.order_.clear();
-    if (faults != nullptr && (faults->contains(s) || faults->contains(t)))
-      return kInfiniteWeight;
-
-    fwd.seed_source(s, qf);
-    bwd.seed_source(t, qb);
-    Weight mu = kInfiniteWeight;
-
-    // Settles one vertex of `self`, relaxing its arcs and improving the best
-    // meeting length mu against `other`'s stamped (tentative or final)
-    // distances — every such combination is the length of a real s-t path.
-    // Once mu <= accept the rest of the arc scan relaxes nothing, and the
-    // loop below returns mu.
-    const auto expand = [&](DijkstraEngine& self, Q& q,
-                            DijkstraEngine& other) {
-      while (!q.empty()) {
-        const QueueItem item = q.pop();
-        const Vertex v = item.v;
-        if (self.done_[v] == self.epoch_) continue;  // stale duplicate
-        self.done_[v] = self.epoch_;
-        if (other.stamp_[v] == other.epoch_)
-          mu = std::min(mu, item.d + other.dist_[v]);
-        if (mu <= accept) return;
-        visit(v, [&](Vertex to, Weight w, EdgeId edge) {
-          if (mu <= accept) return;
-          if (faults != nullptr && faults->contains(to)) return;
-          if (self.done_[to] == self.epoch_) return;
-          const Weight nd = item.d + w;
-          if (nd > bound) return;
-          if (self.stamp_[to] != self.epoch_ || nd < self.dist_[to]) {
-            self.stamp_[to] = self.epoch_;
-            self.dist_[to] = nd;
-            self.parent_[to] = v;
-            self.via_[to] = edge;
-            q.push(nd, to);
-            if (other.stamp_[to] == other.epoch_)
-              mu = std::min(mu, nd + other.dist_[to]);
-          }
-        });
-        return;
-      }
-    };
-
-    for (;;) {
-      if (mu <= accept) return mu;
-      const Weight top_f = qf.empty() ? kInfiniteWeight : qf.front_d();
-      const Weight top_b = qb.empty() ? kInfiniteWeight : qb.front_d();
-      if (top_f >= kInfiniteWeight && top_b >= kInfiniteWeight) break;
-      const Weight reach = top_f + top_b;
-      if (reach >= mu || reach > bound) break;
-      if (top_f <= top_b)
-        expand(fwd, qf, bwd);
-      else
-        expand(bwd, qb, fwd);
-    }
-    // If d(s,t) <= bound then mu == d(s,t) exactly up to the rounding noted
-    // above (classical bidirectional termination argument); otherwise mu is
-    // the length of some witnessed longer path, or infinity — either way on
-    // the "> bound" side.
-    return mu;
-  }
-
-  template <class Q>
-  void seed_source(Vertex s, Q& q) {
+  void seed_source(Vertex s) {
     stamp_[s] = epoch_;
     dist_[s] = 0;
     parent_[s] = kInvalidVertex;
     via_[s] = kInvalidEdge;
-    q.push(0, s);
+    heap_.push(0, s);
   }
 
   void ensure(std::size_t n);

@@ -102,8 +102,8 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
       WeightProfile profile;
       for (EdgeId id = 0; id < g.num_edges(); ++id)
         profile.observe(g.edge(id).w);
-      const char* const engine_resolved = to_string(select_sp_queue(
-          SpEnginePolicy::kAuto, profile.exact_sums(), profile.max_weight));
+      const char* const engine_resolved = to_string(
+          select_sp_queue(SpEnginePolicy::kAuto, profile.exact_sums()));
 
       // One bound algorithm per instance: the k/r/threads sweep and every
       // timing repetition below share its pooled scratch.

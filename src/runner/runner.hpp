@@ -43,9 +43,9 @@ struct ScenarioCell {
   std::size_t edges = 0;         ///< spanner size |H|
   std::uint64_t edges_hash = 0;  ///< FNV-1a over the edge-id sequence
   /// The SP queue the engines resolve to against the BASE graph's weight
-  /// profile ("heap" | "bucket" | "delta"). Deterministic — a function of
-  /// the instance only — so it sits outside the timings gate. (The spanner
-  /// H resolves separately per graph; its profile can only be narrower.)
+  /// profile ("heap" | "delta"). Deterministic — a function of the instance
+  /// only — so it sits outside the timings gate. (The spanner H resolves
+  /// separately per graph; its profile can only be narrower.)
   std::string engine_resolved;
   std::vector<std::pair<std::string, double>> stats;
 

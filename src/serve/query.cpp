@@ -45,9 +45,8 @@ Weight pair_avoiding(DijkstraEngine& eng, const Csr& c, Vertex s, Vertex t,
 /// Points `eng` at the queue SpEnginePolicy::kAuto picks for a graph's
 /// weights.
 void set_auto_queue(DijkstraEngine& eng, const WeightProfile& wp) {
-  eng.set_queue(
-      select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums(), wp.max_weight),
-      wp.max_weight);
+  eng.set_queue(select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums()),
+                wp.max_weight);
 }
 
 }  // namespace

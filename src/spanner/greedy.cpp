@@ -38,10 +38,8 @@ void GreedyWorkspace::begin(const GreedyContext& ctx, double k) {
 
   const WeightProfile& wp = ctx.weights;
   exact_sums_ = wp.exact_sums();
-  const SpQueue q =
-      select_sp_queue(policy_, wp.exact_sums(), wp.max_weight, bucket_max_);
-  eng_.set_queue(q, wp.max_weight, bucket_max_);
-  bwd_.set_queue(q, wp.max_weight, bucket_max_);
+  eng_.set_queue(select_sp_queue(policy_, wp.exact_sums()), wp.max_weight,
+                 bucket_max_);
 
   for (const Vertex v : touched_) head_[v] = kNone;
   touched_.clear();

@@ -79,11 +79,12 @@ class GreedyWorkspace {
   };
   const Counters& counters() const { return counters_; }
 
-  /// Engine policy for this workspace's searches; kAuto picks the bucket
-  /// queue on bounded-integer graphs up to bucket_max and delta-stepping
-  /// above it. Takes effect at the next run, which resolves it against the
-  /// context's weight profile. Throws std::invalid_argument unless
-  /// valid_bucket_max(bucket_max).
+  /// Engine policy for the workspace's forward searches (the near-tie
+  /// fallbacks); kAuto picks the bucket queue on exact-sum graphs, with
+  /// buckets tune_delta(max weight, bucket_max) keys wide. The pair
+  /// searches run on the heap whatever the policy. Takes effect at the next
+  /// run, which resolves it against the context's weight profile. Throws
+  /// std::invalid_argument unless valid_bucket_max(bucket_max).
   void set_engine(SpEnginePolicy policy,
                   Weight bucket_max = kMaxBucketWeight) {
     if (!valid_bucket_max(bucket_max))

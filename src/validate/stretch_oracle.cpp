@@ -325,10 +325,10 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
   }
 
   // The decision queries. Undirected graphs ask the bidirectional pair
-  // search, on the two engines (mechanism 2's joint queue makes them a pair
-  // on either graph); its two-half sums are trusted only kTieWindow inside
-  // a threshold unless path sums are exact. Digraphs ask a bounded forward
-  // run, whose label is exact.
+  // search, on the two engines' heaps (so either pair serves either graph);
+  // its two-half sums are trusted only kTieWindow inside a threshold unless
+  // path sums are exact. Digraphs ask a bounded forward run, whose label is
+  // exact.
   const auto arcs = [](const Csr& c, const VertexSet& dead) {
     return [&c, &dead](Vertex x, auto&& relax) {
       for (const CsrArc& a : c.out(x))
@@ -505,15 +505,16 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
         "StretchOracle: bucket_max must be finite and >= 1");
   Scratch s;
   s.faults = VertexSet(g_->num_vertices());
-  // One queue for both engines, from the joint weight profile: either
-  // engine may run on either graph (a bidirectional query uses both), and H
-  // may carry heavier edges than G. Pre-size each to its own graph's push
+  // One queue for both engines' forward runs, from the joint weight
+  // profile (H may carry heavier edges than G), so a check runs G and H on
+  // the same structure. A bidirectional query runs on the two engines'
+  // heaps whatever this picks. Pre-size each engine to its own graph's push
   // bound, so its runs are allocation-free from the first fault set.
   const WeightProfile& wg = cg_.weights();
   const WeightProfile& wh = ch_.weights();
   const Weight max_weight = std::max(wg.max_weight, wh.max_weight);
-  const SpQueue q = select_sp_queue(
-      policy, wg.exact_sums() && wh.exact_sums(), max_weight, bucket_max);
+  const SpQueue q =
+      select_sp_queue(policy, wg.exact_sums() && wh.exact_sums());
   s.dg.set_queue(q, max_weight, bucket_max);
   s.dh.set_queue(q, max_weight, bucket_max);
   s.dg.reserve(g_->num_vertices(), cg_.num_arcs() + 1);

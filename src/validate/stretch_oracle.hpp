@@ -107,7 +107,8 @@ struct FtCheckOptions {
   /// weight profiles. Never changes the FtCheckResult.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
 
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
+  /// Bucket budget of the resolved bucket queue (tune_delta in
+  /// graph/engine_policy.hpp).
   /// Never changes the FtCheckResult. Must be finite and >= 1: every check
   /// throws std::invalid_argument otherwise.
   Weight bucket_max = kMaxBucketWeight;
@@ -168,12 +169,12 @@ class BasicStretchOracle {
 
   /// Per-worker scratch: one pooled Dijkstra engine each for G and H plus
   /// the reusable target/pool buffers. One per thread; never shared. Both
-  /// engines get one queue structure, resolved against the joint weight
-  /// profile of G and H (the larger max weight; exact sums only if both
-  /// graphs have them — bucket on bounded-integer weights under kAuto), so
-  /// either can run on either graph and the two serve as the pair of a
-  /// bidirectional query on G or on H. Throws std::invalid_argument unless
-  /// valid_bucket_max(bucket_max).
+  /// engines' forward runs get one queue structure, resolved against the
+  /// joint weight profile of G and H (the larger max weight; exact sums
+  /// only if both graphs have them — the bucket queue under kAuto when they
+  /// do). The two engines also serve as the pair of a bidirectional query
+  /// on G or on H, which runs on their heaps. Throws std::invalid_argument
+  /// unless valid_bucket_max(bucket_max).
   struct Scratch {
     DijkstraEngine dg, dh;
     std::vector<Vertex> targets;

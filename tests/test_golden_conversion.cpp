@@ -50,13 +50,12 @@ constexpr Golden kGolden[] = {
 TEST(GoldenConversion, FtGreedySpannerBitIdenticalAcrossRefactorAndThreads) {
   const Graph g = gnp(400, 0.05, 1234);
   // The golden hashes must also survive every engine policy: the bucket
-  // queue's pop order — FIFO per key for Dial, the open bucket's stable heap
-  // for delta — is the stable heap's order, so heap, bucket, delta, and auto
-  // are all bit-identical on this unit-weight graph — at every thread count,
-  // whichever lane runs which iteration.
+  // queue's pop order — FIFO per key with one key per bucket, the open
+  // bucket's stable heap with wider ones — is the stable heap's order, so
+  // heap, delta, and auto are all bit-identical on this unit-weight graph —
+  // at every thread count, whichever lane runs which iteration.
   constexpr SpEnginePolicy kPolicies[] = {
-      SpEnginePolicy::kAuto, SpEnginePolicy::kHeap, SpEnginePolicy::kBucket,
-      SpEnginePolicy::kDelta};
+      SpEnginePolicy::kAuto, SpEnginePolicy::kHeap, SpEnginePolicy::kDelta};
   for (const Golden& want : kGolden) {
     std::vector<EdgeId> at_one_thread;
     for (const SpEnginePolicy engine : kPolicies)
@@ -101,7 +100,7 @@ void check_edge_goldens(const Graph& g, std::span<const Golden> want) {
   for (const Golden& row : want)
     for (const SpEnginePolicy engine :
          {SpEnginePolicy::kAuto, SpEnginePolicy::kHeap,
-          SpEnginePolicy::kBucket, SpEnginePolicy::kDelta})
+          SpEnginePolicy::kDelta})
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         ConversionOptions opt;
         opt.threads = threads;

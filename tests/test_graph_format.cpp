@@ -178,7 +178,7 @@ TEST(GraphFormat, HeaderCarriesTheWeightProfile) {
   EXPECT_EQ(mg.weights().total_weight, csr.weights().total_weight);
 }
 
-// ISSUE 10: the engine-policy resolution (heap/bucket/delta) hangs off the
+// The engine-policy resolution (heap/delta) hangs off the
 // hoisted WeightProfile, so the profile a graph carries after an mmap-load
 // round trip must equal the profile of the in-memory original bit-for-bit —
 // for every workload family, in the integral regime (the max_weight=
@@ -220,11 +220,9 @@ TEST(GraphFormat, WeightProfileSurvivesBinaryRoundTripForAllWorkloads) {
       EXPECT_EQ(loaded.weights().total_weight, want.weights().total_weight);
       // The policy hook itself: both profiles must resolve the same queue.
       EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto,
-                                mg.weights().exact_sums(),
-                                mg.weights().max_weight),
+                                mg.weights().exact_sums()),
                 select_sp_queue(SpEnginePolicy::kAuto,
-                                want.weights().exact_sums(),
-                                want.weights().max_weight));
+                                want.weights().exact_sums()));
     }
   }
 }

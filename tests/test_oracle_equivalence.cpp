@@ -731,8 +731,8 @@ TEST(OracleEquivalence, InvalidSpannersMatchReference) {
 }
 
 /// H may be any graph on G's vertices, heavier than G: the two engines'
-/// shared queue must fit both graphs' weights (Dial's queue here, with
-/// lengths in [1, 20] in G and up to 60 in H).
+/// shared queue must fit both graphs' weights (the delta queue with one key
+/// per bucket here, with lengths in [1, 20] in G and up to 60 in H).
 TEST(OracleEquivalence, SpannerHeavierThanBaseMatchesReference) {
   const Graph g = integer_lengths(gnp(22, 0.35, 12));
   const Graph greedy = greedy_spanner_graph(g, kK);
@@ -741,10 +741,13 @@ TEST(OracleEquivalence, SpannerHeavierThanBaseMatchesReference) {
   edges.push_back({0, 21, 55});  // an edge G lacks
   const Graph h = Graph::from_edges(g.num_vertices(), edges);
   const Csr cg(g), ch(h);
-  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true,
-                            std::max(cg.weights().max_weight,
-                                     ch.weights().max_weight)),
-            SpQueue::kBucket);
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto,
+                            cg.weights().exact_sums() &&
+                                ch.weights().exact_sums()),
+            SpQueue::kDelta);
+  ASSERT_EQ(tune_delta(std::max(cg.weights().max_weight,
+                                ch.weights().max_weight)),
+            1.0);
   ASSERT_GT(ch.weights().max_weight, cg.weights().max_weight);
   const StretchOracle oracle(g, h, kK);
   expect_vertex_reference(oracle, 2, "heavier H");

@@ -46,10 +46,10 @@ TEST(PropertyMatrix, EveryGeneratorAlgorithmCellHoldsItsGuarantee) {
 }
 
 // The engine-specialization cell: across every registered workload family,
-// families inside the bucket domain (integral weights, bounded maximum —
-// where kAuto actually selects the bucket) must reproduce the stable heap
-// bit-for-bit: distances, parents, vias, and the settle order. Families
-// outside the domain must resolve kAuto to the heap.
+// the queue kAuto resolves to must reproduce the stable heap bit-for-bit:
+// distances, parents, vias, and the settle order. Families with exact
+// integer sums resolve to the bucket queue (one key per bucket on these
+// small weights); the others resolve to the heap itself.
 TEST(PropertyMatrix, BucketEngineMatchesHeapAcrossAllWorkloads) {
   std::size_t integral_cells = 0;
   for (const auto& gen : default_generators()) {
@@ -57,17 +57,14 @@ TEST(PropertyMatrix, BucketEngineMatchesHeapAcrossAllWorkloads) {
     const GraphCase gc = gen.make(0.35, kMatrixSeed);
     const Csr csr(gc.g);
     const WeightProfile& wp = csr.weights();
-    if (!wp.integral || wp.max_weight > static_cast<Weight>(kMaxBucketWeight)) {
-      // Outside the bucket domain kAuto must fall back to the heap.
-      EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums(),
-                                wp.max_weight),
-                SpQueue::kHeap);
-      continue;
-    }
+    const SpQueue resolved =
+        select_sp_queue(SpEnginePolicy::kAuto, wp.exact_sums());
+    EXPECT_EQ(resolved == SpQueue::kHeap, !wp.exact_sums());
+    if (resolved == SpQueue::kHeap) continue;
     ++integral_cells;
     DijkstraEngine heap, bucket;
     heap.set_queue(SpQueue::kHeap);
-    bucket.set_queue(SpQueue::kBucket, wp.max_weight);
+    bucket.set_queue(resolved, wp.max_weight);
     const std::size_t n = csr.num_vertices();
     const std::size_t stride = std::max<std::size_t>(1, n / 12);
     for (Vertex s = 0; s < n; s += static_cast<Vertex>(stride)) {
@@ -126,8 +123,7 @@ TEST(PropertyMatrix, DeltaEngineMatchesHeapAcrossAllWorkloads) {
     if (prof.max_weight <= static_cast<Weight>(kMaxBucketWeight))
       continue;  // a tiny family that happened to draw only small weights
     ++cells;
-    EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, prof.exact_sums(),
-                              prof.max_weight),
+    EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, prof.exact_sums()),
               SpQueue::kDelta);
 
     DijkstraEngine heap, delta;

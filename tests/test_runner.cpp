@@ -375,12 +375,12 @@ TEST(ScenarioRunner, JsonIsBitIdenticalAcrossThreadCounts) {
 // graph resolves to, and the oracle's verdict must keep these exact values
 // at any thread count. The conversion cells are unit-weight ft_vertex and
 // ft_edge (24 iterations, so it keeps 8151 of 9092 edges rather than all of
-// them), and both again on integer weights up to 1e5 (few iterations, the
-// delta regime, whose greedy pair searches run on the heap); layered_greedy
+// them), and both again on integer weights up to 1e5 (few iterations,
+// 32-key buckets; pair searches run on the heap throughout); layered_greedy
 // pins the baseline's r+1 greedy layers; the
 // validation cells certify the greedy 3-spanner of the same gnp with unit
-// weights (Dial's queue) and with integer weights up to 1e5 (the delta
-// queue), 12 sampled fault sets each. Then one row per smoke_<algo> preset:
+// weights (one key per bucket) and with integer weights up to 1e5 (32-key
+// buckets), 12 sampled fault sets each. Then one row per smoke_<algo> preset:
 // every registered algorithm on a tiny instance, validated exactly. The
 // last rows validate conversions exactly where the spanner drops edges
 // (|H| < m), so their verdicts could fail: unit, integer and fractional
@@ -399,10 +399,10 @@ struct Tracked {
 const Tracked kTracked[] = {
     {"workload=gnp n=400 p=0.05 wseed=1234 algo=ft_vertex k=3 r=2 "
      "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-     4040, 0xbd7fe50e059fd5b3ull, "bucket", true, 0, 0, 0},
+     4040, 0xbd7fe50e059fd5b3ull, "delta", true, 0, 0, 0},
     {"workload=gnp n=300 p=0.2 wseed=1234 algo=ft_edge k=3 r=2 iters=24 "
      "seed=4242 threads=1,4 reps=1 validate=none timings=off",
-     8151, 0x971b580b77fde662ull, "bucket", true, 0, 0, 0},
+     8151, 0x971b580b77fde662ull, "delta", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1234 algo=ft_vertex "
      "k=3 r=2 iters=48 seed=4242 threads=1,4 reps=1 validate=none "
      "timings=off",
@@ -413,38 +413,38 @@ const Tracked kTracked[] = {
      1204, 0xd7957dfa8d8206aeull, "delta", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.1 wseed=1 algo=layered_greedy k=3 r=2 seed=1 "
      "threads=1,4 reps=1 validate=none timings=off",
-     5842, 0x8baf0239e803acfdull, "bucket", true, 0, 0, 0},
+     5842, 0x8baf0239e803acfdull, "delta", true, 0, 0, 0},
     {"workload=gnp n=400 p=0.05 wseed=1 algo=greedy k=3 r=2 seed=1 "
      "threads=1,4 reps=1 validate=sampled trials=12 adversarial=0 vseed=1 "
      "timings=off",
-     1855, 0xb29ca75cb40a6c08ull, "bucket", false, 4, 12, 953},
+     1855, 0xb29ca75cb40a6c08ull, "delta", false, 4, 12, 953},
     {"workload=gnp n=400 p=0.05 max_weight=100000 wseed=1 algo=greedy k=3 "
      "r=2 seed=1 threads=1,4 reps=1 validate=sampled trials=12 "
      "adversarial=0 vseed=1 timings=off",
      539, 0x2128757e36bbaf0aull, "delta", false, kInfiniteWeight, 12, 1508},
-    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "bucket", true, 3, 1, 44},
-    {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "bucket", true, 3, 1,
+    {"smoke_greedy", 37, 0x31a9c5c30add4d6cull, "delta", true, 3, 1, 44},
+    {"smoke_baswana_sen", 67, 0xf7c72c4ef3cc4989ull, "delta", true, 3, 1,
      44},
-    {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "bucket", true, 3, 1,
+    {"smoke_thorup_zwick", 67, 0xe64355c47cacf2afull, "delta", true, 3, 1,
      44},
-    {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "bucket", true, 3, 25,
+    {"smoke_layered_greedy", 68, 0xe97a47ac39a1fab1ull, "delta", true, 3, 25,
      55},
-    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 25, 44},
-    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "bucket", true, 1, 77, 44},
-    {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15,
+    {"smoke_ft_vertex", 76, 0xf08a3dc9d9345103ull, "delta", true, 1, 25, 44},
+    {"smoke_ft_edge", 76, 0xf08a3dc9d9345103ull, "delta", true, 1, 77, 44},
+    {"smoke_ft2_rounding", 30, 0x699b38531cb7a4adull, "delta", true, 2, 15,
      26},
-    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "bucket", true, 1, 15, 22},
-    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "bucket", true, 2, 15, 26},
+    {"smoke_ft2_dk10", 33, 0xc148233db5241a03ull, "delta", true, 1, 15, 22},
+    {"smoke_ft2_lll", 30, 0x699b38531cb7a4adull, "delta", true, 2, 15, 26},
     {"workload=gnp n=40 p=0.5 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
      "threads=1,4 reps=1 validate=exact timings=off",
-     340, 0x46aaa617dbf45348ull, "bucket", true, 2, 41, 124},
+     340, 0x46aaa617dbf45348ull, "delta", true, 2, 41, 124},
     {"workload=gnp n=40 p=0.3 max_weight=100 wseed=5 algo=ft_vertex k=3 r=2 "
      "seed=3 threads=1,4 reps=1 validate=exact timings=off",
-     177, 0xc563330c4967aceeull, "bucket", true, 1.1666666666666667, 821,
+     177, 0xc563330c4967aceeull, "delta", true, 1.1666666666666667, 821,
      41496},
     {"workload=gnp n=30 p=0.4 max_weight=100 wseed=5 algo=ft_edge k=3 r=1 "
      "seed=3 threads=1,4 reps=1 validate=exact timings=off",
-     111, 0x626cd937e94c112eull, "bucket", true, 1.1636363636363636, 189,
+     111, 0x626cd937e94c112eull, "delta", true, 1.1636363636363636, 189,
      926},
     {"workload=sensor n=40 wseed=5 algo=ft_vertex k=3 r=1 seed=3 "
      "threads=1,4 reps=1 validate=exact timings=off",

@@ -183,8 +183,8 @@ TEST(DijkstraEngine, EpochRolloverKeepsResultsCorrect) {
 }
 
 // An integer-weight random graph (weights min_w..max_w). With the default
-// max_w = 12 this is the domain where kAuto switches to the bucket queue;
-// with max_w above kMaxBucketWeight it is the delta queue's mid-range.
+// max_w = 12 the delta queue gets one key per bucket (Dial's queue); with
+// max_w above kMaxBucketWeight it gets wider buckets (the mid-range).
 // min_w = 0 adds zero-weight arcs, whose pushes land in the bucket being
 // drained.
 Graph integer_test_graph(std::size_t n, double p, std::uint64_t seed,
@@ -227,16 +227,19 @@ void expect_matches_heap_bit_for_bit(const Graph& g, const Csr& csr,
 
 // The core contract: on integer weights the bucket queue reproduces the
 // stable heap bit-for-bit — distances, parents, vias, AND the settle order.
-// The zero-minimum input pushes into the bucket being drained.
+// Small weights give the delta queue one key per bucket (Dial's queue, what
+// kAuto runs on unit weights). The zero-minimum input pushes into the
+// bucket being drained.
 TEST(DijkstraEngine, BucketQueueMatchesHeapBitForBitOnIntegerWeights) {
   for (const std::int64_t min_w : {1, 0}) {
     SCOPED_TRACE(min_w);
     const Graph g = integer_test_graph(90, 0.08, 21, 12, min_w);
     const Csr csr(g);
     ASSERT_TRUE(csr.weights().integral);
+    ASSERT_EQ(tune_delta(csr.weights().max_weight), 1.0);
     DijkstraEngine heap, bucket;
     heap.set_queue(SpQueue::kHeap);
-    bucket.set_queue(SpQueue::kBucket, csr.weights().max_weight);
+    bucket.set_queue(SpQueue::kDelta, csr.weights().max_weight);
     expect_matches_heap_bit_for_bit(g, csr, heap, bucket);
   }
 }
@@ -246,7 +249,7 @@ TEST(DijkstraEngine, BucketQueueBoundedPairMatchesHeap) {
   const Csr csr(g);
   DijkstraEngine heap, bucket;
   heap.set_queue(SpQueue::kHeap);
-  bucket.set_queue(SpQueue::kBucket, csr.weights().max_weight);
+  bucket.set_queue(SpQueue::kDelta, csr.weights().max_weight);
   Rng rng(5);
   for (int trial = 0; trial < 60; ++trial) {
     const Vertex s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
@@ -255,30 +258,6 @@ TEST(DijkstraEngine, BucketQueueBoundedPairMatchesHeap) {
     EXPECT_EQ(heap.bounded_pair(csr, s, t, nullptr, bound),
               bucket.bounded_pair(csr, s, t, nullptr, bound))
         << "s=" << s << " t=" << t << " bound=" << bound;
-  }
-}
-
-TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnBucketQueue) {
-  const Graph g = integer_test_graph(60, 0.1, 44);
-  const Csr csr(g);
-  DijkstraEngine hf, hb, bf, bb;
-  hf.set_queue(SpQueue::kHeap);
-  hb.set_queue(SpQueue::kHeap);
-  bf.set_queue(SpQueue::kBucket, csr.weights().max_weight);
-  bb.set_queue(SpQueue::kBucket, csr.weights().max_weight);
-  const auto visit = [&csr](Vertex v, auto&& relax) {
-    for (const CsrArc& a : csr.out(v)) relax(a.to, a.w, a.edge);
-  };
-  Rng rng(6);
-  for (int trial = 0; trial < 60; ++trial) {
-    const Vertex s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
-    const Vertex t = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
-    const Weight bound = static_cast<Weight>(rng.uniform_int(1, 24));
-    const Weight want = DijkstraEngine::bidirectional_bounded_pair(
-        hf, hb, g.num_vertices(), s, t, nullptr, bound, visit);
-    const Weight got = DijkstraEngine::bidirectional_bounded_pair(
-        bf, bb, g.num_vertices(), s, t, nullptr, bound, visit);
-    EXPECT_EQ(want, got) << "s=" << s << " t=" << t << " bound=" << bound;
   }
 }
 
@@ -354,46 +333,65 @@ TEST(DijkstraEngine, DeltaQueueBoundedPairMatchesHeap) {
   }
 }
 
-// Engines set to the delta queue run their pair searches on the heap (the
-// engine picks the queue by query shape; see bidirectional_bounded_pair):
-// a delta-set pair must give the same answers as a heap-set pair, through
-// the heap, on mid-range weights where one-directional runs use delta.
-TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnDeltaQueue) {
-  const Graph g = integer_test_graph(60, 0.1, 44, 100000);
-  const Csr csr(g);
-  DijkstraEngine hf, hb, df, db;
-  hf.set_queue(SpQueue::kHeap);
-  hb.set_queue(SpQueue::kHeap);
-  df.set_queue(SpQueue::kDelta, csr.weights().max_weight);
-  db.set_queue(SpQueue::kDelta, csr.weights().max_weight);
-  const auto visit = [&csr](Vertex v, auto&& relax) {
-    for (const CsrArc& a : csr.out(v)) relax(a.to, a.w, a.edge);
+// A pair search runs its halves on the engines' heaps whatever queue they
+// are set to: engine pairs set to the heap, the delta queue and the
+// one-key-per-bucket kBucket give bit-identical answers on unit, small
+// integer, mid-range integer (where kBucket's ring holds 1e5 + 2 buckets the
+// search never scans) and decimal weights, under random faults.
+TEST(DijkstraEngine, BidirectionalBoundedPairIgnoresTheConfiguredQueue) {
+  struct Input {
+    const char* name;
+    Graph g;
   };
-  Rng rng(6);
-  for (int trial = 0; trial < 60; ++trial) {
-    const Vertex s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
-    const Vertex t = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
-    const Weight bound = static_cast<Weight>(rng.uniform_int(1, 300000));
-    const Weight want = DijkstraEngine::bidirectional_bounded_pair(
-        hf, hb, g.num_vertices(), s, t, nullptr, bound, visit);
-    const Weight got = DijkstraEngine::bidirectional_bounded_pair(
-        df, db, g.num_vertices(), s, t, nullptr, bound, visit);
-    EXPECT_EQ(want, got) << "s=" << s << " t=" << t << " bound=" << bound;
+  const Input inputs[] = {
+      {"unit", gnp(60, 0.1, 44)},
+      {"small", integer_test_graph(60, 0.1, 44)},
+      {"midrange", integer_test_graph(60, 0.1, 44, 100000)},
+      {"decimal", gnp(60, 0.1, 44, 10.0)},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const Csr csr(in.g);
+    const Weight max_w = csr.weights().max_weight;
+    const auto visit = [&csr](Vertex v, auto&& relax) {
+      for (const CsrArc& a : csr.out(v)) relax(a.to, a.w, a.edge);
+    };
+    DijkstraEngine pairs[3][2];
+    const SpQueue queues[3] = {SpQueue::kHeap, SpQueue::kDelta,
+                               SpQueue::kBucket};
+    for (int q = 0; q < 3; ++q)
+      for (DijkstraEngine& e : pairs[q]) e.set_queue(queues[q], max_w);
+    Rng rng(6);
+    for (int trial = 0; trial < 60; ++trial) {
+      const Vertex s = static_cast<Vertex>(rng.uniform_index(60));
+      const Vertex t = static_cast<Vertex>(rng.uniform_index(60));
+      VertexSet faults(60);
+      for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i)
+        faults.insert(static_cast<Vertex>(rng.uniform_index(60)));
+      const Weight bound = max_w * static_cast<Weight>(rng.uniform_int(1, 3));
+      const Weight want = DijkstraEngine::bidirectional_bounded_pair(
+          pairs[0][0], pairs[0][1], 60, s, t, &faults, bound, visit);
+      for (int q = 1; q < 3; ++q)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                  std::bit_cast<std::uint64_t>(
+                      DijkstraEngine::bidirectional_bounded_pair(
+                          pairs[q][0], pairs[q][1], 60, s, t, &faults, bound,
+                          visit)))
+            << to_string(queues[q]) << " s=" << s << " t=" << t
+            << " bound=" << bound;
+    }
   }
 }
 
 // The acceptance threshold turns the pair search into the decision
 // "d(s, t) <= accept?". Against the reference Dijkstra, on unit, small and
 // mid-range integer and on decimal weights, under random fault sets, with
-// thresholds on both sides of d and on both pair-search queues: the answer
-// is right, the returned value is a real path (never below d), and a search
-// that does not accept returns exactly what the threshold-free search
-// returns. Dial's queue runs where the engine policy picks it, on integer
-// weights up to kMaxBucketWeight; above that a pair search runs on the heap
-// (and Dial would scan up to 1e5 empty buckets per search). Decimal path
-// sums carry rounding in any order, so there the thresholds keep a relative
-// distance of 1e-6 from d and the lower bound allows an ulp-scale gap; on
-// integer weights every sum is exact and both are tested bit for bit, at
+// thresholds on both sides of d: the answer is right, the returned value is
+// a real path (never below d), and a search that does not accept returns
+// exactly what the threshold-free search returns. Decimal path sums carry
+// rounding in any order, so there the thresholds keep a relative distance
+// of 1e-6 from d and the lower bound allows an ulp-scale gap; on integer
+// weights every sum is exact and both are tested bit for bit, at
 // accept = d included.
 TEST(DijkstraEngine, BidirectionalAcceptThresholdDecidesTheDistance) {
   struct Input {
@@ -413,79 +411,52 @@ TEST(DijkstraEngine, BidirectionalAcceptThresholdDecidesTheDistance) {
     const auto visit = [&csr](Vertex v, auto&& relax) {
       for (const CsrArc& a : csr.out(v)) relax(a.to, a.w, a.edge);
     };
-    std::vector<SpQueue> queues = {SpQueue::kHeap};
-    if (exact && max_w <= kMaxBucketWeight)
-      queues.push_back(SpQueue::kBucket);
-    for (const SpQueue q : queues) {
-      SCOPED_TRACE(std::string(in.name) +
-                   (q == SpQueue::kHeap ? " heap" : " dial"));
-      DijkstraEngine f, b, full_f, full_b;
-      for (DijkstraEngine* e : {&f, &b, &full_f, &full_b})
-        e->set_queue(q, max_w);
-      Rng rng(hash_combine(7, in.g.num_edges()));
-      std::size_t accepted = 0, rejected = 0;
-      for (int trial = 0; trial < 300; ++trial) {
-        const Vertex s = static_cast<Vertex>(rng.uniform_index(90));
-        const Vertex t = static_cast<Vertex>(rng.uniform_index(90));
-        VertexSet faults(90);
-        for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i)
-          faults.insert(static_cast<Vertex>(rng.uniform_index(90)));
-        const Weight d = reference_dijkstra(in.g, s, &faults).dist[t];
-        const Weight scale = d < kInfiniteWeight ? d : 4 * max_w;
-        std::vector<Weight> accepts = {0, scale * (1 - 1e-6),
-                                       scale * (1 + 1e-6), scale * 0.5,
-                                       scale * 2};
-        if (exact) accepts.insert(accepts.end(), {d, d - 1, d + 1});
-        for (const Weight accept : accepts) {
-          if (!(accept < kInfiniteWeight)) continue;
-          for (const Weight bound : {accept, accept * 3, kInfiniteWeight}) {
-            const std::string where =
-                "s=" + std::to_string(s) + " t=" + std::to_string(t) +
-                " d=" + std::to_string(d) + " accept=" +
-                std::to_string(accept) + " bound=" + std::to_string(bound);
-            const Weight got = DijkstraEngine::bidirectional_bounded_pair(
-                f, b, 90, s, t, &faults, bound, visit, accept);
-            EXPECT_EQ(got <= accept, d <= accept) << where;
-            if (exact)
-              EXPECT_GE(got, d) << where;
-            else
-              EXPECT_GE(got, d * (1 - 1e-12)) << where;
-            if (got <= accept) {
-              ++accepted;
-              continue;
-            }
-            ++rejected;
-            const Weight want = DijkstraEngine::bidirectional_bounded_pair(
-                full_f, full_b, 90, s, t, &faults, bound, visit);
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                      std::bit_cast<std::uint64_t>(want))
-                << where;
+    SCOPED_TRACE(in.name);
+    DijkstraEngine f, b, full_f, full_b;
+    Rng rng(hash_combine(7, in.g.num_edges()));
+    std::size_t accepted = 0, rejected = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const Vertex s = static_cast<Vertex>(rng.uniform_index(90));
+      const Vertex t = static_cast<Vertex>(rng.uniform_index(90));
+      VertexSet faults(90);
+      for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i)
+        faults.insert(static_cast<Vertex>(rng.uniform_index(90)));
+      const Weight d = reference_dijkstra(in.g, s, &faults).dist[t];
+      const Weight scale = d < kInfiniteWeight ? d : 4 * max_w;
+      std::vector<Weight> accepts = {0, scale * (1 - 1e-6),
+                                     scale * (1 + 1e-6), scale * 0.5,
+                                     scale * 2};
+      if (exact) accepts.insert(accepts.end(), {d, d - 1, d + 1});
+      for (const Weight accept : accepts) {
+        if (!(accept < kInfiniteWeight)) continue;
+        for (const Weight bound : {accept, accept * 3, kInfiniteWeight}) {
+          const std::string where =
+              "s=" + std::to_string(s) + " t=" + std::to_string(t) +
+              " d=" + std::to_string(d) + " accept=" +
+              std::to_string(accept) + " bound=" + std::to_string(bound);
+          const Weight got = DijkstraEngine::bidirectional_bounded_pair(
+              f, b, 90, s, t, &faults, bound, visit, accept);
+          EXPECT_EQ(got <= accept, d <= accept) << where;
+          if (exact)
+            EXPECT_GE(got, d) << where;
+          else
+            EXPECT_GE(got, d * (1 - 1e-12)) << where;
+          if (got <= accept) {
+            ++accepted;
+            continue;
           }
+          ++rejected;
+          const Weight want = DijkstraEngine::bidirectional_bounded_pair(
+              full_f, full_b, 90, s, t, &faults, bound, visit);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(want))
+              << where;
         }
       }
-      // Both answers occur often, so every assertion above was exercised.
-      EXPECT_GT(accepted, 300u);
-      EXPECT_GT(rejected, 300u);
     }
-  }
-}
-
-// An explicit delta request must also be exact on *small* integer weights
-// (delta = 1: every bucket holds one key, the settle heap is pure FIFO).
-TEST(DijkstraEngine, DeltaQueueMatchesHeapOnSmallIntegerWeights) {
-  const Graph g = integer_test_graph(90, 0.08, 21);
-  const Csr csr(g);
-  DijkstraEngine heap, delta;
-  heap.set_queue(SpQueue::kHeap);
-  delta.set_queue(SpQueue::kDelta, csr.weights().max_weight);
-  for (Vertex s = 0; s < g.num_vertices(); s += 9) {
-    heap.run(csr, s);
-    delta.run(csr, s);
-    const auto ho = heap.settle_order();
-    const auto dl = delta.settle_order();
-    ASSERT_EQ(ho.size(), dl.size()) << "s=" << s;
-    for (std::size_t i = 0; i < ho.size(); ++i)
-      ASSERT_EQ(ho[i], dl[i]) << "s=" << s << " i=" << i;
+    // Both answers occur often, so every assertion above was exercised.
+    EXPECT_GT(accepted, 300u);
+    EXPECT_GT(rejected, 300u);
   }
 }
 
@@ -499,44 +470,29 @@ TEST(DijkstraEngine, TuneDeltaFollowsTheBucketBudgetRule) {
   EXPECT_EQ(tune_delta(0.0), 1.0);
 }
 
-TEST(DijkstraEngine, AutoPolicySelectsBucketOnlyForBoundedIntegerWeights) {
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 12.0),
-            SpQueue::kBucket);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, false, 12.0),
-            SpQueue::kHeap);
-  // Above the Dial ceiling, integral weights now resolve to delta-stepping
-  // (the mid-range regime), not the heap.
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true,
-                            static_cast<Weight>(kMaxBucketWeight) + 1),
-            SpQueue::kDelta);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, false,
-                            static_cast<Weight>(kMaxBucketWeight) + 1),
-            SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kHeap, true, 1.0), SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, true, 1.0),
-            SpQueue::kBucket);
-  // An explicit bucket/delta request is downgraded on fractional weights — a
+TEST(DijkstraEngine, AutoPolicySelectsDeltaForExactSumsAndHeapOtherwise) {
+  // The delta queue on every exact-sum graph, whatever its max weight:
+  // tune_delta gives one key per bucket up to kMaxBucketWeight (Dial's
+  // queue) and wider buckets above it.
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true), SpQueue::kDelta);
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, false), SpQueue::kHeap);
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kHeap, true), SpQueue::kHeap);
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, true), SpQueue::kDelta);
+  // An explicit delta request is downgraded without exact sums — a
   // label-setting bucket structure would be incorrect there.
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, false, 1.0),
-            SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, false, 1.0),
-            SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, true, 100000.0),
-            SpQueue::kDelta);
-  // The bucket_max knob moves the bucket/delta frontier in both directions.
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 100000.0, 100000.0),
-            SpQueue::kBucket);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 100.0, 64.0),
-            SpQueue::kDelta);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, true, 100.0, 64.0),
-            SpQueue::kHeap);
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, false), SpQueue::kHeap);
+  // The max weight does not move the choice (the argument stays for the
+  // benchmark's 3-argument call).
+  for (const Weight max_w : {1.0, 12.0, 4097.0, 100000.0})
+    EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, max_w),
+              SpQueue::kDelta);
 }
 
 TEST(DijkstraEngine, BucketQueueRunIsAllocationFreeAfterWarmUp) {
   const Graph g = integer_test_graph(80, 0.1, 55);
   const Csr csr(g);
   DijkstraEngine eng;
-  eng.set_queue(SpQueue::kBucket, csr.weights().max_weight);
+  eng.set_queue(SpQueue::kDelta, csr.weights().max_weight);
   eng.reserve(g.num_vertices(), 2 * g.num_edges() + 1);
   eng.run(csr, 0);  // warm-up
   const std::size_t before = test::allocation_count();
@@ -574,9 +530,9 @@ TEST(DijkstraEngine, RunIsAllocationFreeAfterWarmUp) {
 // spanner through the pooled workspace. Vertex faults run it on G \ F;
 // edge faults sort the surviving edge ids by weight and run it over them in
 // that order. After one warm-up iteration either loop must perform zero
-// heap allocations, on unit weights (Dial's queue) and on integer weights up
-// to 1e5, where the workspace resolves to delta and runs its pair searches
-// on the heap.
+// heap allocations, on unit weights (one key per bucket) and on integer
+// weights up to 1e5 (32-key buckets); either way the pair searches run on
+// the heap.
 TEST(DijkstraEngine, ConversionInnerLoopIsAllocationFreeAfterWarmUp) {
   for (const Graph& g :
        {gnp(120, 0.08, 6), integer_test_graph(120, 0.08, 6, 100000)}) {
