@@ -2,15 +2,17 @@
 //
 // Every shortest-path computation in src/ (greedy spanner, Thorup–Zwick,
 // distance oracle, the StretchOracle's vertex- and edge-fault checks, and
-// the serve query engine) runs through run_visit() below. The engine is a *pooled workspace*: it owns epoch-stamped dist/parent/via
-// arrays, a reusable priority structure, and the settle-order log, so that
-// after the first run at a given graph size a run performs zero heap
-// allocations — invalidation of the previous run's state is an O(1) epoch
-// bump, not an O(n) infinity-fill.
+// the serve query engine) runs through run_visit() or one of the two pair
+// searches below. The engine is a *pooled workspace*: it owns epoch-stamped
+// dist/parent/via arrays, a reusable priority structure, and the
+// settle-order log, so that after the first run at a given graph size a run
+// performs zero heap allocations — invalidation of the previous run's state
+// is an O(1) epoch bump, not an O(n) infinity-fill.
 //
 // Two interchangeable priority structures sit behind the one-directional
 // loop (selected with set_queue; see graph/engine_policy.hpp for the
-// policy); the bidirectional pair search always runs on the heap:
+// policy); the bidirectional and goal-directed pair searches always run on
+// the heap:
 //
 //   HeapQueue    a 4-ary min-heap ordered by (distance, push sequence) —
 //                the push-sequence tie-break makes equal-distance pops FIFO,
@@ -79,11 +81,12 @@ inline std::span<const CsrArc> out_arcs(const CsrView& g, Vertex v) {
   return g.out(v);
 }
 
-/// Relative window around a bidirectional pair search's result inside which
-/// its two-half path sum is not trusted to match a forward-summed label (see
-/// bidirectional_bounded_pair). Callers that decide on inexact path sums
-/// keep their acceptance thresholds this far inside the bound
-/// (GreedyWorkspace::bounded_pair, the StretchOracle's cutoff queries).
+/// Relative window around a pair search's result inside which its two-half
+/// or reduced path sum is not trusted to match a forward-summed label (see
+/// bidirectional_bounded_pair and goal_directed_pair). Callers that decide
+/// on inexact path sums keep their acceptance thresholds this far inside the
+/// bound (GreedyWorkspace::bounded_pair, the StretchOracle's cutoff
+/// queries).
 inline constexpr Weight kTieWindow = 1e-8;
 
 class DijkstraEngine {
@@ -320,6 +323,66 @@ class DijkstraEngine {
     // the length of some witnessed longer path, or infinity — either way on
     // the "> bound" side.
     return mu;
+  }
+
+  /// Goal-directed (A*) bounded s-t distance: one search from s toward t
+  /// whose keys are sums of reduced lengths max(0, w - pi(x) + pi(y)) over
+  /// arcs x -> y. `pi` (called as pi(x)) must be a consistent lower bound
+  /// on the distance from x to t in the searched graph: pi(x) <= w + pi(y)
+  /// for every arc, and pi(t) = 0. Returns the label of t plus pi(s), i.e.
+  /// d(s, t), once t settles; kInfiniteWeight if it does not settle within
+  /// `bound` (the reduced search is bounded by bound - pi(s)). The engine's
+  /// labels then hold reduced lengths.
+  ///
+  /// Runs on the heap, whatever queue set_queue configured: reduced lengths
+  /// reach 2 * max_weight, and on inexact sums they are not integers, so a
+  /// Dial or delta ring sized for max_weight would be overrun. The
+  /// clamp at 0 matters on inexact sums: a forward-summed label may exceed
+  /// its predecessor's plus w by an ulp, so an unclamped reduced length can
+  /// be just below 0. A negative key breaks Dijkstra's label setting, and
+  /// the heap's raw-bit key order sorts it after every non-negative one.
+  /// With the clamp every key is a forward sum of non-negative lengths, so
+  /// the returned value exceeds d(s, t) by at most the rounding of a sum
+  /// along a shortest path, whose terms are all at most d(s, t) when pi is
+  /// a lower bound (~hops * eps, relative). On exact sums pi is exactly
+  /// consistent, the clamp never acts and the result is d(s, t) bit for
+  /// bit. Without the clamp this soundness test fails:
+  /// DijkstraEngine.GoalDirectedPairMatchesReferenceUnderFaults.
+  template <class Potential, class VisitArcs>
+  Weight goal_directed_pair(std::size_t n, Vertex s, Vertex t,
+                            const VertexSet* faults, Weight bound,
+                            const Potential& pi, VisitArcs&& visit) {
+    ensure(n);
+    next_epoch();
+    heap_.clear();
+    order_.clear();
+    if (faults != nullptr && (faults->contains(s) || faults->contains(t)))
+      return kInfiniteWeight;
+    const Weight pi_s = pi(s);
+    const Weight reduced_bound = bound - pi_s;
+    seed_source(s);
+    while (!heap_.empty()) {
+      const QueueItem item = heap_.pop();
+      const Vertex v = item.v;
+      if (done_[v] == epoch_) continue;  // stale duplicate
+      done_[v] = epoch_;
+      if (v == t) return item.d + pi_s;
+      const Weight pi_v = pi(v);
+      visit(v, [&](Vertex to, Weight w, EdgeId edge) {
+        if (faults != nullptr && faults->contains(to)) return;
+        if (done_[to] == epoch_) return;
+        const Weight nd = item.d + std::max(Weight{0}, w - pi_v + pi(to));
+        if (nd > reduced_bound) return;
+        if (stamp_[to] != epoch_ || nd < dist_[to]) {
+          stamp_[to] = epoch_;
+          dist_[to] = nd;
+          parent_[to] = v;
+          via_[to] = edge;
+          heap_.push(nd, to);
+        }
+      });
+    }
+    return kInfiniteWeight;
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------

@@ -159,6 +159,14 @@ struct OracleBaseline {
   /// ascending.
   std::vector<std::size_t> entry_begin;
   std::vector<std::size_t> entries;
+  /// Undirected graphs only: source u's row is the settle order of its
+  /// fault-free G-run and those labels, row_vertices / row_labels
+  /// [row_begin[u], row_begin[u + 1]). Only a source one of whose slots has
+  /// a recorded G path with an element keeps one; no other source is ever
+  /// asked a G query.
+  std::vector<std::size_t> row_begin;
+  std::vector<Vertex> row_vertices;
+  std::vector<Weight> row_labels;
   std::size_t searches = 0;  ///< runs the baseline sweep made
 
   std::span<const std::size_t> touched_by(Vertex e) const {
@@ -324,11 +332,10 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
     }
   }
 
-  // The decision queries. Undirected graphs ask the bidirectional pair
-  // search, on the two engines' heaps (so either pair serves either graph);
-  // its two-half sums are trusted only kTieWindow inside a threshold unless
-  // path sums are exact. Digraphs ask a bounded forward run, whose label is
-  // exact.
+  // The queries. Undirected graphs ask H the bidirectional pair search, on
+  // the two engines' heaps, and G an A* search on dg's heap; both results
+  // are trusted only kTieWindow inside a threshold unless path sums are
+  // exact. Digraphs ask a bounded forward run, whose label is exact.
   const auto arcs = [](const Csr& c, const VertexSet& dead) {
     return [&c, &dead](Vertex x, auto&& relax) {
       for (const CsrArc& a : c.out(x))
@@ -336,13 +343,37 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
     };
   };
   const VertexSet* vertex_faults = kEdges ? nullptr : &fg;
+  // s.potential holds the row of source row_source (Graph only).
+  Vertex row_source = kInvalidVertex;
+  Weight row_last = 0;  // the row's last label
+  const auto spread_row = [&](Vertex u, bool clear) {
+    for (std::size_t i = base.row_begin[u]; i < base.row_begin[u + 1]; ++i)
+      s.potential[base.row_vertices[i]] =
+          clear ? kInfiniteWeight : base.row_labels[i];
+  };
   // A lower bound on d_{G\F}(u, v); the live edge (u, v) bounds the search.
+  // On undirected graphs: an A* search from v toward u, with the potential
+  // pi(x) = min(d_G(u, x), row_last) from u's baseline row. pi never
+  // exceeds d_{G\F}(x, u), since F only removes paths, and the min with a
+  // constant keeps it consistent; the engine's clamp absorbs the rounding
+  // of inexact sums (DijkstraEngine::goal_directed_pair).
   const auto g_lower_bound = [&](const Touched& t) -> Weight {
     ++w.searches;
     if constexpr (std::is_same_v<G, Graph>) {
-      const Weight mu = DijkstraEngine::bidirectional_bounded_pair(
-          s.dg, s.dh, n, t.u, t.v, vertex_faults, t.w, arcs(cg, fg));
-      return exact ? mu : mu * (1 - kTieWindow);
+      if (row_source != t.u) {
+        if (s.potential.size() != n) s.potential.assign(n, kInfiniteWeight);
+        if (row_source != kInvalidVertex) spread_row(row_source, true);
+        row_source = t.u;
+        spread_row(t.u, false);
+        const std::size_t end = base.row_begin[t.u + 1];
+        row_last = end > base.row_begin[t.u] ? base.row_labels[end - 1] : 0;
+      }
+      const auto pi = [&](Vertex x) {
+        return std::min(s.potential[x], row_last);
+      };
+      const Weight d = s.dg.goal_directed_pair(n, t.v, t.u, vertex_faults,
+                                               t.w, pi, arcs(cg, fg));
+      return exact ? d : d * (1 - kTieWindow);
     } else {
       const Vertex target[1] = {t.v};
       s.dg.run(cg, t.u, &fg, std::span<const Vertex>(target, 1), t.w);
@@ -419,6 +450,7 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
       best.consider(stretch_value(dg, dh), t.slot, u, t.v);
     }
   }
+  if (row_source != kInvalidVertex) spread_row(row_source, true);
   w.stretch = best.stretch;
   w.u = best.u;
   w.v = best.v;
@@ -507,7 +539,7 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
   s.faults = VertexSet(g_->num_vertices());
   // One queue for both engines' forward runs, from the joint weight
   // profile (H may carry heavier edges than G), so a check runs G and H on
-  // the same structure. A bidirectional query runs on the two engines'
+  // the same structure. A bidirectional or A* query runs on the engines'
   // heaps whatever this picks. Pre-size each engine to its own graph's push
   // bound, so its runs are allocation-free from the first fault set.
   const WeightProfile& wg = cg_.weights();
@@ -556,37 +588,65 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
   if constexpr (kEdges) h_to_g = edge_ids_in(*h_, *g_);
 
   // One source per task: a lane writes the source's slots and the lengths
-  // of their two recorded paths, and appends the paths' elements to the
-  // lane's own buffer (one growing buffer per lane, not one per source).
+  // of their two recorded paths, and appends the paths' elements, and the
+  // source's row if it keeps one, to the lane's own buffers (one growing
+  // buffer per lane, not one per source).
   std::vector<std::uint32_t> path_length(2 * b.slot_begin[n]);
   struct Recorded {
-    const std::vector<Vertex>* buffer = nullptr;
+    const Scratch* lane = nullptr;
     std::size_t begin = 0;
+    std::size_t row_begin = 0, row_size = 0;
   };
   std::vector<Recorded> recorded(n);
   lanes.run(n, [&](std::size_t i, Scratch& s) {
     const Vertex u = static_cast<Vertex>(i);
     if (!search_source<G, false>(cg_, ch_, u, nullptr, nullptr, s)) return;
-    recorded[u] = {&s.path_elements, s.path_elements.size()};
+    Recorded& rec = recorded[u];
+    rec = {&s, s.path_elements.size()};
     std::size_t slot = b.slot_begin[u];
+    bool g_elements = false;  // some recorded G path has an element
     for (const CsrArc& a : cg_.out(u)) {
       if (!is_slot<G>(u, a)) continue;
       b.dg[slot] = s.dg.dist(a.to);
       b.dh[slot] = s.dh.dist(a.to);
       path_length[2 * slot] = record_path<kEdges>(s.dg, u, a.to, a.edge,
                                                   nullptr, s.path_elements);
+      g_elements = g_elements || path_length[2 * slot] > 0;
       path_length[2 * slot + 1] = record_path<kEdges>(
           s.dh, u, a.to, a.edge, &h_to_g, s.path_elements);
       ++slot;
     }
+    if (!std::is_same_v<G, Graph> || !g_elements) return;
+    rec.row_begin = s.row_vertices.size();
+    rec.row_size = s.dg.settle_order().size();
+    for (const Vertex x : s.dg.settle_order()) {
+      s.row_vertices.push_back(x);
+      s.row_labels.push_back(s.dg.dist(x));
+    }
   });
+
+  // The rows, concatenated in source order.
+  b.row_begin.assign(n + 1, 0);
+  for (Vertex u = 0; u < n; ++u)
+    b.row_begin[u + 1] = b.row_begin[u] + recorded[u].row_size;
+  b.row_vertices.resize(b.row_begin[n]);
+  b.row_labels.resize(b.row_begin[n]);
+  for (Vertex u = 0; u < n; ++u) {
+    const Recorded& rec = recorded[u];
+    if (rec.row_size == 0) continue;
+    std::copy_n(rec.lane->row_vertices.begin() + rec.row_begin, rec.row_size,
+                b.row_vertices.begin() + b.row_begin[u]);
+    std::copy_n(rec.lane->row_labels.begin() + rec.row_begin, rec.row_size,
+                b.row_labels.begin() + b.row_begin[u]);
+  }
 
   // Invert into element -> entries, entry slot * 2 + side: a counting sort
   // over the entries in order, so each element's come out ascending.
   const auto for_each_entry = [&](const auto& fn) {
     for (Vertex u = 0; u < n; ++u) {
-      if (recorded[u].buffer == nullptr) continue;
-      const Vertex* e = recorded[u].buffer->data() + recorded[u].begin;
+      if (recorded[u].lane == nullptr) continue;
+      const Vertex* e = recorded[u].lane->path_elements.data() +
+                        recorded[u].begin;
       for (std::size_t entry = 2 * b.slot_begin[u];
            entry < 2 * b.slot_begin[u + 1]; ++entry)
         for (std::uint32_t i = 0; i < path_length[entry]; ++i) fn(*e++, entry);

@@ -27,7 +27,9 @@
 //      baseline stores its labels d_G and d_H, and the index maps each
 //      element — an interior vertex, or G's edge id under edge faults — of
 //      the slot's recorded G path and H path to the entry slot * 2 + side
-//      (0: G, 1: H). A live slot F does not touch replays its labels.
+//      (0: G, 1: H). A live slot F does not touch replays its labels. On
+//      undirected graphs a source one of whose recorded G paths has an
+//      element also keeps a row: its G-run's settle order and labels.
 //      Exact, not approximate: weights are non-negative and IEEE addition
 //      is monotone, so a Dijkstra label is the minimum over paths of the
 //      forward-summed length; when F misses the recorded path that minimum
@@ -43,9 +45,16 @@
 //      path of length <= t, the largest t with fl(t / d_G) below — a
 //      bidirectional decision query that stops at the first path within t
 //      (a bounded forward run on a Digraph); if both paths are touched, a
-//      G pair query's lower bound on d_{G\F} widens t for a second try.
+//      lower bound on d_{G\F} widens t for a second try. On undirected
+//      graphs it is an A* search from v toward u on the heap, guided by u's
+//      row: pi(x) = min(d_G(u, x), the row's last label) is admissible and
+//      consistent on G\F under both fault models (F only removes paths;
+//      the min with a constant keeps pi 1-Lipschitz), and reduced lengths
+//      are clamped at 0 (DijkstraEngine::goal_directed_pair); on a Digraph
+//      a bounded forward run.
 //      Every skip rests on a real path, so it only proves "below"; inexact
-//      sums (two-half vs forward) are trusted only kTieWindow inside a cut.
+//      sums (two-half or reduced vs forward) are trusted only kTieWindow
+//      inside a cut.
 //      What stays undecided (d_G = 0, failed queries) gets its source's
 //      forward runs, targeted at those slots, so every label — and the
 //      witness — matches a full sweep bit for bit. evaluate() and
@@ -82,7 +91,7 @@ struct FtCheckResult {
   std::size_t fault_sets_checked = 0;
   /// Shortest-path queries run over the whole check: every forward run (a
   /// source search is a G-run and an H-run; the baseline's are included),
-  /// every decision query and every G pair query (mechanism 5). The
+  /// every decision query and every G lower-bound query (mechanism 5). The
   /// adversaries' path probes are not counted. A deterministic work
   /// counter: the same at any thread count.
   std::size_t searches = 0;
@@ -173,8 +182,8 @@ class BasicStretchOracle {
   /// joint weight profile of G and H (the larger max weight; exact sums
   /// only if both graphs have them — the bucket queue under kAuto when they
   /// do). The two engines also serve as the pair of a bidirectional query
-  /// on G or on H, which runs on their heaps. Throws std::invalid_argument
-  /// unless valid_bucket_max(bucket_max).
+  /// on H, and dg runs the A* queries on G; both run on the heaps. Throws
+  /// std::invalid_argument unless valid_bucket_max(bucket_max).
   struct Scratch {
     DijkstraEngine dg, dh;
     std::vector<Vertex> targets;
@@ -195,8 +204,14 @@ class BasicStretchOracle {
     std::vector<Touched> touched;
     std::vector<Vertex> h_targets;  ///< one source's exact H-run targets
     /// Baseline sweep: the elements on this lane's sources' recorded paths,
-    /// one after another.
+    /// one after another; and the settle order and labels of those of its
+    /// G-runs that keep a row (mechanism 5).
     std::vector<Vertex> path_elements;
+    std::vector<Vertex> row_vertices;
+    std::vector<Weight> row_labels;
+    /// G queries: the current source's row labels by vertex, infinite
+    /// elsewhere (sized on first use).
+    std::vector<Weight> potential;
   };
   Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,
                        Weight bucket_max = kMaxBucketWeight) const;

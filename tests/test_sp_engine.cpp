@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -457,6 +458,99 @@ TEST(DijkstraEngine, BidirectionalAcceptThresholdDecidesTheDistance) {
     // Both answers occur often, so every assertion above was exercised.
     EXPECT_GT(accepted, 300u);
     EXPECT_GT(rejected, 300u);
+  }
+}
+
+// The goal-directed pair search against the reference Dijkstra on G \ F,
+// under vertex faults and under edge faults, with the potential the
+// StretchOracle uses: the labels of a fault-free run from t that is bounded
+// and targeted, so it stops early, and pi(x) = min(label(x), last settled
+// label) — unsettled vertices take the last label. On integer weights every
+// sum is exact and the answer must be d bit for bit; on decimal weights it
+// must be within 1e-9 of d (relative), and below d once scaled by
+// (1 - kTieWindow), as the oracle uses it. Without the clamp at 0 of the
+// reduced lengths (see DijkstraEngine::goal_directed_pair) the decimal
+// inputs come back far above d.
+TEST(DijkstraEngine, GoalDirectedPairMatchesReferenceUnderFaults) {
+  struct Input {
+    const char* name;
+    Graph g;
+  };
+  const Input inputs[] = {
+      {"unit", gnp(90, 0.06, 61)},
+      {"midrange", integer_test_graph(90, 0.06, 62, 100000)},
+      {"decimal", gnp(90, 0.06, 63, 10.0)},
+      {"geometric", random_geometric(120, 0.2, 64)},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const std::size_t n = in.g.num_vertices();
+    const std::size_t m = in.g.num_edges();
+    const Csr csr(in.g);
+    const bool exact = csr.weights().exact_sums();
+    const Weight max_w = csr.weights().max_weight;
+    DijkstraEngine base, query;
+    std::vector<Weight> label(n, kInfiniteWeight);
+    Rng rng(hash_combine(11, m));
+    std::size_t answered = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+      const Vertex s = static_cast<Vertex>(rng.uniform_index(n));
+      const Vertex t = static_cast<Vertex>(rng.uniform_index(n));
+      // The potential toward t: a bounded run from t, targeted at up to
+      // three random vertices.
+      std::vector<Vertex> targets;
+      for (std::int64_t i = rng.uniform_int(1, 3); i > 0; --i)
+        targets.push_back(static_cast<Vertex>(rng.uniform_index(n)));
+      base.run(csr, t, nullptr, targets,
+               max_w * static_cast<Weight>(rng.uniform_int(1, 4)));
+      std::fill(label.begin(), label.end(), kInfiniteWeight);
+      for (const Vertex x : base.settle_order()) label[x] = base.dist(x);
+      const Weight last = base.dist(base.settle_order().back());
+      const auto pi = [&](Vertex x) { return std::min(label[x], last); };
+
+      const bool edge_faults = trial % 2 == 1;
+      VertexSet faults(edge_faults ? m : n);
+      for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i)
+        faults.insert(static_cast<Vertex>(
+            rng.uniform_index(edge_faults ? m : n)));
+      Weight d = 0;
+      if (edge_faults) {
+        std::vector<EdgeId> kept;
+        for (EdgeId id = 0; id < m; ++id)
+          if (!faults.contains(id)) kept.push_back(id);
+        d = reference_dijkstra(in.g.edge_subgraph(kept), t).dist[s];
+      } else {
+        d = reference_dijkstra(in.g, t, &faults).dist[s];
+      }
+      const auto visit = [&](Vertex v, auto&& relax) {
+        for (const CsrArc& a : csr.out(v))
+          if (!edge_faults || !faults.contains(a.edge))
+            relax(a.to, a.w, a.edge);
+      };
+      const VertexSet* vertex_faults = edge_faults ? nullptr : &faults;
+      const Weight finite = d < kInfiniteWeight ? d : 4 * max_w;
+      std::vector<Weight> bounds = {kInfiniteWeight, 2 * finite, finite / 2};
+      if (exact) bounds.push_back(finite);  // the oracle's w(u, v) = d case
+      for (const Weight bound : bounds) {
+        const Weight got = query.goal_directed_pair(n, s, t, vertex_faults,
+                                                    bound, pi, visit);
+        const std::string where = "s=" + std::to_string(s) +
+                                  " t=" + std::to_string(t) +
+                                  " d=" + std::to_string(d) +
+                                  " bound=" + std::to_string(bound) +
+                                  (edge_faults ? " edge faults" : "");
+        if (!(d <= bound) || d == kInfiniteWeight) {
+          EXPECT_EQ(got, kInfiniteWeight) << where;
+        } else if (exact) {
+          EXPECT_EQ(got, d) << where;
+        } else {
+          EXPECT_LE(got * (1 - kTieWindow), d) << where;
+          EXPECT_LE(std::abs(got - d), 1e-9 * d) << where;
+        }
+        if (d <= bound && d > 0 && d < kInfiniteWeight) ++answered;
+      }
+    }
+    EXPECT_GT(answered, 240u);  // the assertions above ran on real paths
   }
 }
 
