@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.hpp"
 #include "spanner2/verify2.hpp"
@@ -93,6 +94,49 @@ TEST(DistFt2Spanner, CostWithinLogFactorOfLp) {
   ASSERT_TRUE(res.valid);
   // Generous constant: 8 · 4 · ln n (4 from averaging, ln n from rounding).
   EXPECT_LT(res.cost / full.value, 32.0 * std::log(12.0));
+}
+
+// Algorithm 2's outputs, pinned bit for bit: an FNV-1a hash of in_spanner,
+// the attempts, the repaired edges, the exact cost and the LOCAL rounds
+// charged (one per rounding attempt on top of the decompositions).
+std::uint64_t spanner_hash(const std::vector<char>& in_spanner) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char b : in_spanner) {
+    h ^= static_cast<unsigned char>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct DistPin {
+  std::uint64_t hash;
+  std::size_t attempts, repaired_edges;
+  double cost;
+  std::size_t rounds;
+};
+
+void expect_pin(const DistTwoSpannerResult& res, const DistPin& want,
+                const char* what) {
+  EXPECT_TRUE(res.valid) << what;
+  EXPECT_EQ(spanner_hash(res.in_spanner), want.hash) << what;
+  EXPECT_EQ(res.attempts, want.attempts) << what;
+  EXPECT_EQ(res.repaired_edges, want.repaired_edges) << what;
+  EXPECT_EQ(res.cost, want.cost) << what;
+  EXPECT_EQ(res.stats.rounds, want.rounds) << what;
+}
+
+TEST(Section3Pins, DistributedOutputs) {
+  const Digraph g = di_gnp(10, 0.4, 21, 3.0);
+  DistTwoSpannerOptions opt;
+  opt.alpha = 0.7;  // the first valid draw is the fifth
+  expect_pin(distributed_ft_2spanner(g, 1, 4, opt),
+             {0xb3e44205ec634bfaull, 5, 0, 0x1.1f046d7b237edp+6, 215},
+             "seed 4");
+  opt.alpha = 1e-6;
+  opt.max_attempts = 2;
+  expect_pin(distributed_ft_2spanner(g, 1, 4, opt),
+             {0xc4be5bf3f6d9461eull, 3, 35, 0x1.114d2d60d2441p+6, 213},
+             "repair");
 }
 
 TEST(DistFt2Spanner, EmptyGraphTrivial) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "graph/generators.hpp"
@@ -116,6 +117,67 @@ TEST(Dk10Baseline, Lp3ValueAtMostLp4Value) {
   const auto ours = approx_ft_2spanner(g, 2, 1);
   const auto dk10 = dk10_ft_2spanner(g, 2, 1);
   EXPECT_LE(dk10.lp_value, ours.lp_value + 1e-6);
+}
+
+// Algorithm 1's outputs, pinned bit for bit: an FNV-1a hash of in_spanner,
+// the attempts, the repaired edges and the exact cost. A change to the
+// retry-then-repair loop, or to how much of the Rng it consumes, moves them.
+std::uint64_t spanner_hash(const std::vector<char>& in_spanner) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char b : in_spanner) {
+    h ^= static_cast<unsigned char>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct RoundingPin {
+  std::uint64_t hash;
+  std::size_t attempts, repaired_edges;
+  double cost;
+};
+
+void expect_pin(const TwoSpannerResult& res, const RoundingPin& want,
+                const char* what) {
+  EXPECT_TRUE(res.valid) << what;
+  EXPECT_EQ(spanner_hash(res.in_spanner), want.hash) << what;
+  EXPECT_EQ(res.attempts, want.attempts) << what;
+  EXPECT_EQ(res.repaired_edges, want.repaired_edges) << what;
+  EXPECT_EQ(res.cost, want.cost) << what;
+}
+
+TEST(Section3Pins, ApproxAndDk10OnTwoSeeds) {
+  // At α = 0.8 the seeds disagree, most runs retry, and dk10's seed 1 runs
+  // out of attempts and repairs: the pins see every draw the driver takes.
+  const Digraph g = di_gnp(9, 0.6, 21, 3.0);
+  const std::size_t r = 2;
+  RoundingOptions opt;
+  opt.alpha = 0.8;
+  expect_pin(approx_ft_2spanner(g, r, 1, opt),
+             {0x785e5b8f0654f578ull, 11, 0, 0x1.3df6740c5102ap+6},
+             "approx seed 1");
+  expect_pin(approx_ft_2spanner(g, r, 2, opt),
+             {0x12f5e0475e03e21dull, 1, 0, 0x1.4247c65b08dffp+6},
+             "approx seed 2");
+  expect_pin(dk10_ft_2spanner(g, r, 1, opt),
+             {0x46605bb516c249f4ull, 26, 11, 0x1.275cd7aa6f7b9p+6},
+             "dk10 seed 1");
+  expect_pin(dk10_ft_2spanner(g, r, 2, opt),
+             {0xa291bb64e4f74a93ull, 4, 0, 0x1.2c91e84aa4fc7p+6},
+             "dk10 seed 2");
+}
+
+TEST(Section3Pins, RepairPath) {
+  const Digraph g = di_gnp(12, 0.4, 9, 3.0);
+  RoundingOptions opt;
+  opt.alpha = 1e-6;
+  opt.max_attempts = 2;
+  expect_pin(approx_ft_2spanner(g, 1, 3, opt),
+             {0x005d530e58226637ull, 3, 46, 0x1.5874dcae41dccp+6},
+             "approx repair");
+  expect_pin(dk10_ft_2spanner(g, 1, 3, opt),
+             {0x005d530e58226637ull, 3, 46, 0x1.5874dcae41dccp+6},
+             "dk10 repair");
 }
 
 // Property sweep: the driver always returns a valid spanner.
