@@ -16,7 +16,6 @@
 #include "graph/generators.hpp"
 #include "spanner2/lll.hpp"
 #include "spanner2/rounding.hpp"
-#include "spanner2/verify2.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -34,19 +33,6 @@ Digraph k_blocks(std::size_t blocks, std::size_t m) {
           g.add_edge(static_cast<Vertex>(b * m + i),
                      static_cast<Vertex>(b * m + j));
   return g;
-}
-
-/// Rounds replicated-x with threshold alpha, retries until Lemma 3.1 valid,
-/// repairs as a last resort; returns the cost.
-double round_until_valid(const Digraph& g, const std::vector<double>& x,
-                         double alpha, std::size_t r, Rng& rng) {
-  for (int attempt = 0; attempt < 25; ++attempt) {
-    auto in = threshold_round(g, x, alpha, rng());
-    if (is_ft_2spanner(g, in, r)) return spanner_cost(g, in);
-  }
-  auto in = threshold_round(g, x, alpha, rng());
-  greedy_repair(g, in, r);
-  return spanner_cost(g, in);
 }
 
 }  // namespace
@@ -74,11 +60,12 @@ int main() {
 
       const double a_lll = std::log(static_cast<double>(m - 1));
       const double a_logn = std::log(static_cast<double>(n));
+      const std::size_t attempts = RoundingOptions{}.max_attempts;
       Stats lll_cost, logn_cost;
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         Rng rng(seed * 977);
-        lll_cost.add(round_until_valid(g, x, a_lll, r, rng));
-        logn_cost.add(round_until_valid(g, x, a_logn, r, rng));
+        lll_cost.add(round_until_valid(g, x, a_lll, r, attempts, rng).cost);
+        logn_cost.add(round_until_valid(g, x, a_logn, r, attempts, rng).cost);
       }
       t.row()
           .cell(blocks)

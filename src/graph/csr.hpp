@@ -1,4 +1,4 @@
-// Csr — an immutable compressed-sparse-row snapshot of a Graph or Digraph.
+// Csr — an immutable compressed-sparse-row snapshot of a Graph.
 //
 // The adjacency-list types (vector<vector<Arc>>) are convenient to build but
 // pointer-chasing to traverse: every vertex's arc list is its own heap
@@ -84,12 +84,21 @@ class BasicCsr {
 
   /// Snapshot of an undirected graph: both directions of every edge.
   explicit BasicCsr(const Graph& g) {
-    build(g.num_vertices(), [&g](Vertex v) { return g.neighbors(v); });
-  }
-
-  /// Snapshot of a digraph's out-arcs.
-  explicit BasicCsr(const Digraph& g) {
-    build(g.num_vertices(), [&g](Vertex v) { return g.out_neighbors(v); });
+    const std::size_t n = g.num_vertices();
+    offsets_.resize(n + 1);
+    std::size_t total = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      offsets_[v] = static_cast<Offset>(total);
+      total += g.neighbors(v).size();
+    }
+    csr_check_arc_capacity<Offset>(total);
+    offsets_[n] = static_cast<Offset>(total);
+    arcs_.reserve(total);
+    for (Vertex v = 0; v < n; ++v)
+      for (const Arc& a : g.neighbors(v)) {
+        arcs_.push_back({a.to, a.edge, a.w});
+        profile_.observe(a.w);
+      }
   }
 
   /// Snapshot built straight from an undirected edge array (edge id =
@@ -141,24 +150,6 @@ class BasicCsr {
   std::span<const CsrArc> arcs() const { return arcs_; }
 
  private:
-  template <class NeighborFn>
-  void build(std::size_t n, NeighborFn&& neighbors) {
-    offsets_.resize(n + 1);
-    std::size_t total = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      offsets_[v] = static_cast<Offset>(total);
-      total += neighbors(v).size();
-    }
-    csr_check_arc_capacity<Offset>(total);
-    offsets_[n] = static_cast<Offset>(total);
-    arcs_.reserve(total);
-    for (Vertex v = 0; v < n; ++v)
-      for (const Arc& a : neighbors(v)) {
-        arcs_.push_back({a.to, a.edge, a.w});
-        profile_.observe(a.w);
-      }
-  }
-
   std::vector<Offset> offsets_;  ///< n + 1 entries; arcs of v are [offsets_[v], offsets_[v+1])
   std::vector<CsrArc> arcs_;
   WeightProfile profile_;

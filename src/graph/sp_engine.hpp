@@ -65,9 +65,6 @@ namespace ftspan {
 inline std::span<const Arc> out_arcs(const Graph& g, Vertex v) {
   return g.neighbors(v);
 }
-inline std::span<const Arc> out_arcs(const Digraph& g, Vertex v) {
-  return g.out_neighbors(v);
-}
 template <class Offset>
 inline std::span<const CsrArc> out_arcs(const BasicCsr<Offset>& g, Vertex v) {
   return g.out(v);
@@ -120,7 +117,7 @@ class DijkstraEngine {
   SpQueue queue() const { return queue_; }
 
   /// Single-source run; see the header comment for bound/targets semantics.
-  /// G is Graph, Digraph, or Csr.
+  /// G is Graph, a Csr, or a CsrView.
   template <class G>
   void run(const G& g, Vertex source, const VertexSet* faults = nullptr,
            std::span<const Vertex> targets = {},

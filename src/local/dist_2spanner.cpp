@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "spanner2/verify2.hpp"
 #include "util/rng.hpp"
 
 namespace ftspan::local {
@@ -151,27 +150,17 @@ DistTwoSpannerResult distributed_ft_2spanner(
   for (EdgeId id = 0; id < g.num_edges(); ++id)
     out.x_tilde_cost += g.edge(id).w * x_tilde[id];
 
-  // Local rounding (Algorithm 1): one round to exchange thresholds'
-  // outcomes; retries are fresh threshold draws.
-  const double alpha = options.alpha.value_or(options.alpha_constant * ln_n);
-  std::vector<char> best;
-  for (out.attempts = 1; out.attempts <= options.max_attempts; ++out.attempts) {
-    std::vector<char> cand = ftspan::threshold_round(g, x_tilde, alpha, rng());
-    out.stats.rounds += 1;  // announce kept edges to both endpoints
-    if (ftspan::is_ft_2spanner(g, cand, r)) {
-      best = std::move(cand);
-      break;
-    }
-  }
-  if (best.empty()) {
-    best = ftspan::threshold_round(g, x_tilde, alpha, rng());
-    out.stats.rounds += 1;
-    if (options.repair) out.repaired_edges = ftspan::greedy_repair(g, best, r);
-  }
-
-  out.in_spanner = std::move(best);
-  out.cost = ftspan::spanner_cost(g, out.in_spanner);
-  out.valid = ftspan::is_ft_2spanner(g, out.in_spanner, r);
+  // Local rounding (Algorithm 1): one round per attempt to announce the
+  // kept edges to both endpoints; retries are fresh threshold draws.
+  const double alpha = options.alpha.value_or(ln_n);
+  ftspan::TwoSpannerResult rounded = ftspan::round_until_valid(
+      g, x_tilde, alpha, r, options.max_attempts, rng);
+  out.stats.rounds += rounded.attempts;
+  out.in_spanner = std::move(rounded.in_spanner);
+  out.cost = rounded.cost;
+  out.valid = rounded.valid;
+  out.repaired_edges = rounded.repaired_edges;
+  out.attempts = rounded.attempts;
   return out;
 }
 

@@ -24,23 +24,16 @@
 
 namespace ftspan::local {
 
-struct DistTwoSpannerOptions {
+/// The rounding knobs are Algorithm 1's, inherited: α = ln n unless
+/// `alpha` overrides it, `max_attempts` draws before the repair, and `lp`
+/// for the per-cluster LP (4) solves.
+struct DistTwoSpannerOptions : ftspan::RoundingOptions {
   /// t = ceil(iteration_constant * ln n) decomposition iterations, unless
   /// `iterations` overrides it.
   double iteration_constant = 4.0;
   std::optional<std::size_t> iterations;
 
   PaddedDecompositionOptions decomposition;
-
-  /// Rounding inflation α = alpha_constant * ln n (Algorithm 1).
-  double alpha_constant = 1.0;
-  std::optional<double> alpha;
-
-  /// Retry/repair policy, as in the centralized driver.
-  std::size_t max_attempts = 25;
-  bool repair = true;
-
-  ftspan::CuttingPlaneOptions lp;  ///< per-cluster LP (4) solves
 };
 
 struct DistTwoSpannerResult {

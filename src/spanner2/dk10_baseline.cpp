@@ -1,45 +1,27 @@
 #include "spanner2/dk10_baseline.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "spanner2/verify2.hpp"
-#include "util/rng.hpp"
 
 namespace ftspan {
 
 TwoSpannerResult dk10_ft_2spanner(const Digraph& g, std::size_t r,
                                   std::uint64_t seed,
                                   const RoundingOptions& options) {
-  TwoSpannerResult out;
-  out.relaxation = solve_lp3(g, r, options.lp.simplex);
-  if (out.relaxation.status != LpStatus::kOptimal) return out;
-  out.lp_value = out.relaxation.value;
-
-  const std::size_t n = g.num_vertices();
-  out.alpha = options.alpha.value_or(
-      options.alpha_constant * static_cast<double>(r + 1) *
-      std::log(static_cast<double>(std::max<std::size_t>(n, 2))));
-
+  RelaxationResult relaxation = solve_lp3(g, r, options.lp.simplex);
+  if (relaxation.status != LpStatus::kOptimal) {
+    TwoSpannerResult out;
+    out.relaxation = std::move(relaxation);
+    return out;
+  }
+  const double alpha = options.alpha.value_or(
+      static_cast<double>(r + 1) *
+      std::log(static_cast<double>(std::max<std::size_t>(g.num_vertices(), 2))));
   Rng rng(seed);
-  std::vector<char> best;
-  double best_cost = kInfiniteWeight;
-  for (out.attempts = 1; out.attempts <= options.max_attempts; ++out.attempts) {
-    std::vector<char> cand = threshold_round(g, out.relaxation.x, out.alpha, rng());
-    if (!is_ft_2spanner(g, cand, r)) continue;
-    best_cost = spanner_cost(g, cand);
-    best = std::move(cand);
-    break;
-  }
-
-  if (best.empty()) {
-    best = threshold_round(g, out.relaxation.x, out.alpha, rng());
-    if (options.repair) out.repaired_edges = greedy_repair(g, best, r);
-    best_cost = spanner_cost(g, best);
-  }
-
-  out.in_spanner = std::move(best);
-  out.cost = best_cost;
-  out.valid = is_ft_2spanner(g, out.in_spanner, r);
+  TwoSpannerResult out = round_until_valid(g, relaxation.x, alpha, r,
+                                           options.max_attempts, rng);
+  out.lp_value = relaxation.value;
+  out.relaxation = std::move(relaxation);
   return out;
 }
 

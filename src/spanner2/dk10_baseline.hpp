@@ -11,8 +11,8 @@
 
 namespace ftspan {
 
-/// DK10-style O(r log n) algorithm: solve LP (3), round with
-/// α = alpha_constant * (r+1) * ln n, verify / repair as in the driver.
+/// DK10-style O(r log n) algorithm: solve LP (3), then round_until_valid
+/// with α = (r+1) ln n.
 TwoSpannerResult dk10_ft_2spanner(const Digraph& g, std::size_t r,
                                   std::uint64_t seed,
                                   const RoundingOptions& options = {});

@@ -1,9 +1,9 @@
 #include "spanner2/rounding.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "spanner2/verify2.hpp"
-#include "util/rng.hpp"
 
 namespace ftspan {
 
@@ -23,48 +23,47 @@ std::vector<char> threshold_round(const Digraph& g,
   return in_spanner;
 }
 
+TwoSpannerResult round_until_valid(const Digraph& g,
+                                   const std::vector<double>& x, double alpha,
+                                   std::size_t r, std::size_t max_attempts,
+                                   Rng& rng) {
+  TwoSpannerResult out;
+  out.alpha = alpha;
+  for (out.attempts = 1; out.attempts <= max_attempts; ++out.attempts) {
+    out.in_spanner = threshold_round(g, x, alpha, rng());
+    if (is_ft_2spanner(g, out.in_spanner, r)) {
+      // First valid rounding wins (Las Vegas); the cost bound is in
+      // expectation.
+      out.cost = spanner_cost(g, out.in_spanner);
+      out.valid = true;
+      return out;
+    }
+  }
+  // No valid draw: take one more rounding and repair it (keeps the output
+  // valid deterministically; the repair is reported separately).
+  out.in_spanner = threshold_round(g, x, alpha, rng());
+  out.repaired_edges = greedy_repair(g, out.in_spanner, r);
+  out.cost = spanner_cost(g, out.in_spanner);
+  out.valid = is_ft_2spanner(g, out.in_spanner, r);
+  return out;
+}
+
 TwoSpannerResult approx_ft_2spanner(const Digraph& g, std::size_t r,
                                     std::uint64_t seed,
                                     const RoundingOptions& options) {
-  TwoSpannerResult out;
-  out.relaxation = solve_lp4(g, r, options.lp);
-  if (out.relaxation.status != LpStatus::kOptimal) return out;
-  out.lp_value = out.relaxation.value;
-
-  const std::size_t n = g.num_vertices();
-  out.alpha = options.alpha.value_or(
-      options.alpha_constant *
-      std::log(static_cast<double>(std::max<std::size_t>(n, 2))));
-
+  RelaxationResult relaxation = solve_lp4(g, r, options.lp);
+  if (relaxation.status != LpStatus::kOptimal) {
+    TwoSpannerResult out;
+    out.relaxation = std::move(relaxation);
+    return out;
+  }
+  const double alpha = options.alpha.value_or(std::log(
+      static_cast<double>(std::max<std::size_t>(g.num_vertices(), 2))));
   Rng rng(seed);
-  std::vector<char> best;
-  double best_cost = kInfiniteWeight;
-  for (out.attempts = 1; out.attempts <= options.max_attempts; ++out.attempts) {
-    std::vector<char> cand = threshold_round(g, out.relaxation.x, out.alpha, rng());
-    if (!is_ft_2spanner(g, cand, r)) continue;
-    const double c = spanner_cost(g, cand);
-    if (c < best_cost) {
-      best_cost = c;
-      best = std::move(cand);
-    }
-    break;  // first valid rounding wins (Las Vegas); cost bound is in expectation
-  }
-
-  if (best.empty()) {
-    // No valid draw: take one more rounding and repair it (keeps the output
-    // valid deterministically; the repair cost is reported separately).
-    best = threshold_round(g, out.relaxation.x, out.alpha, rng());
-    if (options.repair) {
-      out.repaired_edges = greedy_repair(g, best, r);
-      best_cost = spanner_cost(g, best);
-    } else {
-      best_cost = spanner_cost(g, best);
-    }
-  }
-
-  out.in_spanner = std::move(best);
-  out.cost = best_cost;
-  out.valid = is_ft_2spanner(g, out.in_spanner, r);
+  TwoSpannerResult out = round_until_valid(g, relaxation.x, alpha, r,
+                                           options.max_attempts, rng);
+  out.lp_value = relaxation.value;
+  out.relaxation = std::move(relaxation);
   return out;
 }
 

@@ -22,8 +22,10 @@ Digraph half_cost_bidirect(const Graph& g) {
 }
 
 /// Symmetrize a directed selection back to undirected edges (keep an edge
-/// iff either arc was kept), re-verify the undirected Lemma 3.1 condition,
-/// and run the symmetrized repair if the asymmetric solution left a gap.
+/// iff either arc was kept). On the bidirected d a symmetric selection
+/// satisfies Lemma 3.1 iff the undirected one does (a 2-path u-z-v is both
+/// u->z->v and v->z->u), so the check and the repair run there; the
+/// repair may add single arcs, so its result is symmetrized again.
 UndirectedTwoSpannerResult symmetrize(const Graph& g, const Digraph& d,
                                       const std::vector<char>& directed_sel,
                                       double lp_value, std::size_t r) {
@@ -31,50 +33,25 @@ UndirectedTwoSpannerResult symmetrize(const Graph& g, const Digraph& d,
   out.lp_value = lp_value;
   out.in_spanner.assign(g.num_edges(), 0);
   if (directed_sel.empty()) return out;
-  for (EdgeId id = 0; id < g.num_edges(); ++id)
-    if (directed_sel[2 * id] || directed_sel[2 * id + 1])
-      out.in_spanner[id] = 1;
-
-  for (EdgeId id = 0; id < g.num_edges(); ++id)
-    if (out.in_spanner[id]) out.cost += g.edge(id).w;
-  out.valid = is_ft_2spanner_undirected(g, out.in_spanner, r);
-
-  // The directed solution can in principle be valid while asymmetric repair
-  // left an undirected gap; finish with the undirected repair if needed.
-  if (!out.valid) {
-    // Symmetrized repair: work on the digraph, then re-symmetrize.
-    std::vector<char> arcs(d.num_edges(), 0);
+  std::vector<char> arcs = directed_sel;
+  const auto keep_either = [&] {
     for (EdgeId id = 0; id < g.num_edges(); ++id)
-      if (out.in_spanner[id]) arcs[2 * id] = arcs[2 * id + 1] = 1;
+      arcs[2 * id] = arcs[2 * id + 1] = arcs[2 * id] || arcs[2 * id + 1];
+  };
+  keep_either();
+  if (!is_ft_2spanner(d, arcs, r)) {
     greedy_repair(d, arcs, r);
-    for (EdgeId id = 0; id < g.num_edges(); ++id)
-      out.in_spanner[id] = arcs[2 * id] || arcs[2 * id + 1];
-    out.cost = 0;
-    for (EdgeId id = 0; id < g.num_edges(); ++id)
-      if (out.in_spanner[id]) out.cost += g.edge(id).w;
-    out.valid = is_ft_2spanner_undirected(g, out.in_spanner, r);
+    keep_either();
+  }
+  out.valid = is_ft_2spanner(d, arcs, r);
+  for (EdgeId id = 0; id < g.num_edges(); ++id) {
+    out.in_spanner[id] = arcs[2 * id];
+    if (out.in_spanner[id]) out.cost += g.edge(id).w;
   }
   return out;
 }
 
 }  // namespace
-
-bool is_ft_2spanner_undirected(const Graph& g,
-                               const std::vector<char>& in_spanner,
-                               std::size_t r) {
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    if (in_spanner[id]) continue;
-    const Edge& e = g.edge(id);
-    std::size_t paths = 0;
-    for (const Arc& a : g.neighbors(e.u)) {
-      if (a.to == e.v || !in_spanner[a.edge]) continue;
-      const auto second = g.edge_id(a.to, e.v);
-      if (second && in_spanner[*second] && ++paths > r) break;
-    }
-    if (paths < r + 1) return false;
-  }
-  return true;
-}
 
 UndirectedTwoSpannerResult approx_ft_2spanner_undirected(
     const Graph& g, std::size_t r, std::uint64_t seed,

@@ -18,12 +18,6 @@
 
 namespace ftspan {
 
-/// Undirected Lemma 3.1: every edge {u,v} of g is selected or has >= r+1
-/// common neighbors z with both {u,z} and {z,v} selected.
-bool is_ft_2spanner_undirected(const Graph& g,
-                               const std::vector<char>& in_spanner,
-                               std::size_t r);
-
 struct UndirectedTwoSpannerResult {
   std::vector<char> in_spanner;  ///< per undirected edge id
   double cost = 0.0;             ///< sum of selected edge weights

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
+#include <span>
 
 namespace ftspan {
 
@@ -50,27 +50,33 @@ double spanner_cost(const Digraph& g, const std::vector<char>& in_spanner) {
 
 bool is_ft_2spanner_by_definition(const Digraph& g,
                                   const std::vector<char>& in_spanner,
-                                  std::size_t r,
-                                  const FtCheckOptions& options) {
+                                  std::size_t r, std::size_t max_fault_sets) {
+  // H \ F must 2-span G \ F in hops (costs only price the objective): each
+  // surviving arc (u,v) is kept, or a kept u->z->v survives, z outside F.
   const std::size_t n = g.num_vertices();
-  const std::size_t count = count_fault_sets(n, r);
-  if (count > options.max_fault_sets)
-    throw_fault_set_overflow("is_ft_2spanner_by_definition",
-                             /*edge_faults=*/false, n, r, count,
-                             options.max_fault_sets);
-
-  // The 2-spanner condition on G \ F demands, for each surviving edge
-  // (u,v), a spanner u→v path of length <= 2 in *unit* lengths (costs only
-  // price the objective), i.e. the edge itself or a surviving 2-path. That
-  // is exactly a stretch-2 oracle check over unit-cost copies.
-  Digraph unit_g(n);
-  Digraph unit_h(n);
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    const DiEdge& e = g.edge(id);
-    unit_g.add_edge(e.u, e.v, 1.0);
-    if (in_spanner[id]) unit_h.add_edge(e.u, e.v, 1.0);
-  }
-  return DiStretchOracle(unit_g, unit_h, 2.0).check_exact(r, options).valid;
+  std::vector<char> failed(n, 0);
+  bool valid = true;
+  for_each_fault_set(
+      "is_ft_2spanner_by_definition", /*edge_faults=*/false, n, r,
+      max_fault_sets, [&](std::span<const Vertex> faults) {
+        for (const Vertex f : faults) failed[f] = 1;
+        for (EdgeId id = 0; valid && id < g.num_edges(); ++id) {
+          const DiEdge& e = g.edge(id);
+          if (failed[e.u] || failed[e.v] || in_spanner[id]) continue;
+          bool spanned = false;
+          for (const Arc& a : g.out_neighbors(e.u)) {
+            if (a.to == e.v || failed[a.to] || !in_spanner[a.edge]) continue;
+            const auto second = g.edge_id(a.to, e.v);
+            if (second && in_spanner[*second]) {
+              spanned = true;
+              break;
+            }
+          }
+          valid = spanned;
+        }
+        for (const Vertex f : faults) failed[f] = 0;
+      });
+  return valid;
 }
 
 namespace {

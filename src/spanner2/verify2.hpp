@@ -38,15 +38,14 @@ std::vector<EdgeId> unsatisfied_edges(const Digraph& g,
 /// Total cost of the spanner edges.
 double spanner_cost(const Digraph& g, const std::vector<char>& in_spanner);
 
-/// Definition-level check used to validate Lemma 3.1 itself in tests:
-/// enumerates every fault set |F| <= r and verifies the 2-spanner condition
-/// on G \ F directly, via a unit-cost DiStretchOracle exact check fanned
-/// across options.threads workers. Throws (reporting n, r, and the computed
-/// count) if there are more than options.max_fault_sets sets.
-bool is_ft_2spanner_by_definition(const Digraph& g,
-                                  const std::vector<char>& in_spanner,
-                                  std::size_t r,
-                                  const FtCheckOptions& options = {});
+/// Definition-level check used to validate Lemma 3.1 itself in tests: for
+/// every fault set |F| <= r (for_each_fault_set), every arc (u,v) of G \ F
+/// is in the spanner or has a spanner 2-path u->z->v with z outside F.
+/// Throws (reporting n, r, and the computed count) if there are more than
+/// max_fault_sets sets.
+bool is_ft_2spanner_by_definition(
+    const Digraph& g, const std::vector<char>& in_spanner, std::size_t r,
+    std::size_t max_fault_sets = FtCheckOptions{}.max_fault_sets);
 
 /// Greedy repair: while some edge (u,v) is unsatisfied, apply the cheaper of
 /// (a) adding (u,v) itself, or (b) completing enough missing 2-paths to

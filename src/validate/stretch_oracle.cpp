@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 
 #include "pipeline/burst_pipeline.hpp"
 
@@ -124,13 +123,6 @@ FaultSetList enumerate_fault_sets(const char* where, bool edge_faults,
   return out;
 }
 
-/// True for the out-arcs that are source u's targets: all of them, or on
-/// undirected graphs each edge once (from its lower endpoint).
-template <class G>
-bool is_slot(Vertex u, const CsrArc& a) {
-  return !std::is_same_v<G, Graph> || a.to >= u;
-}
-
 /// The stretch of a pair where none is defined: d_G infinite, or
 /// d_G = d_H = 0. Never a witness: witnesses start at 1.
 constexpr double kNoStretch = -1.0;
@@ -151,8 +143,8 @@ double stretch_value(Weight dg, Weight dh) {
 /// faults) the index entries slot * 2 + side of the slots whose recorded G
 /// path (side 0) or H path (side 1) contains it.
 struct OracleBaseline {
-  /// Source u's slots are [slot_begin[u], slot_begin[u + 1]), in adjacency
-  /// order (is_slot).
+  /// Source u's slots are [slot_begin[u], slot_begin[u + 1]): its edges to
+  /// v >= u, in adjacency order.
   std::vector<std::size_t> slot_begin;
   std::vector<Weight> dg, dh;  ///< per slot: d_G(u, v) and d_H(u, v)
   /// Element e's entries are entries[entry_begin[e], entry_begin[e + 1]),
@@ -197,14 +189,14 @@ void run_from(DijkstraEngine& e, const Csr& c, Vertex u,
 /// targets are settled. With kEdges, F is a set of edge ids (`fg` over G's,
 /// `fh` over H's); otherwise `fg` is the set of failed vertices (nullptr:
 /// none) and `fh` is unused. Returns whether it searched.
-template <class G, bool kEdges>
+template <bool kEdges>
 bool search_source(const Csr& cg, const Csr& ch, Vertex u,
                    const VertexSet* fg, const VertexSet* fh,
-                   typename BasicStretchOracle<G>::Scratch& s) {
+                   StretchOracle::Scratch& s) {
   s.targets.clear();
   Weight bound = 0;
   for (const CsrArc& a : cg.out(u)) {
-    if (!is_slot<G>(u, a)) continue;
+    if (a.to < u) continue;  // each edge once, from its lower endpoint
     if (fg != nullptr && fg->contains(kEdges ? a.edge : a.to)) continue;
     s.targets.push_back(a.to);
     bound = std::max(bound, a.w);
@@ -218,14 +210,14 @@ bool search_source(const Csr& cg, const Csr& ch, Vertex u,
 /// The oracle's full loop: search_source for every source, skipping failed
 /// vertices. The witness pair is the first strict maximum in (source
 /// ascending, adjacency order).
-template <class G, bool kEdges>
-typename BasicStretchOracle<G>::Witness sweep_all(
+template <bool kEdges>
+StretchOracle::Witness sweep_all(
     const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
-    typename BasicStretchOracle<G>::Scratch& s) {
-  typename BasicStretchOracle<G>::Witness w;
+    StretchOracle::Scratch& s) {
+  StretchOracle::Witness w;
   for (Vertex u = 0; u < cg.num_vertices(); ++u) {
     if (!kEdges && fg.contains(u)) continue;
-    if (!search_source<G, kEdges>(cg, ch, u, &fg, &fh, s)) continue;
+    if (!search_source<kEdges>(cg, ch, u, &fg, &fh, s)) continue;
     w.searches += 2;
     for (const Vertex v : s.targets) {
       const double stretch = stretch_value(s.dg.dist(v), s.dh.dist(v));
@@ -292,12 +284,12 @@ Weight cutoff(double cut, Weight d, const Below& below) {
 /// a real path proves its stretch below it, and only the undecided slots of
 /// a source get that source's exact runs, on the sides F touched. Their
 /// labels are those of a full sweep, bit for bit, so the witness is too.
-template <class G, bool kEdges>
-typename BasicStretchOracle<G>::Witness sweep_indexed(
+template <bool kEdges>
+StretchOracle::Witness sweep_indexed(
     const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
-    const OracleBaseline& base, typename BasicStretchOracle<G>::Scratch& s) {
-  using Touched = typename BasicStretchOracle<G>::Scratch::Touched;
-  typename BasicStretchOracle<G>::Witness w;
+    const OracleBaseline& base, StretchOracle::Scratch& s) {
+  using Touched = StretchOracle::Scratch::Touched;
+  StretchOracle::Witness w;
   const std::size_t n = cg.num_vertices();
   const bool exact = cg.weights().exact_sums() && ch.weights().exact_sums();
 
@@ -318,7 +310,7 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
     if (!kEdges && fg.contains(u)) continue;
     std::size_t slot = base.slot_begin[u];
     for (const CsrArc& a : cg.out(u)) {
-      if (!is_slot<G>(u, a)) continue;
+      if (a.to < u) continue;
       const std::size_t j = slot++;
       if (fg.contains(kEdges ? a.edge : a.to)) continue;
       while (next < s.entries.size() && s.entries[next] / 2 < j) ++next;
@@ -332,10 +324,9 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
     }
   }
 
-  // The queries. Undirected graphs ask H the bidirectional pair search, on
-  // the two engines' heaps, and G an A* search on dg's heap; both results
-  // are trusted only kTieWindow inside a threshold unless path sums are
-  // exact. Digraphs ask a bounded forward run, whose label is exact.
+  // The queries: H the bidirectional pair search, on the two engines'
+  // heaps, and G an A* search on dg's heap; both results are trusted only
+  // kTieWindow inside a threshold unless path sums are exact.
   const auto arcs = [](const Csr& c, const VertexSet& dead) {
     return [&c, &dead](Vertex x, auto&& relax) {
       for (const CsrArc& a : c.out(x))
@@ -343,7 +334,7 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
     };
   };
   const VertexSet* vertex_faults = kEdges ? nullptr : &fg;
-  // s.potential holds the row of source row_source (Graph only).
+  // s.potential holds the row of source row_source.
   Vertex row_source = kInvalidVertex;
   Weight row_last = 0;  // the row's last label
   const auto spread_row = [&](Vertex u, bool clear) {
@@ -359,40 +350,28 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
   // of inexact sums (DijkstraEngine::goal_directed_pair).
   const auto g_lower_bound = [&](const Touched& t) -> Weight {
     ++w.searches;
-    if constexpr (std::is_same_v<G, Graph>) {
-      if (row_source != t.u) {
-        if (s.potential.size() != n) s.potential.assign(n, kInfiniteWeight);
-        if (row_source != kInvalidVertex) spread_row(row_source, true);
-        row_source = t.u;
-        spread_row(t.u, false);
-        const std::size_t end = base.row_begin[t.u + 1];
-        row_last = end > base.row_begin[t.u] ? base.row_labels[end - 1] : 0;
-      }
-      const auto pi = [&](Vertex x) {
-        return std::min(s.potential[x], row_last);
-      };
-      const Weight d = s.dg.goal_directed_pair(n, t.v, t.u, vertex_faults,
-                                               t.w, pi, arcs(cg, fg));
-      return exact ? d : d * (1 - kTieWindow);
-    } else {
-      const Vertex target[1] = {t.v};
-      s.dg.run(cg, t.u, &fg, std::span<const Vertex>(target, 1), t.w);
-      return s.dg.dist(t.v);
+    if (row_source != t.u) {
+      if (s.potential.size() != n) s.potential.assign(n, kInfiniteWeight);
+      if (row_source != kInvalidVertex) spread_row(row_source, true);
+      row_source = t.u;
+      spread_row(t.u, false);
+      const std::size_t end = base.row_begin[t.u + 1];
+      row_last = end > base.row_begin[t.u] ? base.row_labels[end - 1] : 0;
     }
+    const auto pi = [&](Vertex x) {
+      return std::min(s.potential[x], row_last);
+    };
+    const Weight d = s.dg.goal_directed_pair(n, t.v, t.u, vertex_faults, t.w,
+                                             pi, arcs(cg, fg));
+    return exact ? d : d * (1 - kTieWindow);
   };
   // Whether H\F has a u-v path of forward-summed length <= len.
   const auto h_within = [&](const Touched& t, Weight len) -> bool {
     ++w.searches;
-    if constexpr (std::is_same_v<G, Graph>) {
-      const Weight accept = exact ? len : len * (1 - kTieWindow);
-      return DijkstraEngine::bidirectional_bounded_pair(
-                 s.dg, s.dh, n, t.u, t.v, vertex_faults, len, arcs(ch, fh),
-                 accept) <= accept;
-    } else {
-      const Vertex target[1] = {t.v};
-      s.dh.run(ch, t.u, &fg, std::span<const Vertex>(target, 1), len);
-      return s.dh.dist(t.v) <= len;
-    }
+    const Weight accept = exact ? len : len * (1 - kTieWindow);
+    return DijkstraEngine::bidirectional_bounded_pair(
+               s.dg, s.dh, n, t.u, t.v, vertex_faults, len, arcs(ch, fh),
+               accept) <= accept;
   };
   // Whether touched slot t provably cannot be the witness. F only removes
   // paths, so d_{G\F} >= d_G; a skip needs a real path, so it only ever
@@ -458,12 +437,12 @@ typename BasicStretchOracle<G>::Witness sweep_indexed(
 }
 
 /// One fault set's sweep: baseline-backed when there is a baseline.
-template <class G, bool kEdges>
-typename BasicStretchOracle<G>::Witness sweep(
+template <bool kEdges>
+StretchOracle::Witness sweep(
     const Csr& cg, const Csr& ch, const VertexSet& fg, const VertexSet& fh,
-    const OracleBaseline* base, typename BasicStretchOracle<G>::Scratch& s) {
-  return base != nullptr ? sweep_indexed<G, kEdges>(cg, ch, fg, fh, *base, s)
-                         : sweep_all<G, kEdges>(cg, ch, fg, fh, s);
+    const OracleBaseline* base, StretchOracle::Scratch& s) {
+  return base != nullptr ? sweep_indexed<kEdges>(cg, ch, fg, fh, *base, s)
+                         : sweep_all<kEdges>(cg, ch, fg, fh, s);
 }
 
 /// Appends to `out` the elements on the engine's recorded path from its
@@ -520,8 +499,7 @@ void fail_edge(StretchOracle::Scratch& s, EdgeId id,
 
 }  // namespace
 
-template <class G>
-BasicStretchOracle<G>::BasicStretchOracle(const G& g, const G& h, double k)
+StretchOracle::StretchOracle(const Graph& g, const Graph& h, double k)
     : g_(&g), h_(&h), cg_(g), ch_(h), k_(k) {
   if (!valid_stretch(k))
     throw std::invalid_argument("StretchOracle: k must be finite and >= 1");
@@ -529,8 +507,7 @@ BasicStretchOracle<G>::BasicStretchOracle(const G& g, const G& h, double k)
     throw std::invalid_argument("StretchOracle: vertex count mismatch");
 }
 
-template <class G>
-typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
+StretchOracle::Scratch StretchOracle::make_scratch(
     SpEnginePolicy policy, Weight bucket_max) const {
   if (!valid_bucket_max(bucket_max))
     throw std::invalid_argument(
@@ -554,21 +531,18 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
   return s;
 }
 
-template <class G>
-typename BasicStretchOracle<G>::Witness BasicStretchOracle<G>::evaluate(
+StretchOracle::Witness StretchOracle::evaluate(
     const VertexSet& faults, Scratch& s) const {
-  return sweep<G, false>(cg_, ch_, faults, faults, nullptr, s);
+  return sweep<false>(cg_, ch_, faults, faults, nullptr, s);
 }
 
-template <class G>
-double BasicStretchOracle<G>::max_stretch(const VertexSet* faults) const {
+double StretchOracle::max_stretch(const VertexSet* faults) const {
   Scratch s = make_scratch();
   return evaluate(faults != nullptr ? *faults : s.faults, s).stretch;
 }
 
-template <class G>
 template <bool kEdges>
-OracleBaseline BasicStretchOracle<G>::build_baseline(
+OracleBaseline StretchOracle::build_baseline(
     BurstPool<Scratch>& lanes) const {
   // With no faults every source with a slot is searched: a G-run and an
   // H-run.
@@ -577,7 +551,7 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
   b.slot_begin.assign(n + 1, 0);
   for (Vertex u = 0; u < n; ++u) {
     std::size_t slots = 0;
-    for (const CsrArc& a : cg_.out(u)) slots += is_slot<G>(u, a) ? 1 : 0;
+    for (const CsrArc& a : cg_.out(u)) slots += a.to >= u ? 1 : 0;
     b.slot_begin[u + 1] = b.slot_begin[u] + slots;
     b.searches += slots > 0 ? 2 : 0;
   }
@@ -600,13 +574,13 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
   std::vector<Recorded> recorded(n);
   lanes.run(n, [&](std::size_t i, Scratch& s) {
     const Vertex u = static_cast<Vertex>(i);
-    if (!search_source<G, false>(cg_, ch_, u, nullptr, nullptr, s)) return;
+    if (!search_source<false>(cg_, ch_, u, nullptr, nullptr, s)) return;
     Recorded& rec = recorded[u];
     rec = {&s, s.path_elements.size()};
     std::size_t slot = b.slot_begin[u];
     bool g_elements = false;  // some recorded G path has an element
     for (const CsrArc& a : cg_.out(u)) {
-      if (!is_slot<G>(u, a)) continue;
+      if (a.to < u) continue;
       b.dg[slot] = s.dg.dist(a.to);
       b.dh[slot] = s.dh.dist(a.to);
       path_length[2 * slot] = record_path<kEdges>(s.dg, u, a.to, a.edge,
@@ -616,7 +590,7 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
           s.dh, u, a.to, a.edge, &h_to_g, s.path_elements);
       ++slot;
     }
-    if (!std::is_same_v<G, Graph> || !g_elements) return;
+    if (!g_elements) return;
     rec.row_begin = s.row_vertices.size();
     rec.row_size = s.dg.settle_order().size();
     for (const Vertex x : s.dg.settle_order()) {
@@ -665,9 +639,8 @@ OracleBaseline BasicStretchOracle<G>::build_baseline(
   return b;
 }
 
-template <class G>
 template <bool kEdges, class Load, class Eval>
-FtCheckResult BasicStretchOracle<G>::run_indexed(
+FtCheckResult StretchOracle::run_indexed(
     std::size_t count, std::size_t sweeps, std::size_t universe,
     const Load& load, const Eval& eval, const FtCheckOptions& options) const {
   // Rejected here, not by the first worker's make_scratch, so a bad option
@@ -728,8 +701,7 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   return out;
 }
 
-template <class G>
-FtCheckResult BasicStretchOracle<G>::evaluate_sets(
+FtCheckResult StretchOracle::evaluate_sets(
     const std::vector<VertexSet>& fault_sets,
     const FtCheckOptions& options) const {
   return run_indexed<false>(
@@ -738,14 +710,13 @@ FtCheckResult BasicStretchOracle<G>::evaluate_sets(
         return fault_sets[i];
       },
       [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
-        return sweep<G, false>(cg_, ch_, fault_sets[i], fault_sets[i], base,
+        return sweep<false>(cg_, ch_, fault_sets[i], fault_sets[i], base,
                                s);
       },
       options);
 }
 
-template <class G>
-FtCheckResult BasicStretchOracle<G>::check_exact(
+FtCheckResult StretchOracle::check_exact(
     std::size_t r, const FtCheckOptions& options) const {
   const std::size_t n = g_->num_vertices();
   const FaultSetList sets = enumerate_fault_sets(
@@ -760,13 +731,12 @@ FtCheckResult BasicStretchOracle<G>::check_exact(
       sets.size(), sets.size(), n, load,
       [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
         const VertexSet& faults = load(i, s);
-        return sweep<G, false>(cg_, ch_, faults, faults, base, s);
+        return sweep<false>(cg_, ch_, faults, faults, base, s);
       },
       options);
 }
 
-template <class G>
-FtCheckResult BasicStretchOracle<G>::check_sampled(
+FtCheckResult StretchOracle::check_sampled(
     std::size_t r, std::size_t random_trials, std::size_t adversarial_edges,
     std::uint64_t seed, const FtCheckOptions& options) const {
   const std::size_t n = g_->num_vertices();
@@ -810,7 +780,7 @@ FtCheckResult BasicStretchOracle<G>::check_sampled(
   const auto eval = [&](std::size_t i, Scratch& s,
                         const OracleBaseline* base) -> Witness {
     const auto probed = build_faults(i, s);
-    if (!probed) return sweep<G, false>(cg_, ch_, s.faults, s.faults, base, s);
+    if (!probed) return sweep<false>(cg_, ch_, s.faults, s.faults, base, s);
     // Adversarial trials evaluate only the probed pair (the faults were
     // chosen against it); the random trials cover the broad sweep.
     const auto& e = g_->edge(*probed);
@@ -838,11 +808,8 @@ FtCheckResult BasicStretchOracle<G>::check_sampled(
       eval, options);
 }
 
-template <class G>
-FtCheckResult BasicStretchOracle<G>::check_exact_edges(
-    std::size_t r, const FtCheckOptions& options) const
-  requires std::is_same_v<G, Graph>
-{
+FtCheckResult StretchOracle::check_exact_edges(
+    std::size_t r, const FtCheckOptions& options) const {
   const std::size_t m = g_->num_edges();
   const FaultSetList sets = enumerate_fault_sets(
       "StretchOracle::check_exact_edges", /*edge_faults=*/true, m, r,
@@ -857,18 +824,15 @@ FtCheckResult BasicStretchOracle<G>::check_exact_edges(
       sets.size(), sets.size(), m, load,
       [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
         load(i, s);
-        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
+        return sweep<true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
                               s);
       },
       options);
 }
 
-template <class G>
-FtCheckResult BasicStretchOracle<G>::check_sampled_edges(
+FtCheckResult StretchOracle::check_sampled_edges(
     std::size_t r, std::size_t random_trials, std::size_t adversarial_edges,
-    std::uint64_t seed, const FtCheckOptions& options) const
-  requires std::is_same_v<G, Graph>
-{
+    std::uint64_t seed, const FtCheckOptions& options) const {
   const std::size_t m = g_->num_edges();
   const std::size_t count = m > 0 ? random_trials + adversarial_edges : 0;
   const std::size_t fault_size = std::min(r, m);
@@ -915,13 +879,10 @@ FtCheckResult BasicStretchOracle<G>::check_sampled_edges(
       count, count, m, load,
       [&](std::size_t i, Scratch& s, const OracleBaseline* base) {
         load(i, s);
-        return sweep<G, true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
+        return sweep<true>(cg_, ch_, s.edge_faults, s.h_edge_faults, base,
                               s);
       },
       options);
 }
-
-template class BasicStretchOracle<Graph>;
-template class BasicStretchOracle<Digraph>;
 
 }  // namespace ftspan

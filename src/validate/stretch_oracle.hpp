@@ -27,9 +27,9 @@
 //      baseline stores its labels d_G and d_H, and the index maps each
 //      element — an interior vertex, or G's edge id under edge faults — of
 //      the slot's recorded G path and H path to the entry slot * 2 + side
-//      (0: G, 1: H). A live slot F does not touch replays its labels. On
-//      undirected graphs a source one of whose recorded G paths has an
-//      element also keeps a row: its G-run's settle order and labels.
+//      (0: G, 1: H). A live slot F does not touch replays its labels. A
+//      source one of whose recorded G paths has an element also keeps a
+//      row: its G-run's settle order and labels.
 //      Exact, not approximate: weights are non-negative and IEEE addition
 //      is monotone, so a Dijkstra label is the minimum over paths of the
 //      forward-summed length; when F misses the recorded path that minimum
@@ -43,15 +43,14 @@
 //      alone is touched and whose baseline stretch is below the cut stays
 //      below it; one whose H path is touched is below once H\F has a u-v
 //      path of length <= t, the largest t with fl(t / d_G) below — a
-//      bidirectional decision query that stops at the first path within t
-//      (a bounded forward run on a Digraph); if both paths are touched, a
-//      lower bound on d_{G\F} widens t for a second try. On undirected
-//      graphs it is an A* search from v toward u on the heap, guided by u's
-//      row: pi(x) = min(d_G(u, x), the row's last label) is admissible and
-//      consistent on G\F under both fault models (F only removes paths;
-//      the min with a constant keeps pi 1-Lipschitz), and reduced lengths
-//      are clamped at 0 (DijkstraEngine::goal_directed_pair); on a Digraph
-//      a bounded forward run.
+//      bidirectional decision query that stops at the first path within t;
+//      if both paths are touched, a lower bound on d_{G\F} widens t for a
+//      second try. That bound is an A* search from v toward u on the heap,
+//      guided by u's row: pi(x) = min(d_G(u, x), the row's last label) is
+//      admissible and consistent on G\F under both fault models (F only
+//      removes paths; the min with a constant keeps pi 1-Lipschitz), and
+//      reduced lengths are clamped at 0
+//      (DijkstraEngine::goal_directed_pair).
 //      Every skip rests on a real path, so it only proves "below"; inexact
 //      sums (two-half or reduced vs forward) are trusted only kTieWindow
 //      inside a cut.
@@ -60,18 +59,19 @@
 //      witness — matches a full sweep bit for bit. evaluate() and
 //      max_stretch() run mechanism 1 for every source instead.
 //
-// This is the one validation entry point: plain stretch is max_stretch() or
-// check_exact(0), vertex-fault tolerance is check_exact / check_sampled,
-// edge-fault tolerance (undirected only) is check_exact_edges /
-// check_sampled_edges — same loop, fan-out, fold and per-trial RNG streams,
-// with F a set of G's edge ids — and the definition-level 2-spanner check
-// (spanner2/verify2.hpp) runs a DiStretchOracle over unit-cost copies.
+// The oracle works on undirected graphs: each edge is one slot, searched
+// from its lower endpoint. This is the one validation entry point for
+// them: plain stretch is max_stretch() or check_exact(0), vertex-fault
+// tolerance is check_exact / check_sampled, edge-fault tolerance is
+// check_exact_edges / check_sampled_edges — same loop, fan-out, fold and
+// per-trial RNG streams, with F a set of G's edge ids. (The directed
+// 2-spanners of Section 3 have their own exact checks: Lemma 3.1 and its
+// definition, spanner2/verify2.hpp.)
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -159,21 +159,20 @@ struct OracleBaseline;
 template <class State>
 class BurstPool;
 
-template <class G>
-class BasicStretchOracle {
+class StretchOracle {
  public:
   /// g is the base graph, h the candidate spanner (same vertex universe —
   /// throws std::invalid_argument otherwise), k the stretch to certify
   /// (finite and >= 1; throws std::invalid_argument otherwise).
   /// Both graphs must outlive the oracle; the deleted overloads reject
   /// temporaries at compile time.
-  BasicStretchOracle(const G& g, const G& h, double k);
-  BasicStretchOracle(const G&& g, const G& h, double k) = delete;
-  BasicStretchOracle(const G& g, const G&& h, double k) = delete;
-  BasicStretchOracle(const G&& g, const G&& h, double k) = delete;
+  StretchOracle(const Graph& g, const Graph& h, double k);
+  StretchOracle(const Graph&& g, const Graph& h, double k) = delete;
+  StretchOracle(const Graph& g, const Graph&& h, double k) = delete;
+  StretchOracle(const Graph&& g, const Graph&& h, double k) = delete;
 
-  const G& base() const { return *g_; }
-  const G& spanner() const { return *h_; }
+  const Graph& base() const { return *g_; }
+  const Graph& spanner() const { return *h_; }
   double stretch_bound() const { return k_; }
 
   /// Per-worker scratch: one pooled Dijkstra engine each for G and H plus
@@ -252,8 +251,7 @@ class BasicStretchOracle {
 
   /// check_exact under edge faults: every set of <= r edges of G.
   FtCheckResult check_exact_edges(std::size_t r,
-                                  const FtCheckOptions& options = {}) const
-    requires std::is_same_v<G, Graph>;
+                                  const FtCheckOptions& options = {}) const;
 
   /// check_sampled under edge faults: random sets of min(r, m) edges, plus
   /// an adversary that fails edges of H's current shortest path between a
@@ -262,8 +260,7 @@ class BasicStretchOracle {
   FtCheckResult check_sampled_edges(std::size_t r, std::size_t random_trials,
                                     std::size_t adversarial_edges,
                                     std::uint64_t seed,
-                                    const FtCheckOptions& options = {}) const
-    requires std::is_same_v<G, Graph>;
+                                    const FtCheckOptions& options = {}) const;
 
  private:
   /// Sweeps every source fault-free on the check's lanes, keeps each slot's
@@ -283,17 +280,11 @@ class BasicStretchOracle {
                             const Eval& eval,
                             const FtCheckOptions& options) const;
 
-  const G* g_;
-  const G* h_;
+  const Graph* g_;
+  const Graph* h_;
   Csr cg_;  ///< flat snapshot of *g_, shared read-only by all workers
   Csr ch_;  ///< flat snapshot of *h_
   double k_;
 };
-
-using StretchOracle = BasicStretchOracle<Graph>;
-using DiStretchOracle = BasicStretchOracle<Digraph>;
-
-extern template class BasicStretchOracle<Graph>;
-extern template class BasicStretchOracle<Digraph>;
 
 }  // namespace ftspan

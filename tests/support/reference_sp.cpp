@@ -6,11 +6,8 @@
 
 namespace ftspan::test {
 
-namespace {
-
-template <class G, class Out>
-ReferenceTree dijkstra_over(const G& g, Vertex source, const VertexSet* faults,
-                            Weight bound, Out out) {
+ReferenceTree reference_dijkstra(const Graph& g, Vertex source,
+                                 const VertexSet* faults, Weight bound) {
   const std::size_t n = g.num_vertices();
   ReferenceTree t{std::vector<Weight>(n, kInfiniteWeight),
                   std::vector<Vertex>(n, kInvalidVertex)};
@@ -29,7 +26,7 @@ ReferenceTree dijkstra_over(const G& g, Vertex source, const VertexSet* faults,
     queue.pop();
     if (done[u]) continue;  // stale entry: u was settled at a smaller key
     done[u] = true;
-    for (const Arc& a : out(g, u)) {
+    for (const Arc& a : g.neighbors(u)) {
       if (done[a.to] || failed(a.to)) continue;
       const Weight nd = t.dist[u] + a.w;
       if (nd > bound || nd >= t.dist[a.to]) continue;
@@ -41,42 +38,12 @@ ReferenceTree dijkstra_over(const G& g, Vertex source, const VertexSet* faults,
   return t;
 }
 
-template <class G, class Out>
-bool tight_over(const G& g, const ReferenceTree& ref, Vertex p, Vertex v,
-                Out out) {
-  if (!ref.reachable(p)) return false;
-  for (const Arc& a : out(g, p))
-    if (a.to == v && ref.dist[p] + a.w == ref.dist[v]) return true;
-  return false;
-}
-
-const auto undirected = [](const Graph& g, Vertex v) {
-  return g.neighbors(v);
-};
-const auto directed = [](const Digraph& g, Vertex v) {
-  return g.out_neighbors(v);
-};
-
-}  // namespace
-
-ReferenceTree reference_dijkstra(const Graph& g, Vertex source,
-                                 const VertexSet* faults, Weight bound) {
-  return dijkstra_over(g, source, faults, bound, undirected);
-}
-
-ReferenceTree reference_dijkstra(const Digraph& g, Vertex source,
-                                 const VertexSet* faults, Weight bound) {
-  return dijkstra_over(g, source, faults, bound, directed);
-}
-
 bool is_tight_parent(const Graph& g, const ReferenceTree& ref, Vertex p,
                      Vertex v) {
-  return tight_over(g, ref, p, v, undirected);
-}
-
-bool is_tight_parent(const Digraph& g, const ReferenceTree& ref, Vertex p,
-                     Vertex v) {
-  return tight_over(g, ref, p, v, directed);
+  if (!ref.reachable(p)) return false;
+  for (const Arc& a : g.neighbors(p))
+    if (a.to == v && ref.dist[p] + a.w == ref.dist[v]) return true;
+  return false;
 }
 
 }  // namespace ftspan::test

@@ -29,16 +29,9 @@ ReferenceTree reference_dijkstra(const Graph& g, Vertex source,
                                  const VertexSet* faults = nullptr,
                                  Weight bound = kInfiniteWeight);
 
-/// Follows out-arcs only.
-ReferenceTree reference_dijkstra(const Digraph& g, Vertex source,
-                                 const VertexSet* faults = nullptr,
-                                 Weight bound = kInfiniteWeight);
-
 /// True iff some arc p -> v closes a shortest path in `ref`:
 /// ref.dist[p] + w(p, v) == ref.dist[v], bit for bit.
 bool is_tight_parent(const Graph& g, const ReferenceTree& ref, Vertex p,
-                     Vertex v);
-bool is_tight_parent(const Digraph& g, const ReferenceTree& ref, Vertex p,
                      Vertex v);
 
 }  // namespace ftspan::test

@@ -17,7 +17,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,8 +129,7 @@ VertexSet random_trial(std::size_t universe, std::size_t size,
 
 // --- vertex faults ---------------------------------------------------------
 
-template <class G>
-std::vector<Scored> full_sweeps(const BasicStretchOracle<G>& oracle,
+std::vector<Scored> full_sweeps(const StretchOracle& oracle,
                                 const std::vector<VertexSet>& sets) {
   auto scratch = oracle.make_scratch();
   std::vector<Scored> out;
@@ -230,17 +228,15 @@ void expect_vertex_checks(const Graph& g, const Graph& h,
 
 /// The worst surviving-edge stretch under vertex faults `f`, by reference
 /// Dijkstra on G\F and H\F, scanning sources ascending and each source's
-/// out-arcs in adjacency order (on a Graph each edge once, from its lower
-/// endpoint).
-template <class G>
-Scored vertex_reference(const G& g, const G& h, const VertexSet& f) {
+/// arcs in adjacency order (each edge once, from its lower endpoint).
+Scored vertex_reference(const Graph& g, const Graph& h, const VertexSet& f) {
   Scored best;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     if (f.contains(u)) continue;
     const test::ReferenceTree tg = test::reference_dijkstra(g, u, &f);
     const test::ReferenceTree th = test::reference_dijkstra(h, u, &f);
-    for (const Arc& a : out_arcs(g, u)) {
-      if ((std::is_same_v<G, Graph> && a.to < u) || f.contains(a.to)) continue;
+    for (const Arc& a : g.neighbors(u)) {
+      if (a.to < u || f.contains(a.to)) continue;
       const Weight dg = tg.dist[a.to], dh = th.dist[a.to];
       if (defined_stretch(dg, dh) && stretch(dg, dh) > best.stretch)
         best = {stretch(dg, dh), u, a.to};
@@ -251,11 +247,10 @@ Scored vertex_reference(const G& g, const G& h, const VertexSet& f) {
 
 /// check_exact(r), and a 24-trial check_sampled(r), against
 /// vertex_reference on every set.
-template <class G>
-void expect_vertex_reference(const BasicStretchOracle<G>& oracle,
-                             std::size_t r, const std::string& name) {
-  const G& g = oracle.base();
-  const G& h = oracle.spanner();
+void expect_vertex_reference(const StretchOracle& oracle, std::size_t r,
+                             const std::string& name) {
+  const Graph& g = oracle.base();
+  const Graph& h = oracle.spanner();
   const std::size_t n = g.num_vertices();
   const double k = oracle.stretch_bound();
   const auto reference = [&](const std::vector<VertexSet>& sets) {
@@ -441,54 +436,6 @@ TEST(OracleEquivalence, DisconnectingFaultsMatch) {
   expect_edge_checks(g, h, 2, "complete/star");
 }
 
-TEST(OracleEquivalence, DirectedChecksMatchFullSweeps) {
-  // A two-way ring in both graphs keeps every pair connected under one
-  // fault, so single faults move finite stretches; two can cut H. Zero-cost
-  // arcs make some d_G vanish: a slot with d_G = 0 < d_H has an infinite
-  // stretch (and d_G = d_H = 0 none), no cutoff applies to it, and the
-  // faults on its paths must still send it to exact runs.
-  const Digraph base = di_gnp(18, 0.3, 3, 5.0);
-  const std::size_t n = base.num_vertices();
-  Digraph g(n), h(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const Vertex next = static_cast<Vertex>((v + 1) % n);
-    for (Digraph* d : {&g, &h}) {
-      d->add_edge(v, next, 3.0);
-      d->add_edge(next, v, 3.0);
-    }
-  }
-  for (EdgeId id = 0; id < base.num_edges(); ++id) {
-    const DiEdge& e = base.edge(id);
-    const Weight w = id % 5 == 0 ? 0.0 : e.w;
-    g.add_edge(e.u, e.v, w);
-    if (id % 3 != 0) h.add_edge(e.u, e.v, w);
-  }
-  const DiStretchOracle oracle(g, h, 2.0);
-  for (const std::size_t r : {1u, 2u}) {
-    const std::vector<VertexSet> exact = all_sets(n, r);
-    const FtCheckResult want =
-        fold(exact, full_sweeps(oracle, exact), n, 2.0);
-    const std::string where = "digraph r=" + std::to_string(r);
-    expect_check(
-        [&](const FtCheckOptions& o) { return oracle.check_exact(r, o); },
-        want, where + " check_exact");
-    expect_check(
-        [&](const FtCheckOptions& o) {
-          return oracle.evaluate_sets(exact, o);
-        },
-        want, where + " evaluate_sets");
-  }
-  std::vector<VertexSet> sampled;
-  for (std::size_t i = 0; i < 16; ++i)
-    sampled.push_back(random_trial(n, 2, 9, i));
-  expect_check(
-      [&](const FtCheckOptions& o) {
-        return oracle.check_sampled(2, 16, 0, 9, o);
-      },
-      fold(sampled, full_sweeps(oracle, sampled), n, 2.0),
-      "digraph check_sampled");
-}
-
 TEST(OracleEquivalence, BaselineSearchesOnlyWhatFaultsTouch) {
   const Graph g = integer_lengths(gnp(22, 0.35, 12));
   const Graph h = g.edge_subgraph(ft_greedy_spanner(g, kK, 1, 9).edges);
@@ -510,20 +457,14 @@ TEST(OracleEquivalence, BaselineSearchesOnlyWhatFaultsTouch) {
 // --- the cutoff's corner cases ---------------------------------------------
 
 /// Unit weights, whose stretches are small rationals that many slots share,
-/// against the reference on a graph and a digraph
-/// (TiesAtTheMaximumKeepTheFirstSlot places such ties on purpose).
+/// against the reference (TiesAtTheMaximumKeepTheFirstSlot places such ties
+/// on purpose).
 TEST(OracleEquivalence, UnitWeightTiesMatchReference) {
   const Graph g = gnp(26, 0.5, 21);
   const Graph h = greedy_spanner_graph(g, kK);
   const StretchOracle oracle(g, h, kK);
   expect_vertex_reference(oracle, 2, "unit/greedy");
   expect_edge_checks(g, h, 1, "unit/greedy");
-  // The same on a digraph with unit costs.
-  const Digraph dg = di_gnp(20, 0.3, 4);
-  Digraph dh(dg.num_vertices());
-  for (EdgeId id = 0; id < dg.num_edges(); ++id)
-    if (id % 3 != 0) dh.add_edge(dg.edge(id).u, dg.edge(id).v, 1.0);
-  expect_vertex_reference(DiStretchOracle(dg, dh, 2.0), 2, "digraph/unit");
 }
 
 /// evaluate_sets over `sets`, at threads 1 and 4, folds to what

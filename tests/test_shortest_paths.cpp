@@ -101,29 +101,6 @@ TEST(DijkstraEngine, DistancesAreSymmetricAndObeyTheTriangleInequality) {
   }
 }
 
-TEST(DijkstraEngine, DigraphRunFollowsDirection) {
-  Digraph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  DijkstraEngine eng;
-  eng.run(g, 0);
-  EXPECT_DOUBLE_EQ(eng.dist(2), 2.0);
-  eng.run(g, 2);
-  EXPECT_FALSE(eng.reachable(0));  // no reverse arcs
-}
-
-TEST(DijkstraEngine, DigraphRunRespectsFaultMask) {
-  Digraph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  const VertexSet f(4, {1});
-  DijkstraEngine eng;
-  eng.run(g, 0, &f);
-  EXPECT_DOUBLE_EQ(eng.dist(3), 2.0);
-}
-
 // Property: engine distances on unit-weight graphs are BFS hop counts, so
 // the farthest reachable vertex sits at the hop eccentricity.
 class UnitWeightEquivalence : public ::testing::TestWithParam<int> {};

@@ -35,8 +35,7 @@ using test::reference_dijkstra;
 // The engine's last run from `s` against the reference: distances equal bit
 // for bit; every parent is a tight predecessor (ties may break differently),
 // and the source and unreachable vertices have none.
-template <class G>
-void expect_matches_reference(const G& g, const DijkstraEngine& eng,
+void expect_matches_reference(const Graph& g, const DijkstraEngine& eng,
                               const test::ReferenceTree& ref, Vertex s) {
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(eng.dist(v), ref.dist[v]) << "s=" << s << " v=" << v;
@@ -70,16 +69,6 @@ TEST(DijkstraEngine, MatchesReferenceDijkstra) {
       eng.run(g, s);
       expect_matches_reference(g, eng, reference_dijkstra(g, s), s);
     }
-  }
-}
-
-TEST(DijkstraEngine, DigraphRunMatchesReference) {
-  const Digraph g = di_gnp(50, 0.1, 5);
-  const VertexSet f(50, {4, 19});
-  DijkstraEngine eng;
-  for (Vertex s = 0; s < g.num_vertices(); s += 7) {
-    eng.run(g, s, &f, {}, /*bound=*/3.0);
-    expect_matches_reference(g, eng, reference_dijkstra(g, s, &f, 3.0), s);
   }
 }
 

@@ -291,24 +291,6 @@ TEST(StretchOracle, AdversaryStillFindsTheStarWeakness) {
   EXPECT_TRUE(res.witness_faults.contains(0));  // the star center
 }
 
-TEST(DiStretchOracle, DirectedStretchIsDirectionAware) {
-  // g: 0 -> 1 directly and 0 -> 2 -> 1 as a detour; h drops the direct arc.
-  Digraph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(2, 1, 1.0);
-  Digraph h(3);
-  h.add_edge(0, 2, 1.0);
-  h.add_edge(2, 1, 1.0);
-  EXPECT_DOUBLE_EQ(DiStretchOracle(g, h, 2.0).max_stretch(), 2.0);
-  EXPECT_TRUE(DiStretchOracle(g, h, 2.0).check_exact(0).valid);
-  // Failing the detour vertex disconnects 0 -> 1 in H but not in G.
-  const FtCheckResult res = DiStretchOracle(g, h, 2.0).check_exact(1);
-  EXPECT_FALSE(res.valid);
-  EXPECT_EQ(res.worst_stretch, kInfiniteWeight);
-  EXPECT_TRUE(res.witness_faults.contains(2));
-}
-
 TEST(SampleFaultSet, DeterministicAndCorrectSize) {
   std::vector<Vertex> pool_a, pool_b;
   VertexSet a(50), b(50);

@@ -102,9 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DefinitionCheck, ThrowsOnHugeEnumeration) {
   const Digraph g = di_gnp(64, 0.1, 1);
-  FtCheckOptions options;
-  options.max_fault_sets = 1000;
-  EXPECT_THROW(is_ft_2spanner_by_definition(g, all_edges(g), 10, options),
+  EXPECT_THROW(is_ft_2spanner_by_definition(g, all_edges(g), 10, 1000),
                std::runtime_error);
 }
 
