@@ -18,10 +18,12 @@ namespace ftspan {
 
 namespace {
 
+/// `source` is the message prefix: "import: <input name>", or the text
+/// reader's "graph io:".
 [[noreturn]] void fail(const std::string& source, std::size_t line,
                        const std::string& what) {
-  throw std::runtime_error("import: " + source + " line " +
-                           std::to_string(line) + ": " + what);
+  throw std::runtime_error(source + " line " + std::to_string(line) + ": " +
+                           what);
 }
 
 /// Whitespace-splitting cursor over one line; every parse error it raises
@@ -56,8 +58,13 @@ struct LineScanner {
     return v;
   }
 
+  /// A decimal real: strtod's hexadecimal form is refused, as
+  /// `std::istream >> double` never read it.
   double real(const char* what) {
     skip_space();
+    const char* digits = p + (*p == '+' || *p == '-' ? 1 : 0);
+    if (digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X'))
+      fail(source, line_no, std::string("hexadecimal ") + what);
     char* end = nullptr;
     const double v = std::strtod(p, &end);
     if (end == p) fail(source, line_no, std::string("malformed ") + what);
@@ -102,18 +109,12 @@ void check_counts(const std::string& source, std::size_t line,
              " overflows the 32-bit edge-id space");
 }
 
-struct ParsedGraph {
-  std::size_t n = 0;
-  std::vector<Edge> edges;  ///< first-seen order, self-loops already dropped
-  ImportResult stats;
-};
-
 /// DIMACS: c comments, one p line, then a/e lines with 1-based endpoints.
 /// `line_no` starts past any lines the format sniff already consumed, so
 /// reported line numbers stay those of the original input.
-ParsedGraph parse_dimacs(std::istream& in, const std::string& source,
+ParsedEdges parse_dimacs(std::istream& in, const std::string& source,
                          std::size_t line_no) {
-  ParsedGraph out;
+  ParsedEdges out;
   bool have_p = false;
   std::uint64_t n = 0, m = 0;
   std::string line;
@@ -167,69 +168,11 @@ ParsedGraph parse_dimacs(std::istream& in, const std::string& source,
   return out;
 }
 
-/// This repo's text format: "<n> <m> u" header, then m "<u> <v> <w>" lines,
-/// 0-based, '#' comments. Directed ('d') inputs are rejected — v1 of the
-/// binary format is undirected-only.
-ParsedGraph parse_edge_list(std::istream& in, const std::string& source,
-                            std::size_t line_no) {
-  ParsedGraph out;
-  bool have_header = false;
-  std::uint64_t n = 0, m = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    LineScanner sc{source, line_no, line.c_str()};
-    if (sc.at_end() || *sc.p == '#') continue;
-    if (!have_header) {
-      n = sc.u64("vertex count");
-      m = sc.u64("edge count");
-      std::string kind = sc.word();
-      sc.expect_end_or_comment();
-      for (char& ch : kind)
-        ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-      if (kind == "d")
-        fail(source, line_no,
-             "directed graphs are not supported by ftspan.graph.v1");
-      if (kind != "u")
-        fail(source, line_no, "malformed header kind '" + kind + "'");
-      check_counts(source, line_no, n, m);
-      have_header = true;
-      out.n = static_cast<std::size_t>(n);
-      out.edges.reserve(static_cast<std::size_t>(m));
-      continue;
-    }
-    if (out.stats.arcs_seen == m)
-      fail(source, line_no, "more edge lines than the header's " +
-                                std::to_string(m));
-    const std::uint64_t u = sc.u64("endpoint");
-    const std::uint64_t v = sc.u64("endpoint");
-    const double w = sc.real("weight");
-    sc.expect_end_or_comment();
-    if (u >= n || v >= n)
-      fail(source, line_no,
-           "endpoint out of range [0, " + std::to_string(n) + ")");
-    check_weight(source, line_no, w);
-    ++out.stats.arcs_seen;
-    if (u == v) {
-      ++out.stats.self_loops;
-      continue;
-    }
-    out.edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v), w});
-  }
-  out.stats.lines = line_no;
-  if (!have_header) fail(source, line_no, "missing header line");
-  if (out.stats.arcs_seen != m)
-    fail(source, line_no,
-         "truncated edge list: header announced " + std::to_string(m) +
-             " edges, file has " + std::to_string(out.stats.arcs_seen));
-  return out;
-}
-
 /// First-seen duplicate drop without a hash index: sort edge positions by
 /// canonical {min, max} endpoint key (stable, so within a key group the
 /// original order survives), keep each group's first, compact in input
 /// order. O(m log m) time, 8 bytes per edge of scratch.
-void drop_duplicates(ParsedGraph& g) {
+void drop_duplicates(ParsedEdges& g) {
   const auto key = [&g](std::uint32_t i) {
     const Edge& e = g.edges[i];
     const Vertex lo = std::min(e.u, e.v), hi = std::max(e.u, e.v);
@@ -280,6 +223,66 @@ ImportFormat sniff(std::istream& in, std::size_t& lines_consumed) {
 
 }  // namespace
 
+ParsedEdges parse_edge_list(std::istream& in, char kind,
+                            const std::string& source, std::size_t line_no) {
+  ParsedEdges out;
+  bool have_header = false;
+  std::uint64_t n = 0, m = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    ++line_no;
+    LineScanner sc{source, line_no, line.c_str()};
+    if (sc.at_end() || *sc.p == '#') continue;
+    if (!have_header) {
+      n = sc.u64("vertex count");
+      m = sc.u64("edge count");
+      std::string got = sc.word();
+      sc.expect_end_or_comment();
+      for (char& ch : got)
+        ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+      if (got != "u" && got != "d")
+        fail(source, line_no, "malformed header kind '" + got + "'");
+      if (got[0] != kind)
+        fail(source, line_no,
+             kind == 'u' ? "directed ('d') header where an undirected graph "
+                           "is expected"
+                         : "undirected ('u') header where a directed graph "
+                           "is expected");
+      check_counts(source, line_no, n, m);
+      have_header = true;
+      out.n = static_cast<std::size_t>(n);
+      // A header's m is trusted with at most 2^20 edges of memory up front.
+      out.edges.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(m, std::uint64_t{1} << 20)));
+      continue;
+    }
+    if (out.stats.arcs_seen == m)
+      fail(source, line_no, "more edge lines than the header's " +
+                                std::to_string(m));
+    const std::uint64_t u = sc.u64("endpoint");
+    const std::uint64_t v = sc.u64("endpoint");
+    const double w = sc.real("weight");
+    sc.expect_end_or_comment();
+    if (u >= n || v >= n)
+      fail(source, line_no,
+           "endpoint out of range [0, " + std::to_string(n) + ")");
+    check_weight(source, line_no, w);
+    ++out.stats.arcs_seen;
+    if (u == v) {
+      ++out.stats.self_loops;
+      continue;
+    }
+    out.edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v), w});
+  }
+  out.stats.lines = line_no;
+  if (!have_header) fail(source, line_no, "missing header line");
+  if (out.stats.arcs_seen != m)
+    fail(source, line_no,
+         "truncated edge list: header announced " + std::to_string(m) +
+             " edges, file has " + std::to_string(out.stats.arcs_seen));
+  return out;
+}
+
 ImportResult import_graph(std::istream& in, const std::string& out_path,
                           ImportFormat format, const std::string& source_name) {
   std::size_t lines_consumed = 0;
@@ -289,9 +292,10 @@ ImportResult import_graph(std::istream& in, const std::string& out_path,
     // error line numbers anchored to the original input.
     format = sniff(in, lines_consumed);
   }
-  ParsedGraph g = format == ImportFormat::kDimacs
-                      ? parse_dimacs(in, source_name, lines_consumed)
-                      : parse_edge_list(in, source_name, lines_consumed);
+  const std::string source = "import: " + source_name;
+  ParsedEdges g = format == ImportFormat::kDimacs
+                      ? parse_dimacs(in, source, lines_consumed)
+                      : parse_edge_list(in, 'u', source, lines_consumed);
   drop_duplicates(g);
   g.stats.n = g.n;
   g.stats.edges = g.edges.size();

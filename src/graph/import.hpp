@@ -24,6 +24,9 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
+
+#include "graph/types.hpp"
 
 namespace ftspan {
 
@@ -41,6 +44,25 @@ struct ImportResult {
   std::size_t self_loops = 0;  ///< dropped as self-loops
   std::size_t lines = 0;       ///< input lines consumed
 };
+
+/// A parsed text input: n and its edge lines in input order, self-loops
+/// dropped (and counted), duplicates kept.
+struct ParsedEdges {
+  std::size_t n = 0;
+  std::vector<Edge> edges;
+  ImportResult stats;
+};
+
+/// The one parser of this repo's text edge-list grammar (graph/io.hpp),
+/// shared by read_graph / read_digraph and the importer: a header whose
+/// kind must be `kind` ('u' or 'd'), then exactly its m edge lines.
+/// Counts are unsigned decimals (no sign), endpoints in [0, n), weights
+/// decimal (not hexadecimal), finite and >= 0. Throws std::runtime_error
+/// "<source> line <N>: ..." on malformed input; `line_no` counts the lines
+/// already consumed before `in`.
+ParsedEdges parse_edge_list(std::istream& in, char kind,
+                            const std::string& source,
+                            std::size_t line_no = 0);
 
 /// Streams `in` and writes ftspan.graph.v1 to `out_path`. Throws
 /// std::runtime_error (naming the line number) on malformed input.

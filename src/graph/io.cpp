@@ -1,83 +1,22 @@
 #include "graph/io.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <iomanip>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
+
+#include "graph/import.hpp"
 
 namespace ftspan {
 
 namespace {
 
-/// Reads the next non-comment, non-empty line into `line`; false at EOF.
-bool next_content_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-/// After the expected fields parsed, only whitespace (including the \r a
-/// CRLF file leaves behind) or an inline '#' comment may remain.
-bool only_trailing_comment(std::istringstream& ls) {
-  char ch;
-  if (!(ls >> ch)) return true;  // whitespace-only tail
-  return ch == '#';
-}
-
-struct Header {
-  std::size_t n;
-  std::size_t m;
-  char kind;
-};
-
-Header read_header(std::istream& is) {
-  std::string line;
-  if (!next_content_line(is, line))
-    throw std::runtime_error("graph io: missing header line");
-  std::istringstream ls(line);
-  Header h{};
-  if (!(ls >> h.n >> h.m >> h.kind) || !only_trailing_comment(ls))
-    throw std::runtime_error("graph io: malformed header: " + line);
-  h.kind = static_cast<char>(
-      std::tolower(static_cast<unsigned char>(h.kind)));
-  if (h.kind != 'u' && h.kind != 'd')
-    throw std::runtime_error("graph io: malformed header: " + line);
-  return h;
-}
-
-/// The header's kind, then exactly its m edges and nothing after them. The
-/// rules match the importer's (graph/import.cpp): a weight must be finite
-/// and >= 0, and an edge line past the header's m is an error, not ignored.
+/// The importer's grammar (parse_edge_list), then Graph::add_edge's policy:
+/// self-loops and repeated pairs are dropped, the first occurrence wins.
 template <class G>
 G read_edges(std::istream& is, char kind) {
-  const Header h = read_header(is);
-  if (h.kind != kind)
-    throw std::runtime_error(kind == 'u'
-                                 ? "graph io: expected undirected ('u') header"
-                                 : "graph io: expected directed ('d') header");
-  G g(h.n);
-  std::string line;
-  for (std::size_t i = 0; i < h.m; ++i) {
-    if (!next_content_line(is, line))
-      throw std::runtime_error("graph io: truncated edge list");
-    std::istringstream ls(line);
-    Vertex u, v;
-    Weight w;
-    if (!(ls >> u >> v >> w) || !only_trailing_comment(ls))
-      throw std::runtime_error("graph io: malformed edge: " + line);
-    if (!(w >= 0) || w > std::numeric_limits<Weight>::max())
-      throw std::runtime_error("graph io: weight is negative or not finite: " +
-                               line);
-    g.add_edge(u, v, w);
-  }
-  if (next_content_line(is, line))
-    throw std::runtime_error("graph io: more edge lines than the header's " +
-                             std::to_string(h.m) + ": " + line);
+  const ParsedEdges parsed = parse_edge_list(is, kind, "graph io:");
+  G g(parsed.n);
+  for (const Edge& e : parsed.edges) g.add_edge(e.u, e.v, e.w);
   return g;
 }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
+#include "graph/import.hpp"
 #include "support/temp_path.hpp"
 
 namespace ftspan {
@@ -122,6 +123,33 @@ TEST(GraphIo, EdgeLinesPastHeaderCountThrow) {
 TEST(GraphIo, MalformedEdgeThrows) {
   std::stringstream ss("3 1 u\n0 x 1.0\n");
   EXPECT_THROW(read_graph(ss), std::runtime_error);
+}
+
+// The text readers and the importer parse one grammar, so every input is
+// refused by all of them alike, with the std::runtime_error io.hpp
+// documents: a signed endpoint, a hexadecimal weight (strtod would read
+// it), a negative or out-of-range endpoint, and a vertex count past the
+// 32-bit id space.
+TEST(GraphIo, ReadersAndImporterRefuseTheSameInputs) {
+  const std::string out = test::temp_path("io_refused.fgb");
+  for (const char* body : {"+1 2 1\n", "0 1 0x10\n", "0 -1 1\n",
+                           "0 3 1\n"}) {
+    const std::string u = std::string("3 1 u\n") + body;
+    const std::string d = std::string("3 1 d\n") + body;
+    std::stringstream graph(u), digraph(d), imported(u);
+    EXPECT_THROW(read_graph(graph), std::runtime_error) << u;
+    EXPECT_THROW(read_digraph(digraph), std::runtime_error) << d;
+    EXPECT_THROW(import_graph(imported, out, ImportFormat::kEdgeList),
+                 std::runtime_error)
+        << u;
+  }
+  std::stringstream huge("5000000000 0 u\n"), huge_import("5000000000 0 u\n");
+  EXPECT_THROW(read_graph(huge), std::runtime_error);
+  EXPECT_THROW(import_graph(huge_import, out, ImportFormat::kEdgeList),
+               std::runtime_error);
+  // A decimal weight with an exponent is still read.
+  std::stringstream exponent("3 1 u\n0 1 1e1\n");
+  EXPECT_EQ(read_graph(exponent).edge(0).w, 10.0);
 }
 
 TEST(GraphIo, SaveLoadFile) {
