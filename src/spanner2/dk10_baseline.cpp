@@ -14,9 +14,10 @@ TwoSpannerResult dk10_ft_2spanner(const Digraph& g, std::size_t r,
     out.relaxation = std::move(relaxation);
     return out;
   }
-  const double alpha = options.alpha.value_or(
-      static_cast<double>(r + 1) *
-      std::log(static_cast<double>(std::max<std::size_t>(g.num_vertices(), 2))));
+  const double ln_n = std::log(
+      static_cast<double>(std::max<std::size_t>(g.num_vertices(), 2)));
+  const double alpha =
+      options.alpha.value_or(static_cast<double>(r + 1) * ln_n);
   Rng rng(seed);
   TwoSpannerResult out = round_until_valid(g, relaxation.x, alpha, r,
                                            options.max_attempts, rng);
