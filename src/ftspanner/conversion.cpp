@@ -175,7 +175,7 @@ ConversionResult ft_greedy_spanner(const Graph& g, double k, std::size_t r,
     throw std::invalid_argument("ft_greedy_spanner: k must be finite and >= 1");
   if (!valid_bucket_max(options.bucket_max))
     throw std::invalid_argument(
-        "ft_greedy_spanner: bucket_max must be finite and >= 1");
+        "ft_greedy_spanner: bucket_max must be in [1, 4096]");
   // The hoisted per-graph state: one edge-weight sort shared by every
   // iteration and every worker (it is read-only after construction).
   const GreedyContext ctx(g);
@@ -198,7 +198,7 @@ ConversionResult ft_edge_greedy_spanner(const Graph& g, double k,
         "ft_edge_greedy_spanner: k must be finite and >= 1");
   if (!valid_bucket_max(options.bucket_max))
     throw std::invalid_argument(
-        "ft_edge_greedy_spanner: bucket_max must be finite and >= 1");
+        "ft_edge_greedy_spanner: bucket_max must be in [1, 4096]");
   const GreedyContext ctx(g);
   const auto make_step = [&g, &ctx, k, &options]() -> SampleStep {
     auto ws = std::make_shared<GreedyWorkspace>();

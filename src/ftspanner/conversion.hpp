@@ -88,9 +88,9 @@ struct ConversionOptions {
 
   /// Bucket budget of the resolved bucket queue: integer weights up to it
   /// get one key per bucket, heavier ones tune_delta-wide buckets (see
-  /// graph/engine_policy.hpp). Never affects the output edge set. Must be
-  /// finite and >= 1: the greedy conversions throw std::invalid_argument
-  /// otherwise.
+  /// graph/engine_policy.hpp). Never affects the output edge set. Must be in
+  /// [1, kMaxBucketWeight]: the greedy conversions throw
+  /// std::invalid_argument otherwise.
   Weight bucket_max = kMaxBucketWeight;
 };
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "graph/types.hpp"
 
@@ -48,13 +47,15 @@ enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kDelta };
 /// queue), in an array that still fits in L1/L2.
 inline constexpr Weight kMaxBucketWeight = 4096;
 
-/// True when `bucket_max` can bound a bucket array: finite and >= 1 (NaN is
-/// neither). Below 1, tune_delta's doubling never ends (or reaches infinity
-/// at 0), so every seam that takes a bucket_max rejects any other value
-/// before it searches.
+/// True when `bucket_max` can bound a bucket array: in [1,
+/// kMaxBucketWeight] (NaN is not). Below 1, tune_delta's doubling never
+/// ends (or reaches infinity at 0); above kMaxBucketWeight the array grows
+/// past the budget, and every one-directional run scans its empty buckets
+/// one at a time (up to max_weight + 2 of them at one key per bucket). So
+/// every seam that takes a bucket_max rejects any other value before it
+/// searches.
 inline constexpr bool valid_bucket_max(Weight bucket_max) {
-  return bucket_max >= 1.0 &&
-         bucket_max <= std::numeric_limits<Weight>::max();
+  return bucket_max >= 1.0 && bucket_max <= kMaxBucketWeight;
 }
 
 /// Auto-tuned bucket width: the smallest power of two such that

@@ -345,6 +345,17 @@ class DijkstraEngine {
   /// consistent, the clamp never acts and the result is d(s, t) bit for
   /// bit. Without the clamp this soundness test fails:
   /// DijkstraEngine.GoalDirectedPairMatchesReferenceUnderFaults.
+  ///
+  /// When pi is not consistent (or not even a lower bound), but pi >= 0
+  /// and pi(t) = 0, the result is still an upper bound: t's label sums the
+  /// reduced lengths along the parent chain the search settled, a real s-t
+  /// path of the searched graph, and those telescope to at least the
+  /// path's length minus pi(s). So a finite result is at least the length
+  /// of some real path, hence at least d(s, t), up to the rounding of the
+  /// sums on inexact weights, whose terms are now at most max(w, pi) rather
+  /// than d(s, t). It may exceed d(s, t), or come back infinite although
+  /// d(s, t) <= bound: a search that settles a vertex early is not reopened.
+  /// DijkstraEngine.GoalDirectedPairNeverUndercutsARealPath checks this.
   template <class Potential, class VisitArcs>
   Weight goal_directed_pair(std::size_t n, Vertex s, Vertex t,
                             const VertexSet* faults, Weight bound,

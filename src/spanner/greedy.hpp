@@ -89,7 +89,7 @@ class GreedyWorkspace {
                   Weight bucket_max = kMaxBucketWeight) {
     if (!valid_bucket_max(bucket_max))
       throw std::invalid_argument(
-          "GreedyWorkspace: bucket_max must be finite and >= 1");
+          "GreedyWorkspace: bucket_max must be in [1, 4096]");
     policy_ = policy;
     bucket_max_ = bucket_max;
   }

@@ -324,8 +324,9 @@ StretchOracle::Witness sweep_indexed(
     }
   }
 
-  // The queries: H the bidirectional pair search, on the two engines'
-  // heaps, and G an A* search on dg's heap; both results are trusted only
+  // The queries, on the engines' heaps: H an A* search guided by the
+  // source's baseline G row, or the bidirectional pair search for a source
+  // without one, and G an A* search; every result is trusted only
   // kTieWindow inside a threshold unless path sums are exact.
   const auto arcs = [](const Csr& c, const VertexSet& dead) {
     return [&c, &dead](Vertex x, auto&& relax) {
@@ -342,22 +343,25 @@ StretchOracle::Witness sweep_indexed(
       s.potential[base.row_vertices[i]] =
           clear ? kInfiniteWeight : base.row_labels[i];
   };
+  // Makes s.potential and row_last u's row, clearing the previous source's.
+  const auto load_row = [&](Vertex u) {
+    if (row_source == u) return;
+    if (s.potential.size() != n) s.potential.assign(n, kInfiniteWeight);
+    if (row_source != kInvalidVertex) spread_row(row_source, true);
+    row_source = u;
+    spread_row(u, false);
+    const std::size_t end = base.row_begin[u + 1];
+    row_last = end > base.row_begin[u] ? base.row_labels[end - 1] : 0;
+  };
   // A lower bound on d_{G\F}(u, v); the live edge (u, v) bounds the search.
-  // On undirected graphs: an A* search from v toward u, with the potential
-  // pi(x) = min(d_G(u, x), row_last) from u's baseline row. pi never
-  // exceeds d_{G\F}(x, u), since F only removes paths, and the min with a
-  // constant keeps it consistent; the engine's clamp absorbs the rounding
-  // of inexact sums (DijkstraEngine::goal_directed_pair).
+  // An A* search from v toward u, with the potential pi(x) =
+  // min(d_G(u, x), row_last) from u's baseline row. pi never exceeds
+  // d_{G\F}(x, u), since F only removes paths, and the min with a constant
+  // keeps it consistent; the engine's clamp absorbs the rounding of
+  // inexact sums (DijkstraEngine::goal_directed_pair).
   const auto g_lower_bound = [&](const Touched& t) -> Weight {
     ++w.searches;
-    if (row_source != t.u) {
-      if (s.potential.size() != n) s.potential.assign(n, kInfiniteWeight);
-      if (row_source != kInvalidVertex) spread_row(row_source, true);
-      row_source = t.u;
-      spread_row(t.u, false);
-      const std::size_t end = base.row_begin[t.u + 1];
-      row_last = end > base.row_begin[t.u] ? base.row_labels[end - 1] : 0;
-    }
+    load_row(t.u);
     const auto pi = [&](Vertex x) {
       return std::min(s.potential[x], row_last);
     };
@@ -365,13 +369,28 @@ StretchOracle::Witness sweep_indexed(
                                              pi, arcs(cg, fg));
     return exact ? d : d * (1 - kTieWindow);
   };
-  // Whether H\F has a u-v path of forward-summed length <= len.
+  // Whether H\F has a u-v path of forward-summed length <= len. With a
+  // row, an A* search from v toward u on the same potential, also capped at
+  // len. Where H is a subgraph of G, as a spanner is, pi is a lower bound
+  // on H\F too, but only pi(u) = 0 is needed: the result, label(u) +
+  // pi(v), is at least the length of the real path the search found
+  // whatever pi is, so "true" always rests on a real path, and a pi that
+  // overestimates (an H edge lighter than G's, or one G lacks) can only
+  // leave the slot undecided. The cap keeps every term of the reduced sums
+  // within len, so their rounding is relative to len, as in the
+  // bidirectional query.
   const auto h_within = [&](const Touched& t, Weight len) -> bool {
     ++w.searches;
     const Weight accept = exact ? len : len * (1 - kTieWindow);
-    return DijkstraEngine::bidirectional_bounded_pair(
-               s.dg, s.dh, n, t.u, t.v, vertex_faults, len, arcs(ch, fh),
-               accept) <= accept;
+    if (base.row_begin[t.u] == base.row_begin[t.u + 1])
+      return DijkstraEngine::bidirectional_bounded_pair(
+                 s.dg, s.dh, n, t.u, t.v, vertex_faults, len, arcs(ch, fh),
+                 accept) <= accept;
+    load_row(t.u);
+    const Weight cap = std::min(row_last, len);
+    const auto pi = [&](Vertex x) { return std::min(s.potential[x], cap); };
+    return s.dh.goal_directed_pair(n, t.v, t.u, vertex_faults, len, pi,
+                                   arcs(ch, fh)) <= accept;
   };
   // Whether touched slot t provably cannot be the witness. F only removes
   // paths, so d_{G\F} >= d_G; a skip needs a real path, so it only ever
@@ -511,7 +530,7 @@ StretchOracle::Scratch StretchOracle::make_scratch(
     SpEnginePolicy policy, Weight bucket_max) const {
   if (!valid_bucket_max(bucket_max))
     throw std::invalid_argument(
-        "StretchOracle: bucket_max must be finite and >= 1");
+        "StretchOracle: bucket_max must be in [1, 4096]");
   Scratch s;
   s.faults = VertexSet(g_->num_vertices());
   // One queue for both engines' forward runs, from the joint weight
@@ -647,7 +666,7 @@ FtCheckResult StretchOracle::run_indexed(
   // fails before any search and even when there is nothing to check.
   if (!valid_bucket_max(options.bucket_max))
     throw std::invalid_argument(
-        "StretchOracle: FtCheckOptions::bucket_max must be finite and >= 1");
+        "StretchOracle: FtCheckOptions::bucket_max must be in [1, 4096]");
   FtCheckResult out;
   out.witness_faults = VertexSet(universe);
   out.fault_sets_checked = count;

@@ -43,14 +43,19 @@
 //      alone is touched and whose baseline stretch is below the cut stays
 //      below it; one whose H path is touched is below once H\F has a u-v
 //      path of length <= t, the largest t with fl(t / d_G) below — a
-//      bidirectional decision query that stops at the first path within t;
-//      if both paths are touched, a lower bound on d_{G\F} widens t for a
-//      second try. That bound is an A* search from v toward u on the heap,
-//      guided by u's row: pi(x) = min(d_G(u, x), the row's last label) is
-//      admissible and consistent on G\F under both fault models (F only
-//      removes paths; the min with a constant keeps pi 1-Lipschitz), and
-//      reduced lengths are clamped at 0
-//      (DijkstraEngine::goal_directed_pair).
+//      decision query; if both paths are touched, a lower bound on d_{G\F}
+//      widens t for a second try. That bound is an A* search from v toward
+//      u on the heap, guided by u's row: pi(x) = min(d_G(u, x), the row's
+//      last label) is admissible and consistent on G\F under both fault
+//      models (F only removes paths; the min with a constant keeps pi
+//      1-Lipschitz), and reduced lengths are clamped at 0
+//      (DijkstraEngine::goal_directed_pair). The decision query is an A*
+//      search on H\F on the same row, capped at t, when u keeps one: an
+//      A* answer is at least the length of the real path it found for any
+//      pi with pi(u) = 0, so H need not be G's subgraph (where pi is also
+//      admissible). A source without a row, whose recorded G paths are all
+//      their own edges, asks the bidirectional query, which stops at the
+//      first path within t.
 //      Every skip rests on a real path, so it only proves "below"; inexact
 //      sums (two-half or reduced vs forward) are trusted only kTieWindow
 //      inside a cut.
@@ -118,8 +123,8 @@ struct FtCheckOptions {
 
   /// Bucket budget of the resolved bucket queue (tune_delta in
   /// graph/engine_policy.hpp).
-  /// Never changes the FtCheckResult. Must be finite and >= 1: every check
-  /// throws std::invalid_argument otherwise.
+  /// Never changes the FtCheckResult. Must be in [1, kMaxBucketWeight]:
+  /// every check throws std::invalid_argument otherwise.
   Weight bucket_max = kMaxBucketWeight;
 };
 
@@ -181,7 +186,8 @@ class StretchOracle {
   /// joint weight profile of G and H (the larger max weight; exact sums
   /// only if both graphs have them — the bucket queue under kAuto when they
   /// do). The two engines also serve as the pair of a bidirectional query
-  /// on H, and dg runs the A* queries on G; both run on the heaps. Throws
+  /// on H, dg runs the A* queries on G and dh those on H; all run on the
+  /// heaps. Throws
   /// std::invalid_argument unless valid_bucket_max(bucket_max).
   struct Scratch {
     DijkstraEngine dg, dh;
@@ -208,8 +214,8 @@ class StretchOracle {
     std::vector<Vertex> path_elements;
     std::vector<Vertex> row_vertices;
     std::vector<Weight> row_labels;
-    /// G queries: the current source's row labels by vertex, infinite
-    /// elsewhere (sized on first use).
+    /// G and H A* queries: the current source's row labels by vertex,
+    /// infinite elsewhere (sized on first use).
     std::vector<Weight> potential;
   };
   Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,

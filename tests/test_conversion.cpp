@@ -78,10 +78,12 @@ TEST(Conversion, BothEntryPointsRejectInvalidArguments) {
   EXPECT_EQ(calls, 0u);
 }
 
-// A bucket_max that is not finite or is below 1 is refused before any
+// A bucket_max outside [1, kMaxBucketWeight] is refused before any
 // search. On integer weights past the Dial ceiling (the delta regime) a
 // negative one used to hang tune_delta's doubling loop, and 0 drove delta
-// to infinity before set_queue cast it to an integer.
+// to infinity before set_queue cast it to an integer; a raised one (8192,
+// 1e6) kept width-1 buckets over these weights up to 1e5, whose empty
+// buckets every one-directional run scanned.
 TEST(Conversion, BothEntryPointsRejectInvalidBucketMax) {
   const Graph base = gnp(60, 0.2, 1);
   Graph g(base.num_vertices());
@@ -95,7 +97,8 @@ TEST(Conversion, BothEntryPointsRejectInvalidBucketMax) {
     ConversionOptions ref;
     ref.iterations = 2;
     ConversionOptions opt = ref;
-    for (const Weight b : {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight}) {
+    for (const Weight b :
+         {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight, 8192.0, 1e6}) {
       opt.bucket_max = b;
       EXPECT_THROW(convert(g, 3.0, 2, 1, opt), std::invalid_argument) << b;
     }

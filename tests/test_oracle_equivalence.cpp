@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <span>
 #include <string>
@@ -708,6 +709,35 @@ TEST(OracleEquivalence, SpannerHeavierThanBaseMatchesReference) {
   const StretchOracle oracle(g, h, kK);
   expect_vertex_reference(oracle, 2, "heavier H");
   expect_edge_checks(g, h, 1, "heavier H");
+}
+
+/// An H lighter than G, with an edge G lacks: the oracle's A* H queries,
+/// guided by G's baseline rows, then run on a potential that overestimates
+/// d_H (d_G(u, x) > d_H(u, x) for some x). Such a potential may only leave
+/// a slot undecided, never skip one that a real path does not prove below.
+TEST(OracleEquivalence, SpannerLighterThanBaseMatchesReference) {
+  const Graph g = integer_lengths(gnp(22, 0.35, 12));
+  const Graph greedy = greedy_spanner_graph(g, kK);
+  std::vector<Edge> edges = greedy.edges();
+  for (std::size_t i = 0; i < edges.size(); i += 3)
+    edges[i].w = std::max(Weight{1}, std::floor(edges[i].w / 3));
+  edges.push_back({0, 21, 2});  // an edge G lacks
+  ASSERT_FALSE(g.edge_id(0, 21));
+  const Graph h = Graph::from_edges(g.num_vertices(), edges);
+  bool rows = false, overestimates = false;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    const test::ReferenceTree tg = test::reference_dijkstra(g, u);
+    const test::ReferenceTree th = test::reference_dijkstra(h, u);
+    for (const Arc& a : g.neighbors(u))  // a G path other than the edge
+      rows = rows || tg.dist[a.to] < a.w;
+    for (Vertex x = 0; x < g.num_vertices(); ++x)
+      overestimates = overestimates || tg.dist[x] > th.dist[x];
+  }
+  ASSERT_TRUE(rows);
+  ASSERT_TRUE(overestimates);
+  const StretchOracle oracle(g, h, kK);
+  expect_vertex_reference(oracle, 2, "lighter H");
+  expect_edge_checks(g, h, 1, "lighter H");
 }
 
 }  // namespace

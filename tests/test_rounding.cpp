@@ -180,6 +180,27 @@ TEST(Section3Pins, RepairPath) {
              "dk10 repair");
 }
 
+// The seed reaches the draws: on this instance at α = 0.6 seeds 1 and 2
+// end in different spanners and attempt counts (seed 1 at its first draw,
+// seed 2 repaired after every draw failed), so the test fails once
+// round_until_valid stops drawing from the Rng it is handed. LP (4) is
+// integral here, so each kept edge survives a draw with probability
+// 1 - (1 - α)²; from α = 0.7 up, and at the default α, both seeds keep
+// every edge at the first draw and cannot be told apart.
+TEST(ApproxFt2Spanner, SeedsOneAndTwoDrawDifferently) {
+  const Digraph g = di_gnp(12, 0.4, 21, 3.0);
+  RoundingOptions opt;
+  opt.alpha = 0.6;
+  const TwoSpannerResult one = approx_ft_2spanner(g, 2, 1, opt);
+  const TwoSpannerResult two = approx_ft_2spanner(g, 2, 2, opt);
+  EXPECT_TRUE(one.valid);
+  EXPECT_TRUE(two.valid);
+  EXPECT_TRUE(spanner_hash(one.in_spanner) != spanner_hash(two.in_spanner) ||
+              one.attempts != two.attempts)
+      << "seeds 1 and 2 both: hash " << spanner_hash(one.in_spanner)
+      << ", attempt " << one.attempts;
+}
+
 // Property sweep: the driver always returns a valid spanner.
 class RoundingSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, int>> {};

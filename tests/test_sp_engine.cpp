@@ -543,6 +543,135 @@ TEST(DijkstraEngine, GoalDirectedPairMatchesReferenceUnderFaults) {
   }
 }
 
+// goal_directed_pair's soundness without a consistent potential: with any
+// pi >= 0 and pi(t) = 0, the search still settles vertices along real
+// paths, and t's label plus pi(s) sums reduced lengths max(0, w - pi(x) +
+// pi(y)) that telescope to at least the length of the path it found. So a
+// finite answer is never below that path's length, nor below d = d_{G\F}
+// (times 1 - kTieWindow on inexact sums), whatever pi overestimates; the
+// oracle's H queries rely on it. A consistent pi on exact sums gives d.
+TEST(DijkstraEngine, GoalDirectedPairNeverUndercutsARealPath) {
+  struct Input {
+    const char* name;
+    Graph g;
+  };
+  const Input inputs[] = {
+      {"unit", gnp(90, 0.06, 71)},
+      {"integer", integer_test_graph(90, 0.06, 72, 100000)},
+      {"decimal", gnp(90, 0.06, 73, 10.0)},
+  };
+  enum Kind { kRow, kNoisy, kScaled, kRandom, kKinds };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const std::size_t n = in.g.num_vertices();
+    const std::size_t m = in.g.num_edges();
+    const Csr csr(in.g);
+    const bool exact = csr.weights().exact_sums();
+    const Weight max_w = csr.weights().max_weight;
+    // Integer potentials keep every reduced sum exact on exact inputs.
+    Rng rng(hash_combine(12, m));
+    const auto draw = [&](Weight hi) {
+      return exact ? static_cast<Weight>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(hi)))
+                   : rng.uniform(0.0, hi);
+    };
+    DijkstraEngine base, query;
+    std::vector<Weight> pi_of(n);
+    std::size_t answered = 0, overshot = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const Vertex s = static_cast<Vertex>(rng.uniform_index(n));
+      const Vertex t = static_cast<Vertex>(rng.uniform_index(n));
+      const Kind kind = static_cast<Kind>(trial % kKinds);
+      // kRow: min(d_G(x, t), last) from a bounded run from t, consistent.
+      // The others overestimate: kNoisy adds +-max_w to it, kScaled
+      // triples it, kRandom ignores the graph.
+      base.run(csr, t, nullptr, {},
+               max_w * static_cast<Weight>(rng.uniform_int(1, 4)));
+      const Weight last = base.dist(base.settle_order().back());
+      for (Vertex x = 0; x < n; ++x) {
+        const Weight row = std::min(base.dist(x), last);
+        switch (kind) {
+          case kRow: pi_of[x] = row; break;
+          case kNoisy:
+            pi_of[x] = std::max(Weight{0}, row + draw(2 * max_w) - max_w);
+            break;
+          case kScaled: pi_of[x] = 3 * row; break;
+          default: pi_of[x] = draw(4 * max_w); break;
+        }
+      }
+      pi_of[t] = 0;
+      const auto pi = [&](Vertex x) { return pi_of[x]; };
+
+      const bool edge_faults = trial % 2 == 1;
+      VertexSet faults(edge_faults ? m : n);
+      for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i)
+        faults.insert(static_cast<Vertex>(
+            rng.uniform_index(edge_faults ? m : n)));
+      Weight d = 0;
+      if (edge_faults) {
+        std::vector<EdgeId> kept;
+        for (EdgeId id = 0; id < m; ++id)
+          if (!faults.contains(id)) kept.push_back(id);
+        d = reference_dijkstra(in.g.edge_subgraph(kept), t).dist[s];
+      } else {
+        d = reference_dijkstra(in.g, t, &faults).dist[s];
+      }
+      const auto visit = [&](Vertex v, auto&& relax) {
+        for (const CsrArc& a : csr.out(v))
+          if (!edge_faults || !faults.contains(a.edge))
+            relax(a.to, a.w, a.edge);
+      };
+      const VertexSet* vertex_faults = edge_faults ? nullptr : &faults;
+      const Weight finite = d < kInfiniteWeight ? d : 4 * max_w;
+      for (const Weight bound : {kInfiniteWeight, 2 * finite, finite / 2}) {
+        const Weight got = query.goal_directed_pair(n, s, t, vertex_faults,
+                                                    bound, pi, visit);
+        const std::string where = "kind=" + std::to_string(kind) +
+                                  " s=" + std::to_string(s) +
+                                  " t=" + std::to_string(t) +
+                                  " d=" + std::to_string(d) +
+                                  " bound=" + std::to_string(bound) +
+                                  (edge_faults ? " edge faults" : "");
+        if (d == kInfiniteWeight) {
+          EXPECT_EQ(got, kInfiniteWeight) << where;
+          continue;
+        }
+        if (kind == kRow && exact && d <= bound) {
+          EXPECT_EQ(got, d) << where;
+        }
+        if (got == kInfiniteWeight) continue;
+        const Weight slack = exact ? 1 : 1 - kTieWindow;
+        EXPECT_GE(got, d * slack) << where;
+        if (exact) {
+          EXPECT_LE(got, bound) << where;
+        }
+        // The path the search found: t's parent chain back to s, every
+        // step an arc of G minus F.
+        Weight length = 0;
+        std::size_t hops = 0;
+        for (Vertex x = t; x != s && hops <= n; ++hops) {
+          const Vertex y = query.parent(x);
+          ASSERT_NE(y, kInvalidVertex) << where;
+          const Edge& e = in.g.edge(query.via(x));
+          ASSERT_TRUE((e.u == x && e.v == y) || (e.u == y && e.v == x))
+              << where;
+          EXPECT_FALSE(faults.contains(edge_faults ? query.via(x) : y))
+              << where;
+          length += e.w;
+          x = y;
+        }
+        ASSERT_LE(hops, n) << where;
+        EXPECT_GE(got, length * slack) << where;
+        ++answered;
+        if (got > d * (1 + 1e-9)) ++overshot;
+      }
+    }
+    EXPECT_GT(answered, 200u);  // the assertions above ran on real paths
+    // An overestimating pi does return longer paths, here and there.
+    EXPECT_GT(overshot, 0u);
+  }
+}
+
 TEST(DijkstraEngine, TuneDeltaFollowsTheBucketBudgetRule) {
   // delta = smallest power of two with max_weight / delta <= bucket_max.
   EXPECT_EQ(tune_delta(100.0), 1.0);

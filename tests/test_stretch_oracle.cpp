@@ -98,12 +98,13 @@ TEST(StretchOracle, ThrowsOnNonFiniteOrSubUnitStretch) {
 }
 
 // make_scratch and every check that takes FtCheckOptions refuse a
-// bucket_max that is not finite or is below 1 before any search, even
-// with nothing to check.
+// bucket_max outside [1, kMaxBucketWeight] before any search, even with
+// nothing to check.
 TEST(StretchOracle, RejectsInvalidBucketMax) {
   const Graph g = path(4);
   const StretchOracle oracle(g, g, 3.0);
-  for (const Weight b : {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight}) {
+  for (const Weight b :
+       {-1.0, 0.0, 0.5, std::nan(""), kInfiniteWeight, 8192.0, 1e6}) {
     SCOPED_TRACE(b);
     EXPECT_THROW(oracle.make_scratch(SpEnginePolicy::kAuto, b),
                  std::invalid_argument);
@@ -117,6 +118,8 @@ TEST(StretchOracle, RejectsInvalidBucketMax) {
     EXPECT_THROW(oracle.evaluate_sets({}, opt), std::invalid_argument);
   }
   EXPECT_NO_THROW(oracle.make_scratch(SpEnginePolicy::kDelta, 1.0));
+  EXPECT_NO_THROW(
+      oracle.make_scratch(SpEnginePolicy::kDelta, kMaxBucketWeight));
 }
 
 TEST(StretchOracle, MaxStretchAgreesWithPerPairBruteForce) {
